@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Three subcommands drive the experiments and diagnostics and emit plot-ready
-CSV files plus a manifest.json recording the fully resolved configuration:
+CSV files plus a manifest.json recording the fully resolved configuration
+and the backend (binary64 or emulated) of each integrated channel:
 
     roundtrap sweep    [flags]          -> sweep.csv, manifest.json
     roundtrap longrun  [flags]          -> timeseries.csv, manifest.json
@@ -26,6 +27,7 @@ import decimal
 import json
 import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -44,7 +46,15 @@ from .analysis import (
 )
 from .fpcore import PrecisionConfig
 from .oscillator import OscillatorParams
-from .schemes import SamplingPlan, Scheme, StepLimitError, integrate, num_steps, update_matrix
+from .schemes import (
+    SamplingPlan,
+    Scheme,
+    StepLimitError,
+    channel_backend,
+    integrate,
+    num_steps,
+    update_matrix,
+)
 from .experiments import (
     STATUS_OK,
     SweepConfig,
@@ -252,7 +262,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
-def _write_manifest(out: Path, subcommand: str, resolved: dict, argv: list[str]) -> None:
+def _write_manifest(
+    out: Path, subcommand: str, resolved: dict, argv: list[str], backends: dict
+) -> None:
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
@@ -260,6 +272,7 @@ def _write_manifest(out: Path, subcommand: str, resolved: dict, argv: list[str])
         "subcommand": subcommand,
         "command": ["roundtrap", *argv],
         "resolved": resolved,
+        "backends": backends,
     }
     (out / MANIFEST_JSON).write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -284,6 +297,21 @@ def manifest_argv(manifest: dict, out_dir: Optional[str] = None) -> list[str]:
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _usage_errors():
+    """Report a library call's ValueError, raised for an argument it
+    rejects, as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _backends(**channels: PrecisionConfig) -> dict:
+    """The backend each channel's precision selects, for the manifest."""
+    return {name: channel_backend(cfg.significand_bits) for name, cfg in channels.items()}
 
 
 def _params(resolved: dict) -> OscillatorParams:
@@ -330,7 +358,8 @@ def cmd_sweep(resolved: dict, argv: list[str]) -> int:
         for r in records
     ]
     _write_csv(out / SWEEP_CSV, ["dt", "n_steps", "E", "E_t", "E_r", "status", "wall_time_s"], rows)
-    _write_manifest(out, "sweep", resolved, argv)
+    backends = _backends(run=cfg.run_precision, reference=cfg.ref_precision)
+    _write_manifest(out, "sweep", resolved, argv, backends)
     print(f"wrote {out / SWEEP_CSV} ({len(rows)} rows)")
     return 0
 
@@ -343,21 +372,22 @@ def cmd_longrun(resolved: dict, argv: list[str]) -> int:
     p_ref = _parse_precision(resolved["p_ref"], "--p-ref")
     if p_ref.significand_bits <= p_run.significand_bits:
         raise UsageError("--p-ref must be strictly wider than --p-run")
-    records = longtime_run(
-        Scheme.from_name(resolved["scheme"]),
-        _params(resolved),
-        _parse_fraction(resolved["dt"], "--dt"),
-        _parse_fraction(resolved["t_end"], "--t-end"),
-        p_run,
-        p_ref,
-        samples,
-        spacing=resolved["spacing"],
-        max_steps=_parse_int(resolved["max_steps"], "--max-steps"),
-    )
+    with _usage_errors():
+        records = longtime_run(
+            Scheme.from_name(resolved["scheme"]),
+            _params(resolved),
+            _parse_fraction(resolved["dt"], "--dt"),
+            _parse_fraction(resolved["t_end"], "--t-end"),
+            p_run,
+            p_ref,
+            samples,
+            spacing=resolved["spacing"],
+            max_steps=_parse_int(resolved["max_steps"], "--max-steps"),
+        )
     out = _out_dir(resolved)
     rows = [[format_wide(r.t), format_wide(r.e_round), format_wide(r.e_trunc)] for r in records]
     _write_csv(out / TIMESERIES_CSV, ["t", "E_r", "E_t"], rows)
-    _write_manifest(out, "longrun", resolved, argv)
+    _write_manifest(out, "longrun", resolved, argv, _backends(run=p_run, reference=p_ref))
     print(f"wrote {out / TIMESERIES_CSV} ({len(rows)} rows)")
     return 0
 
@@ -418,7 +448,9 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
     params = _params(resolved)
     dt = _parse_fraction(resolved["dt"], "--dt")
     if mode == "spectral":
-        info = spectral_analysis(update_matrix(scheme, params, dt))
+        with _usage_errors():
+            matrix = update_matrix(scheme, params, dt)
+        info = spectral_analysis(matrix)
         return [
             ("spectral", "det", format_wide(info.det)),
             ("spectral", "eigenvalue_modulus_1", format_wide(info.eigenvalue_moduli[0])),
@@ -430,7 +462,8 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
     if mode == "drift":
         n = num_steps(t_end, dt)
         stride = max(1, n // 16)
-        traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(stride))
+        with _usage_errors():
+            traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(stride))
         drift = conservation_drift(traj, params)
         out = [("drift", format_wide(t), format_wide(d)) for t, d in drift]
         out.append(("drift", "max", format_wide(max(d for _, d in drift))))
@@ -438,7 +471,8 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
     if mode == "residual":
         if num_steps(t_end, dt) > 200_000:
             raise UsageError("residual diagnostics sample every step; keep t-end/dt <= 200000")
-        traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(1))
+        with _usage_errors():
+            traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(1))
         norms = sorted(r for _, r in consistency_residual(traj, params))
         median = norms[len(norms) // 2]
         return [
@@ -461,9 +495,11 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
 
 def cmd_diagnose(resolved: dict, argv: list[str]) -> int:
     rows = _diagnose_rows(resolved)
+    integrates = resolved["mode"] in ("drift", "residual")
+    backends = _backends(run=_parse_precision(resolved["p_run"], "--p-run")) if integrates else {}
     out = _out_dir(resolved)
     _write_csv(out / DIAGNOSTICS_CSV, ["kind", "key", "value"], [list(r) for r in rows])
-    _write_manifest(out, "diagnose", resolved, argv)
+    _write_manifest(out, "diagnose", resolved, argv, backends)
     for kind, key, value in rows:
         print(f"{kind} {key} = {value}")
     return 0

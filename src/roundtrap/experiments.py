@@ -10,9 +10,9 @@ arithmetic; the default sweep is scaled to T = 100, where the V shape of
 total error versus step size survives because it is set by the balance of
 per-step round-off against dt**order, not by T.
 
-Sweep legs are independent and may run in worker processes; records are
-assembled in descending-dt order, so output is deterministic regardless of
-scheduling.
+Sweep legs are independent and may run in worker processes, submitted
+longest first; records are assembled in descending-dt order, so output is
+deterministic regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -140,9 +140,11 @@ def stepsize_sweep(cfg: SweepConfig, jobs: Optional[int] = None) -> list[SweepRe
     if jobs <= 1 or len(dts) == 1:
         return [_sweep_leg(cfg, dt) for dt in dts]
     workers = min(jobs, len(dts), os.cpu_count() or 1)
+    # longest leg first, so it never queues behind short ones
+    longest_first = sorted(dts, key=lambda dt: num_steps(cfg.t_end, dt), reverse=True)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        records = list(pool.map(_sweep_leg, [cfg] * len(dts), dts))
-    return records
+        futures = {dt: pool.submit(_sweep_leg, cfg, dt) for dt in longest_first}
+        return [futures[dt].result() for dt in dts]
 
 
 def _sample_steps(n: int, count: int, spacing: str) -> tuple[int, ...]:
@@ -167,7 +169,7 @@ def longtime_run(
     spacing: str = "log",
     max_steps: int = DESK_MAX_STEPS,
 ) -> list[TimeSeriesRecord]:
-    """Integrate run and reference in lockstep, recording the round-off and
+    """Integrate run and reference channels, recording the round-off and
     truncation error norms at ``sample_count`` log- or linearly-spaced
     times."""
     if sample_count < 2:

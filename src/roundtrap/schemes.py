@@ -22,10 +22,24 @@ representable -- while bookkeeping times stay at the exact requested
 step_index * dt, so trajectories at different precisions share a time grid
 and the step-size representation error is accounted to the round-off
 channel.
+
+Backends.  A rounded channel at p <= 25 or p = 53 significand bits steps in
+native binary64: each operation is one float operation followed by one
+rounding to p bits by a Veltkamp split (T. J. Dekker, Numer. Math. 18,
+1971), which at p = 53 is the identity.  That equals the emulator's single
+rounding, because rounding twice is innocuous when 53 >= 2p + 2
+(S. A. Figueroa, "When is double rounding innocuous?", SIGNUM Newsletter
+30(3), 1995) -- but only while no value overflows or leaves the normal
+range.  A range guard checks the state after every step; when it trips,
+or when a scheme constant lies outside its window, the channel continues
+(or runs) in the emulator from the last in-range state.  Every other p runs
+in the emulator throughout.  The emulator kernels remain the oracle: both
+backends give bit-identical trajectories.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,6 +52,7 @@ from .fpcore import (
     _fraction_to_raw,
     _mul_raw,
     _raw_to_fraction,
+    _round_raw,
     _sub_raw,
 )
 from .oscillator import OscillatorParams, State, _as_fraction
@@ -237,6 +252,151 @@ def _consts(scheme: Scheme, params: OscillatorParams, dt: Fraction, p: int):
 
 
 # ---------------------------------------------------------------------------
+# Native binary64 kernels.  Each follows its emulator kernel above line for
+# line, one line per rounded operation: the float operation, then its
+# rounding to p bits in place by a Veltkamp split, u = v*C; v = u - (u - v)
+# with C = 2**(53-p) + 1.  A kernel advances
+# up to k steps and returns (steps done, x, y): it stops before the first
+# step whose result fails the range guard, leaving the last in-range state.
+#
+# Windows.  Nonzero state components lie in [2**-400, 2**400] (checked after
+# every step) and nonzero constants in [2**-64, 2**64] (checked once per
+# run).  Along any kernel's data flow a value is a state component times at
+# most six constants (or reciprocals), combined by at most three additions
+# that can cancel (RK3's x2 -> x3 -> s chain; Euler and midpoint need
+# fewer).  Upward, sums grow a value at most 2**4-fold, so every
+# intermediate stays below 2**(400 + 6*64 + 4) = 2**788, and v*C below
+# 2**840 < 2**1024.  Downward, a cancelling sum of p-bit values is a nonzero
+# multiple of the smaller operand's ulp, at least 2**-p times that operand,
+# so a nonzero intermediate is at least 2**(-400 - 6*64 - 3*53) = 2**-943,
+# above the smallest normal 2**-1022.  So no value overflows or leaves the
+# normal range, every float operation is correctly rounded at 53 bits, and
+# the split's one further rounding matches the emulator exactly.  NaN and
+# inf fail the comparisons and so trip the guard too.
+# ---------------------------------------------------------------------------
+
+BINARY64 = "binary64"
+EMULATED = "emulated"
+
+_STATE_LO, _STATE_HI = 2.0**-400, 2.0**400
+_CONST_EXP = 64
+
+
+def channel_backend(p: int) -> str:
+    """The backend a rounded channel at p significand bits runs on."""
+    return BINARY64 if p <= 25 or p == 53 else EMULATED
+
+
+def _split_factor(p: int) -> float:
+    """Veltkamp's C for rounding a double to p bits."""
+    return float((1 << (53 - p)) + 1)
+
+
+def _in_window(v: float) -> bool:
+    return v == 0.0 or _STATE_LO <= abs(v) <= _STATE_HI
+
+
+def _native_consts(consts):
+    """The raw constants as floats, or None when one lies outside the
+    constant window."""
+    out = []
+    for m, e in zip(consts[::2], consts[1::2]):
+        if m and not -_CONST_EXP <= e + abs(m).bit_length() - 1 < _CONST_EXP:
+            return None
+        out.append(math.ldexp(m, e))  # exact: |m| < 2**p <= 2**53
+    return tuple(out)
+
+
+def _float_to_raw(v: float, p: int) -> tuple[int, int]:
+    """A p-bit float as a raw pair.  The significand of an integral float
+    comes out of as_integer_ratio() wider than p bits; re-rounding (exact
+    here) restores the raw-kernel operand contract."""
+    num, den = v.as_integer_ratio()
+    return _round_raw(num, 1 - den.bit_length(), p)
+
+
+def _euler_native(x, y, k, c, C):
+    na, b, d = c
+    lo, hi = _STATE_LO, _STATE_HI
+    for j in range(k):
+        t1 = na * y; u = t1 * C; t1 = u - (u - t1)
+        t2 = d * t1; u = t2 * C; t2 = u - (u - t2)
+        nx = x + t2; u = nx * C; nx = u - (u - nx)
+        u1 = b * x; u = u1 * C; u1 = u - (u - u1)
+        u2 = d * u1; u = u2 * C; u2 = u - (u - u2)
+        ny = y + u2; u = ny * C; ny = u - (u - ny)
+        if not (lo <= abs(nx) <= hi and lo <= abs(ny) <= hi):
+            if not (_in_window(nx) and _in_window(ny)):
+                return j, x, y
+        x, y = nx, ny
+    return k, x, y
+
+
+def _midpoint_native(x, y, k, c, C):
+    om, op, ad, bd = c
+    lo, hi = _STATE_LO, _STATE_HI
+    for j in range(k):
+        u1 = x * om; u = u1 * C; u1 = u - (u - u1)
+        u2 = ad * y; u = u2 * C; u2 = u - (u - u2)
+        nx = u1 - u2; u = nx * C; nx = u - (u - nx)
+        v1 = y * om; u = v1 * C; v1 = u - (u - v1)
+        v2 = bd * x; u = v2 * C; v2 = u - (u - v2)
+        ny = v1 + v2; u = ny * C; ny = u - (u - ny)
+        qx = nx / op; u = qx * C; qx = u - (u - qx)
+        qy = ny / op; u = qy * C; qy = u - (u - qy)
+        if not (lo <= abs(qx) <= hi and lo <= abs(qy) <= hi):
+            if not (_in_window(qx) and _in_window(qy)):
+                return j, x, y
+        x, y = qx, qy
+    return k, x, y
+
+
+def _rk3_native(x, y, k, c, C):
+    na, b, d, h, d2, d6 = c
+    lo, hi = _STATE_LO, _STATE_HI
+    for j in range(k):
+        k1x = na * y; u = k1x * C; k1x = u - (u - k1x)
+        k1y = b * x; u = k1y * C; k1y = u - (u - k1y)
+        t = h * k1x; u = t * C; t = u - (u - t)
+        x2 = x + t; u = x2 * C; x2 = u - (u - x2)
+        t = h * k1y; u = t * C; t = u - (u - t)
+        y2 = y + t; u = y2 * C; y2 = u - (u - y2)
+        k2x = na * y2; u = k2x * C; k2x = u - (u - k2x)
+        k2y = b * x2; u = k2y * C; k2y = u - (u - k2y)
+        t = d * k1x; u = t * C; t = u - (u - t)
+        x3 = x - t; u = x3 * C; x3 = u - (u - x3)
+        t = d2 * k2x; u = t * C; t = u - (u - t)
+        x3 = x3 + t; u = x3 * C; x3 = u - (u - x3)
+        t = d * k1y; u = t * C; t = u - (u - t)
+        y3 = y - t; u = y3 * C; y3 = u - (u - y3)
+        t = d2 * k2y; u = t * C; t = u - (u - t)
+        y3 = y3 + t; u = y3 * C; y3 = u - (u - y3)
+        k3x = na * y3; u = k3x * C; k3x = u - (u - k3x)
+        k3y = b * x3; u = k3y * C; k3y = u - (u - k3y)
+        # x + dt/6 * ((k1 + 4 k2) + k3); 4*k2 is an exact scaling
+        s = k1x + 4.0 * k2x; u = s * C; s = u - (u - s)
+        s = s + k3x; u = s * C; s = u - (u - s)
+        t = d6 * s; u = t * C; t = u - (u - t)
+        nx = x + t; u = nx * C; nx = u - (u - nx)
+        s = k1y + 4.0 * k2y; u = s * C; s = u - (u - s)
+        s = s + k3y; u = s * C; s = u - (u - s)
+        t = d6 * s; u = t * C; t = u - (u - t)
+        ny = y + t; u = ny * C; ny = u - (u - ny)
+        if not (lo <= abs(nx) <= hi and lo <= abs(ny) <= hi):
+            if not (_in_window(nx) and _in_window(ny)):
+                return j, x, y
+        x, y = nx, ny
+    return k, x, y
+
+
+_NATIVE_FN = {
+    Scheme.FORWARD_EULER: _euler_native,
+    Scheme.MIDPOINT_IMPLICIT: _midpoint_native,
+    Scheme.RK3: _rk3_native,
+}
+
+
+# ---------------------------------------------------------------------------
 # Exact-arithmetic steps (same operation order; order is immaterial without
 # rounding, but keeping it aligned makes the rounded kernels testable
 # against these).
@@ -399,22 +559,39 @@ def integrate(
                 samples.append((i, State(x, y, i * dt)))
                 pos += 1
     else:
-        p = cfg.significand_bits
-        consts = _consts(scheme, params, dt, p)
-        step_fn = _STEP_FN[scheme]
-        st = (1, 0, 0, 0)
-        pos = 0
-        if wanted[0] == 0:
-            samples.append((0, State(Fraction(1), Fraction(0), Fraction(0))))
-            pos = 1
-        for i in range(1, n + 1):
-            st = step_fn(st, consts, p)
-            if pos < len(wanted) and wanted[pos] == i:
-                samples.append(
-                    (i, State(_raw_to_fraction(st[0], st[1]), _raw_to_fraction(st[2], st[3]), i * dt))
-                )
-                pos += 1
+        samples = _rounded_samples(scheme, params, dt, cfg.significand_bits, wanted)
     return Trajectory(params, scheme, dt, cfg, n, tuple(samples))
+
+
+def _rounded_samples(scheme: Scheme, params: OscillatorParams, dt: Fraction, p: int, wanted):
+    """Advance one rounded channel from sample index to sample index, on the
+    native kernel while its range guard holds and on the emulator kernel
+    otherwise; returns the (index, State) samples at ``wanted``."""
+    consts = _consts(scheme, params, dt, p)
+    native = _native_consts(consts) if channel_backend(p) == BINARY64 else None
+    if native is not None:
+        kernel, C = _NATIVE_FN[scheme], _split_factor(p)
+    step_fn = _STEP_FN[scheme]
+    x, y = 1.0, 0.0
+    st = (1, 0, 0, 0)
+    i = 0
+    samples = []
+    for target in wanted:
+        if native is not None:
+            done, x, y = kernel(x, y, target - i, native, C)
+            i += done
+            if i == target:
+                samples.append((i, State(Fraction(x), Fraction(y), i * dt)))
+                continue
+            # the guard tripped: the emulator takes over from the last
+            # in-range state for the rest of the channel
+            st = (*_float_to_raw(x, p), *_float_to_raw(y, p))
+            native = None
+        for _ in range(target - i):
+            st = step_fn(st, consts, p)
+        i = target
+        samples.append((i, State(_raw_to_fraction(st[0], st[1]), _raw_to_fraction(st[2], st[3]), i * dt)))
+    return samples
 
 
 def integrate_pair(
@@ -427,40 +604,12 @@ def integrate_pair(
     sampling: SamplingPlan = SamplingPlan.final_only(),
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> tuple[Trajectory, Trajectory]:
-    """Integrate the same scheme at two precisions in one step loop.
+    """Integrate the same scheme at two precisions: two integrate() calls.
 
     The two channels never share rounded values; each rounds dt and the
-    scheme constants at its own precision.  Results are bit-identical to two
-    separate integrate() calls.
+    scheme constants at its own precision and may run on its own backend.
     """
-    dt = _as_fraction(dt)
-    t_end = _as_fraction(t_end)
-    n = _check_steps(t_end, dt, max_steps)
-    p1, p2 = cfg_run.significand_bits, cfg_ref.significand_bits
-    c1 = _consts(scheme, params, dt, p1)
-    c2 = _consts(scheme, params, dt, p2)
-    step_fn = _STEP_FN[scheme]
-    s1 = (1, 0, 0, 0)
-    s2 = (1, 0, 0, 0)
-    wanted = sampling.resolve(n)
-    out1, out2 = [], []
-
-    def record(i, st, out):
-        out.append((i, State(_raw_to_fraction(st[0], st[1]), _raw_to_fraction(st[2], st[3]), i * dt)))
-
-    pos = 0
-    if wanted[0] == 0:
-        record(0, s1, out1)
-        record(0, s2, out2)
-        pos = 1
-    for i in range(1, n + 1):
-        s1 = step_fn(s1, c1, p1)
-        s2 = step_fn(s2, c2, p2)
-        if pos < len(wanted) and wanted[pos] == i:
-            record(i, s1, out1)
-            record(i, s2, out2)
-            pos += 1
     return (
-        Trajectory(params, scheme, dt, cfg_run, n, tuple(out1)),
-        Trajectory(params, scheme, dt, cfg_ref, n, tuple(out2)),
+        integrate(scheme, params, dt, t_end, cfg_run, sampling, max_steps),
+        integrate(scheme, params, dt, t_end, cfg_ref, sampling, max_steps),
     )

@@ -71,6 +71,13 @@ class TestSweepCommand:
         assert manifest["schema_version"] == 1
         assert manifest["resolved"]["dt_list"] == "1e-1,1e-2"
 
+    @pytest.mark.parametrize("p_run, run_backend", [("24", "binary64"), ("30", "emulated")])
+    def test_manifest_records_backends(self, tmp_path, p_run, run_backend):
+        run_sweep(tmp_path, ["--p-run", p_run, "--p-ref", "113"])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["backends"] == {"run": run_backend, "reference": "emulated"}
+        assert "backends" not in manifest["resolved"]
+
     def test_replay_reproduces_data_columns(self, tmp_path):
         first = tmp_path / "first"
         second = tmp_path / "second"
@@ -232,6 +239,19 @@ class TestConfigPrecedence:
             "sweep", "--t-end", "1", "--dt-list", "1e-1", "--p-run", "24", "--p-ref", "53",
         ]) == 0
         assert (tmp_path / "from_env" / "sweep.csv").exists()
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("argv, message", [
+        (["longrun", "--dt", "10", "--t-end", "1"], "rounds to zero steps"),
+        (["diagnose", "drift", "--dt", "10", "--t-end", "1"], "rounds to zero steps"),
+        (["diagnose", "spectral", "--dt", "-1"], "dt must be nonnegative"),
+    ])
+    def test_rejected_argument_is_usage_error(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestParser:

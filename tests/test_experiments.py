@@ -70,6 +70,8 @@ class TestStepsizeSweep:
         parallel = stepsize_sweep(SMALL, jobs=2)
         strip = lambda recs: [(r.dt, r.n_steps, r.e_total, r.e_trunc, r.e_round, r.status) for r in recs]
         assert strip(serial) == strip(parallel)
+        # legs are submitted longest first but reported in descending-dt order
+        assert [r.dt for r in parallel] == sorted(SMALL.dt_list, reverse=True)
 
     def test_guard_trips_are_per_record(self):
         cfg = SweepConfig(
