@@ -166,8 +166,8 @@ def _power_norm_cap(m: UpdateMatrix, n: int) -> float:
 
     For a complex eigenpair (every scheme here at dt>0) A is similar to a
     rotation-scaling; the similarity's condition number times max(1, rho)**n
-    bounds all powers.  Falls back to scanning a nested index ladder when the
-    eigenvalues are real.
+    bounds all powers, and is inf when that power overflows a float.  Falls
+    back to scanning a nested index ladder when the eigenvalues are real.
     """
     (p, q), (r, s) = (tuple(map(float, row)) for row in m.entries)
     det = p * s - q * r
@@ -183,7 +183,11 @@ def _power_norm_cap(m: UpdateMatrix, n: int) -> float:
             v11 / vdet, -v01 / vdet, -v10 / vdet, v00 / vdet
         )
         rho = math.sqrt(det)
-        return cond * max(1.0, rho) ** n
+        try:
+            growth = max(1.0, rho) ** n
+        except OverflowError:
+            return math.inf
+        return cond * growth
     # real eigenvalues: scan 1..64 plus powers of two (nested in n, so the
     # result stays monotone nondecreasing in n)
     best = 1.0

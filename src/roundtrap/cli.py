@@ -25,6 +25,7 @@ import argparse
 import csv
 import decimal
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -485,10 +486,12 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
         bound_mode = BoundMode.RANDOM_WALK if resolved["bound_model"] == "random" else BoundMode.WORST_CASE
         model = ErrorBoundModel.for_precision(p_run, params, bound_mode)
         value = predict_error_bound(params, scheme, dt, n, model)
+        # an overflowing bound is inf, which has no Fraction
+        text = format_wide(Fraction(value)) if math.isfinite(value) else str(value)
         return [
             ("bound", "model", bound_mode.value),
             ("bound", "n_steps", str(n)),
-            ("bound", "value", format_wide(Fraction(value))),
+            ("bound", "value", text),
         ]
     raise UsageError(f"unknown diagnose mode {mode!r}")
 

@@ -38,6 +38,7 @@ from .schemes import (
 
 STATUS_OK = "ok"
 STATUS_SKIPPED_GUARD = "skipped_guard"
+STATUS_SKIPPED_ZERO_STEPS = "skipped_zero_steps"
 
 DESK_DT_LIST = tuple(
     Fraction(s) for s in ("1e-1", "3e-2", "1e-2", "3e-3", "1e-3", "3e-4", "1e-4", "3e-5", "1e-5")
@@ -75,7 +76,8 @@ class SweepConfig:
 @dataclass(frozen=True, slots=True)
 class SweepRecord:
     """One sweep row: error norms at t_end for one step size.  Error fields
-    are None when the leg was skipped by the step-count guard."""
+    are None when the leg was skipped: by the step-count guard
+    (n_steps > max_steps) or because t_end/dt rounds to zero steps."""
 
     dt: Fraction
     n_steps: int
@@ -110,7 +112,9 @@ def reference_trajectory(
 
 def _sweep_leg(cfg: SweepConfig, dt: Fraction) -> SweepRecord:
     n = num_steps(cfg.t_end, dt)
-    if n < 1 or n > cfg.max_steps:
+    if n < 1:
+        return SweepRecord(dt, n, None, None, None, 0.0, STATUS_SKIPPED_ZERO_STEPS)
+    if n > cfg.max_steps:
         return SweepRecord(dt, n, None, None, None, 0.0, STATUS_SKIPPED_GUARD)
     started = time.perf_counter()
     run, ref = integrate_pair(
@@ -132,7 +136,8 @@ def stepsize_sweep(cfg: SweepConfig, jobs: Optional[int] = None) -> list[SweepRe
 
     ``jobs`` > 1 runs legs in worker processes; the data columns of the
     result do not depend on jobs.  Guard-tripped legs are reported with
-    status=skipped_guard rather than failing the sweep.
+    status=skipped_guard and legs whose t_end/dt rounds to zero steps with
+    status=skipped_zero_steps, rather than failing the sweep.
     """
     dts = sorted(set(cfg.dt_list), reverse=True)
     if jobs is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import _wide
 
@@ -41,11 +42,17 @@ class OscillatorParams:
 
     def angular_frequency(self) -> Fraction:
         """sqrt(a*b) to wide precision."""
-        return _wide.wide_sqrt(self.a * self.b)
+        return _orbit_constants(self)[0]
 
     def amplitude_y(self) -> Fraction:
         """sqrt(b/a), the y amplitude of the orbit, to wide precision."""
-        return _wide.wide_sqrt(self.b / self.a)
+        return _orbit_constants(self)[1]
+
+
+@lru_cache(maxsize=64)
+def _orbit_constants(params: OscillatorParams) -> tuple[Fraction, Fraction]:
+    """(sqrt(a*b), sqrt(b/a)) at wide precision, computed once per params."""
+    return _wide.wide_sqrt(params.a * params.b), _wide.wide_sqrt(params.b / params.a)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,9 +90,9 @@ def analytic_solution(params: OscillatorParams, t) -> State:
         raise ValueError("analytic solution is defined for t >= 0")
     if t == 0:
         return INITIAL_STATE
-    phase = params.angular_frequency() * t
-    c, s = _wide.wide_cos_sin(phase)
-    return State(c, params.amplitude_y() * s, t)
+    omega, amp = _orbit_constants(params)
+    c, s = _wide.wide_cos_sin(omega * t)
+    return State(c, amp * s, t)
 
 
 def invariant_value(params: OscillatorParams, s: State) -> Fraction:

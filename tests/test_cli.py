@@ -64,6 +64,18 @@ class TestSweepCommand:
         assert row["status"] == "skipped_guard"
         assert row["E"] == "nan"
 
+    def test_zero_step_and_guard_rows(self, tmp_path):
+        # dt=10 rounds t_end/dt to zero steps; dt=1e-9 trips the step guard
+        assert main([
+            "sweep", "--t-end", "1", "--dt-list", "10,1e-9", "--max-steps", "1000",
+            "--p-run", "24", "--p-ref", "53", "--out-dir", str(tmp_path),
+        ]) == 0
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert [(r["dt"], r["n_steps"], r["status"], r["E"]) for r in rows] == [
+            ("10", "0", "skipped_zero_steps", "nan"),
+            ("1E-9", "1000000000", "skipped_guard", "nan"),
+        ]
+
     def test_manifest_written(self, tmp_path):
         run_sweep(tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -252,6 +264,15 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_overflowing_bound_is_inf(self, tmp_path, capsys):
+        assert main([
+            "diagnose", "bound", "--scheme", "euler", "--dt", "0.1", "--t-end", "10000000",
+            "--out-dir", str(tmp_path),
+        ]) == 0
+        assert capsys.readouterr().err == ""
+        got = {r["key"]: r["value"] for r in read_csv(tmp_path / "diagnostics.csv")}
+        assert got["value"] == "inf"
 
 
 class TestParser:

@@ -1,0 +1,83 @@
+"""Golden CLI outputs: small fixed configurations whose data columns must not
+change by a single byte.
+
+The files under tests/golden/ were written by the commands below.  A change
+that alters a data column on purpose regenerates them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says why in its change log.  ``wall_time_s`` is outside the CLI's
+bit-reproducibility guarantee and is not compared.
+"""
+
+import csv
+import sys
+from pathlib import Path
+
+import pytest
+
+from roundtrap.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+UNCHECKED_COLUMNS = ("wall_time_s",)
+
+# golden file name -> (argv without --out-dir, CSV the command writes)
+GOLDEN = {
+    "sweep.csv": (
+        ["sweep", "--a", "0.05", "--b", "0.4", "--t-end", "3", "--dt-list", "1e-1,3e-2,1e-2",
+         "--p-run", "24", "--p-ref", "113", "--jobs", "1"],
+        "sweep.csv",
+    ),
+    "timeseries.csv": (
+        ["longrun", "--dt", "1e-2", "--t-end", "100", "--samples", "200", "--spacing", "linear",
+         "--p-run", "24", "--p-ref", "113"],
+        "timeseries.csv",
+    ),
+    "diagnostics_residual.csv": (
+        ["diagnose", "residual", "--scheme", "rk3", "--a", "0.8", "--b", "0.025",
+         "--dt", "1e-3", "--t-end", "0.5", "--p-run", "24"],
+        "diagnostics.csv",
+    ),
+    "diagnostics_spectral.csv": (
+        ["diagnose", "spectral", "--scheme", "rk3", "--a", "0.4", "--b", "0.05", "--dt", "0.3"],
+        "diagnostics.csv",
+    ),
+    "diagnostics_drift.csv": (
+        ["diagnose", "drift", "--scheme", "euler", "--a", "0.2", "--b", "0.1",
+         "--dt", "1e-2", "--t-end", "10", "--p-run", "24"],
+        "diagnostics.csv",
+    ),
+    "diagnostics_bound.csv": (
+        ["diagnose", "bound", "--scheme", "rk3", "--dt", "1e-2", "--t-end", "100"],
+        "diagnostics.csv",
+    ),
+}
+
+
+def data_rows(path: Path) -> list[list[str]]:
+    """The CSV's rows as field strings, minus the unchecked columns."""
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, name in enumerate(rows[0]) if name not in UNCHECKED_COLUMNS]
+    return [[row[i] for i in keep] for row in rows]
+
+
+def run(name: str, out: Path) -> Path:
+    argv, written = GOLDEN[name]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    return out / written
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_data_columns_match_golden(name, tmp_path):
+    assert data_rows(run(name, tmp_path)) == data_rows(GOLDEN_DIR / name)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name in GOLDEN:
+        with tempfile.TemporaryDirectory() as tmp:
+            (GOLDEN_DIR / name).write_bytes(run(name, Path(tmp)).read_bytes())
+            print(f"wrote {GOLDEN_DIR / name}", file=sys.stderr)
