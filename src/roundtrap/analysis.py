@@ -8,6 +8,9 @@ formed exactly -- states store exact rationals -- so total = truncation +
 round-off holds componentwise by construction, not approximately.  Norms and
 other irrational quantities are evaluated wide (240 bits) and returned as
 exact rationals of the evaluated value.
+
+The consistency residual (B u1 - C u0)/delta is formed exactly over integers
+from the scheme's pencil (B, C), the definition exact steps also use.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Optional, Sequence
 
 from . import _wide
 from .fpcore import PrecisionConfig, unit_roundoff
-from .oscillator import OscillatorParams, State, invariant_value, rhs, _as_fraction
-from .schemes import Scheme, Trajectory, UpdateMatrix, update_matrix
+from .oscillator import OscillatorParams, State, invariant_value, _as_fraction
+from .schemes import Scheme, Trajectory, UpdateMatrix, _pencil, update_matrix
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,48 +70,44 @@ def error_separation(actual: State, reference: State, analytic: State) -> ErrorT
 # ---------------------------------------------------------------------------
 
 
-def _stencil_defect(scheme: Scheme, params: OscillatorParams, u0: State, u1: State, delta: Fraction):
-    """(u1 - u0)/delta minus the scheme's own increment function, in exact
-    arithmetic; zero for an exact-arithmetic trajectory of that scheme."""
-    dx = (u1.x - u0.x) / delta
-    dy = (u1.y - u0.y) / delta
-    if scheme is Scheme.FORWARD_EULER:
-        fx, fy = rhs(params, u0)
-    elif scheme is Scheme.MIDPOINT_IMPLICIT:
-        mid = State((u0.x + u1.x) / 2, (u0.y + u1.y) / 2, u0.t)
-        fx, fy = rhs(params, mid)
-    elif scheme is Scheme.RK3:
-        a, b = params.a, params.b
-        k1x, k1y = -a * u0.y, b * u0.x
-        x2, y2 = u0.x + delta / 2 * k1x, u0.y + delta / 2 * k1y
-        k2x, k2y = -a * y2, b * x2
-        x3, y3 = u0.x - delta * k1x + 2 * delta * k2x, u0.y - delta * k1y + 2 * delta * k2y
-        k3x, k3y = -a * y3, b * x3
-        fx = (k1x + 4 * k2x + k3x) / 6
-        fy = (k1y + 4 * k2y + k3y) / 6
-    else:
-        raise ValueError(f"unsupported scheme {scheme}")
-    return dx - fx, dy - fy
-
-
 def consistency_residual(
     trajectory: Trajectory, params: OscillatorParams
 ) -> list[tuple[int, Fraction]]:
-    """Residual of each consecutive sampled step pair against the scheme's
-    defining stencil, at exact arithmetic with the machine step size.
+    """Norm of (B u1 - C u0)/delta for each consecutive sampled step pair,
+    with (B, C) the scheme's exact pencil at the machine step size delta.
 
     For an exact-arithmetic trajectory this is identically zero; under
     rounding it measures the injected per-step error divided by dt: the
     quantity whose failure to vanish breaks consistency.  Keyed by the index
-    of the earlier step of each pair.
+    of the earlier step of each pair.  Each component is one integer linear
+    form over the pair's common denominator (a power of two for a rounded
+    run) and the pencil's, made a Fraction once.
     """
     delta = trajectory.machine_dt
+    b, c = _pencil(trajectory.scheme, params, delta)
+    entries = (*b[0], *b[1], *c[0], *c[1])
+    den = math.lcm(*(e.denominator for e in entries))
+    # B = Bi/den and C = Ci/den, with 1/delta folded into the integers
+    b00, b01, b10, b11, c00, c01, c10, c11 = (
+        e.numerator * (den // e.denominator) * delta.denominator for e in entries
+    )
+    scale = den * delta.numerator
+    lcm = math.lcm
     samples = trajectory.samples
     out = []
     for (i, u0), (j, u1) in zip(samples, samples[1:]):
         if j != i + 1:
             continue
-        rx, ry = _stencil_defect(trajectory.scheme, params, u0, u1, delta)
+        x0, y0, x1, y1 = u0.x, u0.y, u1.x, u1.y
+        dx0, dy0, dx1, dy1 = x0.denominator, y0.denominator, x1.denominator, y1.denominator
+        q = lcm(dx0, dy0, dx1, dy1)
+        nx0 = x0.numerator * (q // dx0)
+        ny0 = y0.numerator * (q // dy0)
+        nx1 = x1.numerator * (q // dx1)
+        ny1 = y1.numerator * (q // dy1)
+        d = scale * q
+        rx = Fraction(b00 * nx1 + b01 * ny1 - c00 * nx0 - c01 * ny0, d)
+        ry = Fraction(b10 * nx1 + b11 * ny1 - c10 * nx0 - c11 * ny0, d)
         out.append((i, _wide.wide_norm2(rx, ry)))
     if not out:
         raise ValueError("trajectory has no consecutive step pairs; sample with stride 1")

@@ -315,6 +315,13 @@ def _backends(**channels: PrecisionConfig) -> dict:
     return {name: channel_backend(cfg.significand_bits) for name, cfg in channels.items()}
 
 
+def _warn_off_grid(dt: Fraction, t_end: Fraction, n: int) -> None:
+    """Warn on stderr when the n = round(t_end/dt) steps run end short of or past t_end."""
+    if n >= 1 and n * dt != t_end:
+        print(f"warning: t_end={format_wide(t_end)} is not a multiple of dt={format_wide(dt)}; "
+              f"{n} steps end at t={format_wide(n * dt)}", file=sys.stderr)
+
+
 def _params(resolved: dict) -> OscillatorParams:
     a = _parse_fraction(resolved["a"], "--a")
     b = _parse_fraction(resolved["b"], "--b")
@@ -345,6 +352,9 @@ def cmd_sweep(resolved: dict, argv: list[str]) -> int:
         raise UsageError(str(exc)) from None
     jobs = _parse_int(resolved["jobs"], "--jobs") if resolved["jobs"] else os.cpu_count() or 1
     records = stepsize_sweep(cfg, jobs=jobs)
+    for r in records:
+        if r.status == STATUS_OK:
+            _warn_off_grid(r.dt, cfg.t_end, r.n_steps)
     out = _out_dir(resolved)
     rows = [
         [
@@ -373,18 +383,21 @@ def cmd_longrun(resolved: dict, argv: list[str]) -> int:
     p_ref = _parse_precision(resolved["p_ref"], "--p-ref")
     if p_ref.significand_bits <= p_run.significand_bits:
         raise UsageError("--p-ref must be strictly wider than --p-run")
+    dt = _parse_fraction(resolved["dt"], "--dt")
+    t_end = _parse_fraction(resolved["t_end"], "--t-end")
     with _usage_errors():
         records = longtime_run(
             Scheme.from_name(resolved["scheme"]),
             _params(resolved),
-            _parse_fraction(resolved["dt"], "--dt"),
-            _parse_fraction(resolved["t_end"], "--t-end"),
+            dt,
+            t_end,
             p_run,
             p_ref,
             samples,
             spacing=resolved["spacing"],
             max_steps=_parse_int(resolved["max_steps"], "--max-steps"),
         )
+    _warn_off_grid(dt, t_end, num_steps(t_end, dt))
     out = _out_dir(resolved)
     rows = [[format_wide(r.t), format_wide(r.e_round), format_wide(r.e_trunc)] for r in records]
     _write_csv(out / TIMESERIES_CSV, ["t", "E_r", "E_t"], rows)
@@ -460,8 +473,11 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
 
     t_end = _parse_fraction(resolved["t_end"], "--t-end")
     p_run = _parse_precision(resolved["p_run"], "--p-run")
+    if dt <= 0:
+        raise UsageError("--dt must be positive")
+    n = num_steps(t_end, dt)
+    _warn_off_grid(dt, t_end, n)
     if mode == "drift":
-        n = num_steps(t_end, dt)
         stride = max(1, n // 16)
         with _usage_errors():
             traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(stride))
@@ -470,7 +486,7 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
         out.append(("drift", "max", format_wide(max(d for _, d in drift))))
         return out
     if mode == "residual":
-        if num_steps(t_end, dt) > 200_000:
+        if n > 200_000:
             raise UsageError("residual diagnostics sample every step; keep t-end/dt <= 200000")
         with _usage_errors():
             traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(1))
@@ -482,7 +498,6 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
             ("residual", "max", format_wide(norms[-1])),
         ]
     if mode == "bound":
-        n = num_steps(t_end, dt)
         bound_mode = BoundMode.RANDOM_WALK if resolved["bound_model"] == "random" else BoundMode.WORST_CASE
         model = ErrorBoundModel.for_precision(p_run, params, bound_mode)
         value = predict_error_bound(params, scheme, dt, n, model)

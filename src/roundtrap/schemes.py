@@ -13,6 +13,9 @@ emulated precision:
 * Kutta's explicit third-order rule (stages at 0, 1/2, 1 with weights
   1/6, 2/3, 1/6); not conservative, included for the order sweep.
 
+Exact arithmetic has one definition per scheme, the pencil (B, C) with
+B u' = C u of ``_pencil``: exact steps apply ``update_matrix`` = B^-1 C.
+
 Rounded-mode operation order is fixed (see the step functions) so runs are
 bit-reproducible: constants such as a*dt and 1+-k are rounded once per run,
 which is bit-identical to recomputing them each step because rounding is
@@ -397,39 +400,6 @@ _NATIVE_FN = {
 
 
 # ---------------------------------------------------------------------------
-# Exact-arithmetic steps (same operation order; order is immaterial without
-# rounding, but keeping it aligned makes the rounded kernels testable
-# against these).
-# ---------------------------------------------------------------------------
-
-
-def _euler_exact(x: Fraction, y: Fraction, params, dt: Fraction):
-    return x + dt * (-params.a * y), y + dt * (params.b * x)
-
-
-def _midpoint_exact(x: Fraction, y: Fraction, params, dt: Fraction):
-    k = (params.a * dt / 2) * (params.b * dt / 2)
-    return (x * (1 - k) - params.a * dt * y) / (1 + k), (y * (1 - k) + params.b * dt * x) / (1 + k)
-
-
-def _rk3_exact(x: Fraction, y: Fraction, params, dt: Fraction):
-    a, b = params.a, params.b
-    k1x, k1y = -a * y, b * x
-    x2, y2 = x + dt / 2 * k1x, y + dt / 2 * k1y
-    k2x, k2y = -a * y2, b * x2
-    x3, y3 = x - dt * k1x + 2 * dt * k2x, y - dt * k1y + 2 * dt * k2y
-    k3x, k3y = -a * y3, b * x3
-    return x + dt / 6 * (k1x + 4 * k2x + k3x), y + dt / 6 * (k1y + 4 * k2y + k3y)
-
-
-_EXACT_FN = {
-    Scheme.FORWARD_EULER: _euler_exact,
-    Scheme.MIDPOINT_IMPLICIT: _midpoint_exact,
-    Scheme.RK3: _rk3_exact,
-}
-
-
-# ---------------------------------------------------------------------------
 # Public single-step operations
 # ---------------------------------------------------------------------------
 
@@ -439,7 +409,7 @@ def _single_step(scheme: Scheme, s: State, dt, params: OscillatorParams, cfg):
     if dt <= 0:
         raise ValueError("dt must be positive")
     if cfg is None:
-        x, y = _EXACT_FN[scheme](s.x, s.y, params, dt)
+        x, y = update_matrix(scheme, params, dt).apply(s.x, s.y)
         return State(x, y, s.t + dt)
     p = cfg.significand_bits
     st = (*_fraction_to_raw(s.x, p), *_fraction_to_raw(s.y, p))
@@ -486,27 +456,39 @@ class UpdateMatrix:
         return p * x + q * y, r * x + s * y
 
 
-def update_matrix(scheme: Scheme, params: OscillatorParams, dt) -> UpdateMatrix:
-    """The exact one-step matrix of the scheme at step size dt (dt=0 gives
-    the identity for every scheme)."""
-    dt = _as_fraction(dt)
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
+def _pencil(scheme: Scheme, params: OscillatorParams, dt: Fraction):
+    """The scheme's exact pencil (B, C), B u' = C u, as two 2x2 tuples of
+    Fractions; J = [[0, -a], [b, 0]] is the system matrix."""
     a, b = params.a, params.b
-    if scheme is Scheme.FORWARD_EULER:
-        return UpdateMatrix(((Fraction(1), -a * dt), (b * dt, Fraction(1))))
-    if scheme is Scheme.MIDPOINT_IMPLICIT:
-        k = (a * dt / 2) * (b * dt / 2)
-        d = 1 + k
-        return UpdateMatrix((((1 - k) / d, -a * dt / d), (b * dt / d, (1 - k) / d)))
+    one, zero = Fraction(1), Fraction(0)
+    identity = ((one, zero), (zero, one))
+    if scheme is Scheme.FORWARD_EULER:  # B = I, C = I + dt*J
+        return identity, ((one, -a * dt), (b * dt, one))
+    if scheme is Scheme.MIDPOINT_IMPLICIT:  # B = I - dt*J/2, C = I + dt*J/2
+        ha, hb = a * dt / 2, b * dt / 2
+        return ((one, ha), (-hb, one)), ((one, -ha), (hb, one))
     if scheme is Scheme.RK3:
-        # explicit 3-stage third order on a linear system is the cubic
-        # Taylor polynomial of exp(dt*J); J**2 = -a*b*dt**2 * I collapses it
+        # B = I; explicit 3-stage third order on a linear system is the cubic
+        # Taylor polynomial of exp(dt*J), and J**2 = -a*b * I collapses it
         w = a * b * dt * dt
         diag = 1 - w / 2
         off = 1 - w / 6
-        return UpdateMatrix(((diag, -a * dt * off), (b * dt * off, diag)))
+        return identity, ((diag, -a * dt * off), (b * dt * off, diag))
     raise ValueError(f"unsupported scheme {scheme}")
+
+
+def update_matrix(scheme: Scheme, params: OscillatorParams, dt) -> UpdateMatrix:
+    """The exact one-step matrix B^-1 C of the scheme's pencil at step size
+    dt (dt=0 gives the identity for every scheme)."""
+    dt = _as_fraction(dt)
+    if dt < 0:
+        raise ValueError("dt must be nonnegative")
+    ((p, q), (r, s)), ((c00, c01), (c10, c11)) = _pencil(scheme, params, dt)
+    det = p * s - q * r
+    return UpdateMatrix((
+        ((s * c00 - q * c10) / det, (s * c01 - q * c11) / det),
+        ((p * c10 - r * c00) / det, (p * c11 - r * c01) / det),
+    ))
 
 
 def num_steps(t_end, dt) -> int:
@@ -548,13 +530,13 @@ def integrate(
     samples = []
     if cfg is None:
         x, y = Fraction(1), Fraction(0)
-        exact_fn = _EXACT_FN[scheme]
+        apply = update_matrix(scheme, params, dt).apply
         pos = 0
         if wanted[0] == 0:
             samples.append((0, State(x, y, Fraction(0))))
             pos = 1
         for i in range(1, n + 1):
-            x, y = exact_fn(x, y, params, dt)
+            x, y = apply(x, y)
             if pos < len(wanted) and wanted[pos] == i:
                 samples.append((i, State(x, y, i * dt)))
                 pos += 1

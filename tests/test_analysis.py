@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roundtrap import _wide
 from roundtrap.analysis import (
     BoundMode,
     ErrorBoundModel,
@@ -124,6 +126,79 @@ class TestConsistencyResidual:
     def test_rounded_trajectory_nonzero_residual(self, scheme):
         traj = integrate(scheme, PARAMS, Fraction(1, 10), 1, SINGLE, SamplingPlan.every(1))
         assert max(r for _, r in consistency_residual(traj, PARAMS)) > 0
+
+
+def stencil_defect(scheme, params, u0, u1, delta):
+    """The residual's former definition, kept as its oracle: (u1 - u0)/delta
+    minus the scheme's increment function, typed out stage by stage in
+    Fraction arithmetic."""
+    dx = (u1.x - u0.x) / delta
+    dy = (u1.y - u0.y) / delta
+    a, b = params.a, params.b
+    if scheme is Scheme.FORWARD_EULER:
+        fx, fy = -a * u0.y, b * u0.x
+    elif scheme is Scheme.MIDPOINT_IMPLICIT:
+        fx, fy = -a * (u0.y + u1.y) / 2, b * (u0.x + u1.x) / 2
+    else:
+        k1x, k1y = -a * u0.y, b * u0.x
+        x2, y2 = u0.x + delta / 2 * k1x, u0.y + delta / 2 * k1y
+        k2x, k2y = -a * y2, b * x2
+        x3, y3 = u0.x - delta * k1x + 2 * delta * k2x, u0.y - delta * k1y + 2 * delta * k2y
+        k3x, k3y = -a * y3, b * x3
+        fx = (k1x + 4 * k2x + k3x) / 6
+        fy = (k1y + 4 * k2y + k3y) / 6
+    return dx - fx, dy - fy
+
+
+def oracle_residual(trajectory, params):
+    delta = trajectory.machine_dt
+    samples = trajectory.samples
+    return [
+        (i, _wide.wide_norm2(*stencil_defect(trajectory.scheme, params, u0, u1, delta)))
+        for (i, u0), (j, u1) in zip(samples, samples[1:])
+        if j == i + 1
+    ]
+
+
+# the benchmark's six seed pairs (a*b = 1/50) plus a pair far from them
+PARAM_PAIRS = [("0.1", "0.2"), ("0.2", "0.1"), ("0.05", "0.4"), ("0.4", "0.05"),
+               ("0.025", "0.8"), ("0.8", "0.025"), ("3", "7")]
+
+
+class TestResidualMatchesStencilOracle:
+    @pytest.mark.parametrize("p", [2, 10, 24, 53, 113])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_rounded_runs(self, scheme, p):
+        for a, b in PARAM_PAIRS:
+            params = OscillatorParams(Fraction(a), Fraction(b))
+            traj = integrate(scheme, params, Fraction(1, 100), Fraction(2, 5), PrecisionConfig(p),
+                             SamplingPlan.every(1))
+            got = consistency_residual(traj, params)
+            assert len(got) == 40
+            assert got == oracle_residual(traj, params)
+
+    @pytest.mark.parametrize("dt", [Fraction(1, 10), Fraction(3, 7)])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_exact_runs_against_every_pencil(self, scheme, dt):
+        # an exact run measured against another scheme's pencil has a
+        # nonzero residual with non-dyadic denominators
+        for a, b in (("0.1", "0.2"), ("3", "7")):
+            params = OscillatorParams(Fraction(a), Fraction(b))
+            traj = integrate(scheme, params, dt, 6 * dt, None, SamplingPlan.every(1))
+            for other in Scheme:
+                measured = dataclasses.replace(traj, scheme=other)
+                got = consistency_residual(measured, params)
+                assert got == oracle_residual(measured, params)
+                assert any(r != 0 for _, r in got) == (other is not scheme)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_gapped_sampling_skips_non_consecutive_pairs(self, scheme):
+        params = OscillatorParams(Fraction(3), Fraction(7))
+        plan = SamplingPlan.at([0, 1, 2, 5, 6, 9, 12, 13])
+        traj = integrate(scheme, params, Fraction(1, 100), Fraction(1, 5), SINGLE, plan)
+        got = consistency_residual(traj, params)
+        assert [i for i, _ in got] == [0, 1, 5, 12]
+        assert got == oracle_residual(traj, params)
 
 
 class TestErrorBound:

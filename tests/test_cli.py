@@ -258,6 +258,9 @@ class TestErrorContract:
         (["longrun", "--dt", "10", "--t-end", "1"], "rounds to zero steps"),
         (["diagnose", "drift", "--dt", "10", "--t-end", "1"], "rounds to zero steps"),
         (["diagnose", "spectral", "--dt", "-1"], "dt must be nonnegative"),
+        (["diagnose", "drift", "--dt", "0"], "dt must be positive"),
+        (["diagnose", "residual", "--dt", "0"], "dt must be positive"),
+        (["diagnose", "bound", "--dt", "0"], "dt must be positive"),
     ])
     def test_rejected_argument_is_usage_error(self, tmp_path, capsys, argv, message):
         assert main([*argv, "--out-dir", str(tmp_path)]) == 2
@@ -273,6 +276,40 @@ class TestErrorContract:
         assert capsys.readouterr().err == ""
         got = {r["key"]: r["value"] for r in read_csv(tmp_path / "diagnostics.csv")}
         assert got["value"] == "inf"
+
+
+class TestOffGridWarning:
+    """A t_end that is not a multiple of dt runs round(t_end/dt) steps as
+    before, and says so in one stderr line per leg or run."""
+
+    def run(self, tmp_path, capsys, argv, t_end, out_name):
+        out = tmp_path / t_end
+        assert main([*argv, "--t-end", t_end, "--out-dir", str(out)]) == 0
+        return strip_volatile(read_csv(out / out_name)), capsys.readouterr().err
+
+    def test_sweep_warns_per_off_grid_leg(self, tmp_path, capsys):
+        argv = ["sweep", "--dt-list", "0.3,0.25", "--p-run", "24", "--p-ref", "53", "--jobs", "1"]
+        rows, err = self.run(tmp_path, capsys, argv, "1", "sweep.csv")
+        assert err == "warning: t_end=1 is not a multiple of dt=0.3; 3 steps end at t=0.9\n"
+        assert [(r["n_steps"], r["status"]) for r in rows] == [("3", "ok"), ("4", "ok")]
+        # the leg is the on-grid run to t=0.9, byte for byte
+        on_grid, err = self.run(tmp_path, capsys, argv[:2] + ["0.3"] + argv[3:], "0.9", "sweep.csv")
+        assert err == ""
+        assert rows[0] == on_grid[0]
+
+    @pytest.mark.parametrize("argv, out_name", [
+        (["longrun", "--dt", "0.3", "--samples", "2", "--p-run", "24", "--p-ref", "53"],
+         "timeseries.csv"),
+        (["diagnose", "residual", "--dt", "0.3", "--p-run", "24"], "diagnostics.csv"),
+        (["diagnose", "drift", "--dt", "0.3", "--p-run", "24"], "diagnostics.csv"),
+        (["diagnose", "bound", "--dt", "0.3"], "diagnostics.csv"),
+    ])
+    def test_run_warns_once(self, tmp_path, capsys, argv, out_name):
+        rows, err = self.run(tmp_path, capsys, argv, "1", out_name)
+        assert err == "warning: t_end=1 is not a multiple of dt=0.3; 3 steps end at t=0.9\n"
+        on_grid, err = self.run(tmp_path, capsys, argv, "0.9", out_name)
+        assert err == ""
+        assert rows == on_grid
 
 
 class TestParser:

@@ -38,6 +38,16 @@ GOLDEN = {
          "--dt", "1e-3", "--t-end", "0.5", "--p-run", "24"],
         "diagnostics.csv",
     ),
+    "diagnostics_residual_euler.csv": (
+        ["diagnose", "residual", "--scheme", "euler", "--a", "0.8", "--b", "0.025",
+         "--dt", "1e-3", "--t-end", "0.5", "--p-run", "10"],
+        "diagnostics.csv",
+    ),
+    "diagnostics_residual_midpoint.csv": (
+        ["diagnose", "residual", "--scheme", "midpoint", "--a", "0.8", "--b", "0.025",
+         "--dt", "1e-3", "--t-end", "0.5", "--p-run", "53"],
+        "diagnostics.csv",
+    ),
     "diagnostics_spectral.csv": (
         ["diagnose", "spectral", "--scheme", "rk3", "--a", "0.4", "--b", "0.05", "--dt", "0.3"],
         "diagnostics.csv",

@@ -29,11 +29,19 @@ def rel_err(got: Fraction, want: Fraction) -> Fraction:
     return abs(got - want) / abs(want)
 
 
-def rk3_oracle(x: Fraction, y: Fraction, dt: Fraction) -> tuple[Fraction, Fraction]:
-    """Independent reimplementation of the Kutta tableau in plain rationals."""
-    a, b = PARAMS.a, PARAMS.b
+def stage_oracle(scheme: Scheme, x: Fraction, y: Fraction, dt: Fraction, params=PARAMS):
+    """Independent exact step, stage by stage in plain rationals: forward
+    Euler, the implicit midpoint rule in its solved closed form, and the
+    Kutta tableau."""
+    a, b = params.a, params.b
     def f(u, v):
         return -a * v, b * u
+    if scheme is Scheme.FORWARD_EULER:
+        k1 = f(x, y)
+        return x + dt * k1[0], y + dt * k1[1]
+    if scheme is Scheme.MIDPOINT_IMPLICIT:
+        k = (a * dt / 2) * (b * dt / 2)
+        return (x * (1 - k) - a * dt * y) / (1 + k), (y * (1 - k) + b * dt * x) / (1 + k)
     k1 = f(x, y)
     k2 = f(x + dt * k1[0] / 2, y + dt * k1[1] / 2)
     k3 = f(x - dt * k1[0] + 2 * dt * k2[0], y - dt * k1[1] + 2 * dt * k2[1])
@@ -41,6 +49,16 @@ def rk3_oracle(x: Fraction, y: Fraction, dt: Fraction) -> tuple[Fraction, Fracti
         x + dt * (k1[0] + 4 * k2[0] + k3[0]) / 6,
         y + dt * (k1[1] + 4 * k2[1] + k3[1]) / 6,
     )
+
+
+ORACLE_PARAMS = [PARAMS, OscillatorParams(Fraction(3), Fraction(7)),
+                 OscillatorParams(Fraction("0.8"), Fraction("0.025"))]
+ORACLE_DTS = [Fraction(1, 10), Fraction(3, 7), Fraction(1, 1000)]
+STEPS = {
+    Scheme.FORWARD_EULER: step_forward_euler,
+    Scheme.MIDPOINT_IMPLICIT: step_midpoint,
+    Scheme.RK3: step_rk3,
+}
 
 
 class TestSchemeEnum:
@@ -102,7 +120,7 @@ class TestSingleSteps:
 
     def test_rk3_against_independent_oracle(self):
         s = step_rk3(S0, Fraction(1, 10), PARAMS)
-        assert (s.x, s.y) == rk3_oracle(Fraction(1), Fraction(0), Fraction(1, 10))
+        assert (s.x, s.y) == stage_oracle(Scheme.RK3, Fraction(1), Fraction(0), Fraction(1, 10))
 
     def test_rk3_local_order(self):
         # one-step error vs the analytic flow scales as dt**4
@@ -148,7 +166,36 @@ class TestUpdateMatrix:
         dt = Fraction(1, 10)
         m = update_matrix(Scheme.RK3, PARAMS, dt)
         s = step_rk3(S0, dt, PARAMS)
-        assert m.apply(1, 0) == (s.x, s.y)
+        assert m.apply(1, 0) == (s.x, s.y) == stage_oracle(Scheme.RK3, Fraction(1), Fraction(0), dt)
+
+    @pytest.mark.parametrize("dt", ORACLE_DTS)
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_matrix_and_exact_step_match_stage_oracle(self, scheme, dt):
+        for params in ORACLE_PARAMS:
+            m = update_matrix(scheme, params, dt)
+            for x, y in ((Fraction(1), Fraction(0)), (Fraction(1, 3), Fraction(-2, 7))):
+                want = stage_oracle(scheme, x, y, dt, params)
+                assert m.apply(x, y) == want
+                s = STEPS[scheme](State(x, y, 0), dt, params)
+                assert (s.x, s.y, s.t) == (*want, dt)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_exact_integrate_matches_stage_oracle(self, scheme):
+        dt = Fraction(3, 7)
+        for params in ORACLE_PARAMS:
+            traj = integrate(scheme, params, dt, 5 * dt, None, SamplingPlan.every(1))
+            x, y = Fraction(1), Fraction(0)
+            for i, s in traj.samples:
+                assert (s.x, s.y, s.t) == (x, y, i * dt)
+                x, y = stage_oracle(scheme, x, y, dt, params)
+
+    def test_midpoint_oracle_solves_implicit_rule(self):
+        # x' = x + dt*f((x + x')/2): the closed form is the implicit rule
+        dt, x, y = Fraction(3, 7), Fraction(1, 3), Fraction(-2, 7)
+        for params in ORACLE_PARAMS:
+            nx, ny = stage_oracle(Scheme.MIDPOINT_IMPLICIT, x, y, dt, params)
+            assert nx == x + dt * (-params.a * (y + ny) / 2)
+            assert ny == y + dt * (params.b * (x + nx) / 2)
 
 
 class TestIntegrate:
