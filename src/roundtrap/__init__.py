@@ -22,7 +22,6 @@ from .fpcore import (
     op_sqrt,
     op_sub,
     round_to,
-    unit_roundoff,
 )
 from .oscillator import (
     INITIAL_STATE,
@@ -41,9 +40,7 @@ from .schemes import (
     integrate,
     integrate_pair,
     num_steps,
-    step_forward_euler,
-    step_midpoint,
-    step_rk3,
+    step,
     update_matrix,
 )
 from .analysis import (
@@ -66,22 +63,21 @@ from .experiments import (
     SweepRecord,
     TimeSeriesRecord,
     longtime_run,
-    reference_trajectory,
     stepsize_sweep,
 )
 
 __all__ = [
     "__version__",
     "PrecisionConfig", "RValue", "SINGLE", "DOUBLE", "QUAD",
-    "round_to", "op_add", "op_sub", "op_mul", "op_div", "op_sqrt", "unit_roundoff",
+    "round_to", "op_add", "op_sub", "op_mul", "op_div", "op_sqrt",
     "OscillatorParams", "State", "INITIAL_STATE", "rhs", "analytic_solution", "invariant_value",
     "Scheme", "SamplingPlan", "Trajectory", "UpdateMatrix", "StepLimitError",
-    "step_forward_euler", "step_midpoint", "step_rk3", "update_matrix",
+    "step", "update_matrix",
     "integrate", "integrate_pair", "num_steps",
     "ErrorVec", "ErrorTriple", "ErrorBoundModel", "BoundMode", "SpectralInfo",
     "error_separation", "consistency_residual", "predict_error_bound",
     "spectral_analysis", "effective_computation_time", "optimal_step_size",
     "conservation_drift",
     "SweepConfig", "SweepRecord", "TimeSeriesRecord", "DESK_DT_LIST",
-    "reference_trajectory", "stepsize_sweep", "longtime_run",
+    "stepsize_sweep", "longtime_run",
 ]

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _wide
-from .fpcore import PrecisionConfig, unit_roundoff
+from .fpcore import PrecisionConfig
 from .oscillator import OscillatorParams, State, invariant_value, _as_fraction
 from .schemes import Scheme, Trajectory, UpdateMatrix, _pencil, update_matrix
 
@@ -147,7 +147,7 @@ class ErrorBoundModel:
     ) -> "ErrorBoundModel":
         """Default eps: unit roundoff scaled by the orbit's max state norm."""
         scale = max(Fraction(1), params.amplitude_y())
-        return cls(mode, unit_roundoff(cfg) * scale)
+        return cls(mode, cfg.unit_roundoff * scale)
 
 
 def _spectral_norm(m00: float, m01: float, m10: float, m11: float) -> float:
@@ -227,22 +227,26 @@ def predict_error_bound(
     (~ state_scale * w**(order+1) * dt**order / (order+1)!).  With eps = 0
     this is the classical discretization bound and vanishes as dt -> 0 at
     fixed T = n*dt; with eps > 0 the accumulated term diverges instead.
-    Order-of-magnitude tool, monotone in n and in per_step_eps.
+    Order-of-magnitude tool, monotone in n and in per_step_eps; inf when
+    its float evaluation overflows.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     dt = _as_fraction(dt)
-    k_const = _power_norm_cap(update_matrix(scheme, params, dt), n)
-    omega = float(params.angular_frequency())
-    amp = max(1.0, float(params.amplitude_y()))
-    order = scheme.order
-    c_bound = amp * omega ** (order + 1) * float(dt) ** order / math.factorial(order + 1)
-    eps = float(model.per_step_eps)
-    if model.mode is BoundMode.RANDOM_WALK:
-        eps_term = math.sqrt(n) * eps
-    else:
-        eps_term = n * eps
-    return k_const * (eps_term + n * float(dt) * c_bound)
+    try:
+        k_const = _power_norm_cap(update_matrix(scheme, params, dt), n)
+        omega = float(params.angular_frequency())
+        amp = max(1.0, float(params.amplitude_y()))
+        order = scheme.order
+        c_bound = amp * omega ** (order + 1) * float(dt) ** order / math.factorial(order + 1)
+        eps = float(model.per_step_eps)
+        if model.mode is BoundMode.RANDOM_WALK:
+            eps_term = math.sqrt(n) * eps
+        else:
+            eps_term = n * eps
+        return k_const * (eps_term + n * float(dt) * c_bound)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -300,16 +299,6 @@ def manifest_argv(manifest: dict, out_dir: Optional[str] = None) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _usage_errors():
-    """Report a library call's ValueError, raised for an argument it
-    rejects, as a usage error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _backends(**channels: PrecisionConfig) -> dict:
     """The backend each channel's precision selects, for the manifest."""
     return {name: channel_backend(cfg.significand_bits) for name, cfg in channels.items()}
@@ -338,18 +327,15 @@ def cmd_sweep(resolved: dict, argv: list[str]) -> int:
     )
     if not dt_list:
         raise UsageError("--dt-list: no step sizes given")
-    try:
-        cfg = SweepConfig(
-            scheme=Scheme.from_name(resolved["scheme"]),
-            params=_params(resolved),
-            t_end=_parse_fraction(resolved["t_end"], "--t-end"),
-            dt_list=dt_list,
-            run_precision=_parse_precision(resolved["p_run"], "--p-run"),
-            ref_precision=_parse_precision(resolved["p_ref"], "--p-ref"),
-            max_steps=_parse_int(resolved["max_steps"], "--max-steps"),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = SweepConfig(
+        scheme=Scheme.from_name(resolved["scheme"]),
+        params=_params(resolved),
+        t_end=_parse_fraction(resolved["t_end"], "--t-end"),
+        dt_list=dt_list,
+        run_precision=_parse_precision(resolved["p_run"], "--p-run"),
+        ref_precision=_parse_precision(resolved["p_ref"], "--p-ref"),
+        max_steps=_parse_int(resolved["max_steps"], "--max-steps"),
+    )
     jobs = _parse_int(resolved["jobs"], "--jobs") if resolved["jobs"] else os.cpu_count() or 1
     records = stepsize_sweep(cfg, jobs=jobs)
     for r in records:
@@ -385,18 +371,17 @@ def cmd_longrun(resolved: dict, argv: list[str]) -> int:
         raise UsageError("--p-ref must be strictly wider than --p-run")
     dt = _parse_fraction(resolved["dt"], "--dt")
     t_end = _parse_fraction(resolved["t_end"], "--t-end")
-    with _usage_errors():
-        records = longtime_run(
-            Scheme.from_name(resolved["scheme"]),
-            _params(resolved),
-            dt,
-            t_end,
-            p_run,
-            p_ref,
-            samples,
-            spacing=resolved["spacing"],
-            max_steps=_parse_int(resolved["max_steps"], "--max-steps"),
-        )
+    records = longtime_run(
+        Scheme.from_name(resolved["scheme"]),
+        _params(resolved),
+        dt,
+        t_end,
+        p_run,
+        p_ref,
+        samples,
+        spacing=resolved["spacing"],
+        max_steps=_parse_int(resolved["max_steps"], "--max-steps"),
+    )
     _warn_off_grid(dt, t_end, num_steps(t_end, dt))
     out = _out_dir(resolved)
     rows = [[format_wide(r.t), format_wide(r.e_round), format_wide(r.e_trunc)] for r in records]
@@ -462,9 +447,7 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
     params = _params(resolved)
     dt = _parse_fraction(resolved["dt"], "--dt")
     if mode == "spectral":
-        with _usage_errors():
-            matrix = update_matrix(scheme, params, dt)
-        info = spectral_analysis(matrix)
+        info = spectral_analysis(update_matrix(scheme, params, dt))
         return [
             ("spectral", "det", format_wide(info.det)),
             ("spectral", "eigenvalue_modulus_1", format_wide(info.eigenvalue_moduli[0])),
@@ -473,14 +456,11 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
 
     t_end = _parse_fraction(resolved["t_end"], "--t-end")
     p_run = _parse_precision(resolved["p_run"], "--p-run")
-    if dt <= 0:
-        raise UsageError("--dt must be positive")
     n = num_steps(t_end, dt)
     _warn_off_grid(dt, t_end, n)
     if mode == "drift":
         stride = max(1, n // 16)
-        with _usage_errors():
-            traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(stride))
+        traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(stride))
         drift = conservation_drift(traj, params)
         out = [("drift", format_wide(t), format_wide(d)) for t, d in drift]
         out.append(("drift", "max", format_wide(max(d for _, d in drift))))
@@ -488,8 +468,7 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
     if mode == "residual":
         if n > 200_000:
             raise UsageError("residual diagnostics sample every step; keep t-end/dt <= 200000")
-        with _usage_errors():
-            traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(1))
+        traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(1))
         norms = sorted(r for _, r in consistency_residual(traj, params))
         median = norms[len(norms) // 2]
         return [
@@ -537,7 +516,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         resolved = _resolve(args)
         return DISPATCH[args.subcommand](resolved, list(argv))
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # the library's ValueError rejects an argument
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StepLimitError as exc:

@@ -27,14 +27,7 @@ from typing import Optional
 from .analysis import error_separation
 from .fpcore import PrecisionConfig, QUAD, SINGLE
 from .oscillator import OscillatorParams, analytic_solution, _as_fraction
-from .schemes import (
-    SamplingPlan,
-    Scheme,
-    Trajectory,
-    integrate,
-    integrate_pair,
-    num_steps,
-)
+from .schemes import SamplingPlan, Scheme, _check_steps, integrate_pair, num_steps
 
 STATUS_OK = "ok"
 STATUS_SKIPPED_GUARD = "skipped_guard"
@@ -95,19 +88,6 @@ class TimeSeriesRecord:
     t: Fraction
     e_round: Fraction
     e_trunc: Fraction
-
-
-def reference_trajectory(
-    scheme: Scheme,
-    params: OscillatorParams,
-    dt,
-    t_end,
-    ref_precision: PrecisionConfig,
-    sampling: SamplingPlan = SamplingPlan.final_only(),
-    max_steps: int = DESK_MAX_STEPS,
-) -> Trajectory:
-    """Same scheme, same dt, wide precision: the truncation-only channel."""
-    return integrate(scheme, params, dt, t_end, ref_precision, sampling, max_steps)
 
 
 def _sweep_leg(cfg: SweepConfig, dt: Fraction) -> SweepRecord:
@@ -183,8 +163,8 @@ def longtime_run(
         raise ValueError("reference precision must be strictly wider than run precision")
     dt = _as_fraction(dt)
     t_end = _as_fraction(t_end)
-    n = num_steps(t_end, dt)
-    steps = _sample_steps(max(n, 1), sample_count, spacing)
+    n = _check_steps(t_end, dt, max_steps)
+    steps = _sample_steps(n, sample_count, spacing)
     run, ref = integrate_pair(
         scheme, params, dt, t_end, run_precision, ref_precision,
         SamplingPlan.at(steps), max_steps,

@@ -45,18 +45,13 @@ class PrecisionConfig:
 
     @property
     def unit_roundoff(self) -> Fraction:
+        """2**(-p): the relative error scale of one rounded operation."""
         return Fraction(1, 1 << self.significand_bits)
 
 
 SINGLE = PrecisionConfig(24)
 DOUBLE = PrecisionConfig(53)
 QUAD = PrecisionConfig(113)
-
-
-def unit_roundoff(cfg: PrecisionConfig) -> Fraction:
-    """2**(-p) for a p-bit significand: the relative error scale of one
-    rounded operation."""
-    return cfg.unit_roundoff
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,7 +16,11 @@ emulated precision:
 Exact arithmetic has one definition per scheme, the pencil (B, C) with
 B u' = C u of ``_pencil``: exact steps apply ``update_matrix`` = B^-1 C.
 
-Rounded-mode operation order is fixed (see the step functions) so runs are
+One loop, ``_channel``, advances a channel from a start state from sample
+to sample, in one of three ways: exactly, natively in binary64, or in the
+emulator.  ``integrate`` runs it from (1, 0) and ``step`` for one step.
+
+Rounded-mode operation order is fixed (see the step kernels) so runs are
 bit-reproducible: constants such as a*dt and 1+-k are rounded once per run,
 which is bit-identical to recomputing them each step because rounding is
 deterministic.  The requested step size is itself rounded to the run
@@ -34,10 +38,10 @@ rounding, because rounding twice is innocuous when 53 >= 2p + 2
 (S. A. Figueroa, "When is double rounding innocuous?", SIGNUM Newsletter
 30(3), 1995) -- but only while no value overflows or leaves the normal
 range.  A range guard checks the state after every step; when it trips,
-or when a scheme constant lies outside its window, the channel continues
-(or runs) in the emulator from the last in-range state.  Every other p runs
-in the emulator throughout.  The emulator kernels remain the oracle: both
-backends give bit-identical trajectories.
+the channel continues in the emulator from the last in-range state.  A
+channel whose start state or scheme constants lie outside their windows
+runs in the emulator throughout, as does every other p.  The emulator
+kernels remain the oracle: both backends give bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -262,10 +266,11 @@ def _consts(scheme: Scheme, params: OscillatorParams, dt: Fraction, p: int):
 # up to k steps and returns (steps done, x, y): it stops before the first
 # step whose result fails the range guard, leaving the last in-range state.
 #
-# Windows.  Nonzero state components lie in [2**-400, 2**400] (checked after
-# every step) and nonzero constants in [2**-64, 2**64] (checked once per
-# run).  Along any kernel's data flow a value is a state component times at
-# most six constants (or reciprocals), combined by at most three additions
+# Windows.  Nonzero state components lie in [2**-400, 2**400] (checked on
+# the start state and after every step) and nonzero constants in
+# [2**-64, 2**64] (checked once per run).  Along any kernel's data flow a
+# value is a state component times at most six constants (or reciprocals),
+# combined by at most three additions
 # that can cancel (RK3's x2 -> x3 -> s chain; Euler and midpoint need
 # fewer).  Upward, sums grow a value at most 2**4-fold, so every
 # intermediate stays below 2**(400 + 6*64 + 4) = 2**788, and v*C below
@@ -281,8 +286,8 @@ def _consts(scheme: Scheme, params: OscillatorParams, dt: Fraction, p: int):
 BINARY64 = "binary64"
 EMULATED = "emulated"
 
-_STATE_LO, _STATE_HI = 2.0**-400, 2.0**400
-_CONST_EXP = 64
+_STATE_EXP, _CONST_EXP = 400, 64
+_STATE_LO, _STATE_HI = 2.0**-_STATE_EXP, 2.0**_STATE_EXP
 
 
 def channel_backend(p: int) -> str:
@@ -299,12 +304,13 @@ def _in_window(v: float) -> bool:
     return v == 0.0 or _STATE_LO <= abs(v) <= _STATE_HI
 
 
-def _native_consts(consts):
-    """The raw constants as floats, or None when one lies outside the
-    constant window."""
+def _native_floats(raws, exp: int):
+    """Flattened raw pairs as floats, or None when a nonzero one lies outside
+    [2**-exp, 2**exp).  The window is checked on the raw exponent, before
+    math.ldexp could overflow or leave the normal range."""
     out = []
-    for m, e in zip(consts[::2], consts[1::2]):
-        if m and not -_CONST_EXP <= e + abs(m).bit_length() - 1 < _CONST_EXP:
+    for m, e in zip(raws[::2], raws[1::2]):
+        if m and not -exp <= e + abs(m).bit_length() - 1 < exp:
             return None
         out.append(math.ldexp(m, e))  # exact: |m| < 2**p <= 2**53
     return tuple(out)
@@ -400,39 +406,6 @@ _NATIVE_FN = {
 
 
 # ---------------------------------------------------------------------------
-# Public single-step operations
-# ---------------------------------------------------------------------------
-
-
-def _single_step(scheme: Scheme, s: State, dt, params: OscillatorParams, cfg):
-    dt = _as_fraction(dt)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if cfg is None:
-        x, y = update_matrix(scheme, params, dt).apply(s.x, s.y)
-        return State(x, y, s.t + dt)
-    p = cfg.significand_bits
-    st = (*_fraction_to_raw(s.x, p), *_fraction_to_raw(s.y, p))
-    mx, ex, my, ey = _STEP_FN[scheme](st, _consts(scheme, params, dt, p), p)
-    return State(_raw_to_fraction(mx, ex), _raw_to_fraction(my, ey), s.t + dt)
-
-
-def step_forward_euler(s: State, dt, params: OscillatorParams, cfg: Optional[PrecisionConfig] = None) -> State:
-    """One forward Euler step; cfg=None for exact arithmetic."""
-    return _single_step(Scheme.FORWARD_EULER, s, dt, params, cfg)
-
-
-def step_midpoint(s: State, dt, params: OscillatorParams, cfg: Optional[PrecisionConfig] = None) -> State:
-    """One implicit-midpoint step via the solved closed form."""
-    return _single_step(Scheme.MIDPOINT_IMPLICIT, s, dt, params, cfg)
-
-
-def step_rk3(s: State, dt, params: OscillatorParams, cfg: Optional[PrecisionConfig] = None) -> State:
-    """One step of Kutta's third-order rule."""
-    return _single_step(Scheme.RK3, s, dt, params, cfg)
-
-
-# ---------------------------------------------------------------------------
 # One-step update matrix and integration drivers
 # ---------------------------------------------------------------------------
 
@@ -493,15 +466,16 @@ def update_matrix(scheme: Scheme, params: OscillatorParams, dt) -> UpdateMatrix:
 
 def num_steps(t_end, dt) -> int:
     """Nearest integer to t_end/dt (the experiments use commensurate pairs)."""
-    return round(_as_fraction(t_end) / _as_fraction(dt))
+    dt = _as_fraction(dt)
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return round(_as_fraction(t_end) / dt)
 
 
 def _check_steps(t_end: Fraction, dt: Fraction, max_steps: int) -> int:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    n = num_steps(t_end, dt)
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    n = num_steps(t_end, dt)
     if n < 1:
         raise ValueError(f"t_end/dt = {float(t_end / dt):g} rounds to zero steps")
     if n > max_steps:
@@ -518,46 +492,62 @@ def integrate(
     sampling: SamplingPlan = SamplingPlan.final_only(),
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Trajectory:
-    """Integrate from (1, 0) for round(t_end/dt) steps.
+    """Integrate from (1, 0) for round(t_end/dt) steps; cfg=None for exact
+    arithmetic.
 
     Runs are deterministic: identical arguments give bit-identical
     trajectories.  Raises StepLimitError beyond max_steps.
     """
     dt = _as_fraction(dt)
-    t_end = _as_fraction(t_end)
-    n = _check_steps(t_end, dt, max_steps)
-    wanted = sampling.resolve(n)
-    samples = []
-    if cfg is None:
-        x, y = Fraction(1), Fraction(0)
-        apply = update_matrix(scheme, params, dt).apply
-        pos = 0
-        if wanted[0] == 0:
-            samples.append((0, State(x, y, Fraction(0))))
-            pos = 1
-        for i in range(1, n + 1):
-            x, y = apply(x, y)
-            if pos < len(wanted) and wanted[pos] == i:
-                samples.append((i, State(x, y, i * dt)))
-                pos += 1
-    else:
-        samples = _rounded_samples(scheme, params, dt, cfg.significand_bits, wanted)
+    n = _check_steps(_as_fraction(t_end), dt, max_steps)
+    samples = _channel(scheme, params, dt, cfg, Fraction(1), Fraction(0), sampling.resolve(n))
     return Trajectory(params, scheme, dt, cfg, n, tuple(samples))
 
 
-def _rounded_samples(scheme: Scheme, params: OscillatorParams, dt: Fraction, p: int, wanted):
-    """Advance one rounded channel from sample index to sample index, on the
-    native kernel while its range guard holds and on the emulator kernel
-    otherwise; returns the (index, State) samples at ``wanted``."""
-    consts = _consts(scheme, params, dt, p)
-    native = _native_consts(consts) if channel_backend(p) == BINARY64 else None
-    if native is not None:
-        kernel, C = _NATIVE_FN[scheme], _split_factor(p)
-    step_fn = _STEP_FN[scheme]
-    x, y = 1.0, 0.0
-    st = (1, 0, 0, 0)
-    i = 0
+def step(
+    scheme: Scheme,
+    params: OscillatorParams,
+    state: State,
+    dt,
+    cfg: Optional[PrecisionConfig] = None,
+) -> State:
+    """One step from ``state``; cfg=None for exact arithmetic.  A rounded
+    step first rounds the state to the precision."""
+    dt = _as_fraction(dt)
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    [(_, s)] = _channel(scheme, params, dt, cfg, state.x, state.y, (1,))
+    return State(s.x, s.y, state.t + dt)
+
+
+def _exact_step(st, m: UpdateMatrix, p):
+    """An exact step in the emulator kernels' calling convention: st is
+    (x, y) in Fractions and m the update matrix."""
+    return m.apply(*st)
+
+
+def _channel(scheme: Scheme, params: OscillatorParams, dt: Fraction, cfg, x0, y0, wanted):
+    """Advance one channel from (x0, y0) at step 0 through the ascending
+    step indices ``wanted``; returns the (i, State at time i*dt) samples.
+
+    cfg=None steps exactly with ``update_matrix``.  A rounded channel rounds
+    the start to p bits, then steps on the native kernel while the range
+    guard holds and on the emulator kernel otherwise.  Kernels run the steps
+    between two samples in their own loops."""
+    native = None
+    if cfg is None:
+        step_fn, consts, p = _exact_step, update_matrix(scheme, params, dt), None
+        st = (x0, y0)
+    else:
+        p = cfg.significand_bits
+        step_fn, consts = _STEP_FN[scheme], _consts(scheme, params, dt, p)
+        st = (*_fraction_to_raw(x0, p), *_fraction_to_raw(y0, p))
+        xy = _native_floats(st, _STATE_EXP) if channel_backend(p) == BINARY64 else None
+        native = _native_floats(consts, _CONST_EXP) if xy is not None else None
+        if native is not None:
+            (x, y), kernel, C = xy, _NATIVE_FN[scheme], _split_factor(p)
     samples = []
+    i = 0
     for target in wanted:
         if native is not None:
             done, x, y = kernel(x, y, target - i, native, C)
@@ -572,7 +562,8 @@ def _rounded_samples(scheme: Scheme, params: OscillatorParams, dt: Fraction, p: 
         for _ in range(target - i):
             st = step_fn(st, consts, p)
         i = target
-        samples.append((i, State(_raw_to_fraction(st[0], st[1]), _raw_to_fraction(st[2], st[3]), i * dt)))
+        x, y = st if cfg is None else (_raw_to_fraction(st[0], st[1]), _raw_to_fraction(st[2], st[3]))
+        samples.append((i, State(x, y, i * dt)))
     return samples
 
 

@@ -20,7 +20,7 @@ from roundtrap.analysis import (
     spectral_analysis,
 )
 from roundtrap.experiments import SweepRecord, longtime_run
-from roundtrap.fpcore import QUAD, SINGLE, PrecisionConfig, unit_roundoff
+from roundtrap.fpcore import QUAD, SINGLE, PrecisionConfig
 from roundtrap.oscillator import OscillatorParams, State, analytic_solution
 from roundtrap.schemes import SamplingPlan, Scheme, UpdateMatrix, integrate, update_matrix
 from conftest import decimal_sqrt, rel_diff
@@ -95,7 +95,7 @@ class TestConsistencyResidual:
         dt = Fraction(1, 100)
         traj = integrate(Scheme.FORWARD_EULER, PARAMS, dt, 1, SINGLE, SamplingPlan.every(1))
         res = consistency_residual(traj, PARAMS)
-        bound = 8 * unit_roundoff(SINGLE) / traj.machine_dt
+        bound = 8 * SINGLE.unit_roundoff / traj.machine_dt
         assert all(r <= bound for _, r in res)
         assert any(r > 0 for _, r in res)
 
@@ -209,7 +209,7 @@ class TestErrorBound:
     def test_default_eps_scale(self):
         model = ErrorBoundModel.for_precision(SINGLE, PARAMS)
         # orbit max norm is sqrt(b/a) = sqrt 2 for the default params
-        scale = model.per_step_eps / unit_roundoff(SINGLE)
+        scale = model.per_step_eps / SINGLE.unit_roundoff
         assert abs(float(scale) - math.sqrt(2)) < 1e-9
 
     def test_classical_limit_vanishes_with_dt(self):
@@ -225,7 +225,7 @@ class TestErrorBound:
 
     def test_roundoff_term_diverges_as_dt_shrinks(self):
         # with dominating eps the bound grows like n = T/dt
-        model = ErrorBoundModel(BoundMode.WORST_CASE, unit_roundoff(SINGLE))
+        model = ErrorBoundModel(BoundMode.WORST_CASE, SINGLE.unit_roundoff)
         bounds = [
             predict_error_bound(PARAMS, Scheme.MIDPOINT_IMPLICIT, Fraction(1, d), 10 * d, model)
             for d in (10**3, 10**4, 10**5)

@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roundtrap.cli import build_parser, format_wide, main, manifest_argv, parse_wide
 
@@ -15,6 +19,24 @@ def read_csv(path: Path):
 
 def strip_volatile(rows):
     return [{k: v for k, v in row.items() if k != "wall_time_s"} for row in rows]
+
+
+# --input files for the diagnose modes that read one, by name
+INPUTS = {
+    "timeseries.csv": "t,E_r,E_t\n1,1E-9,1E-6\n2,3E-9,4E-6\n",
+    "decreasing.csv": "t,E_r,E_t\n2,1E-9,1E-6\n1,3E-9,4E-6\n",
+    "sweep.csv": "dt,n_steps,E,E_t,E_r,status,wall_time_s\n0.1,20,1E-3,1E-3,1E-9,ok,0.1\n",
+    "skipped.csv": "dt,n_steps,E,E_t,E_r,status,wall_time_s\n"
+                   "1E-9,1000000000,nan,nan,nan,skipped_guard,0.000000\n",
+    "junk.csv": "no,such\ncolumns,here\n",
+}
+
+
+def with_inputs(directory: Path, argv):
+    """argv with each INPUTS name replaced by the path of that file, written to directory."""
+    for name, text in INPUTS.items():
+        (directory / name).write_text(text)
+    return [str(directory / a) if a in INPUTS else a for a in argv]
 
 
 def run_sweep(out, extra=()):
@@ -261,21 +283,100 @@ class TestErrorContract:
         (["diagnose", "drift", "--dt", "0"], "dt must be positive"),
         (["diagnose", "residual", "--dt", "0"], "dt must be positive"),
         (["diagnose", "bound", "--dt", "0"], "dt must be positive"),
+        (["longrun", "--dt", "0", "--t-end", "1", "--samples", "3"], "dt must be positive"),
+        (["diagnose", "ect", "--input", "timeseries.csv", "--threshold", "0"],
+         "threshold must be positive"),
+        (["diagnose", "ect", "--input", "decreasing.csv", "--threshold", "1e-6"],
+         "strictly increasing"),
+        (["diagnose", "os", "--input", "skipped.csv"], "no completed records"),
+        (["diagnose", "bound", "--dt", "1", "--t-end", "0.001"], "n must be >= 1"),
     ])
     def test_rejected_argument_is_usage_error(self, tmp_path, capsys, argv, message):
-        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+        assert main([*with_inputs(tmp_path, argv), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_overflowing_bound_is_inf(self, tmp_path, capsys):
-        assert main([
-            "diagnose", "bound", "--scheme", "euler", "--dt", "0.1", "--t-end", "10000000",
-            "--out-dir", str(tmp_path),
-        ]) == 0
+    @pytest.mark.parametrize("argv", [
+        ["--scheme", "euler", "--dt", "0.1", "--t-end", "10000000"],
+        ["--dt", "0.1", "--t-end", "1", "--a", "1e300", "--b", "1e300"],
+        ["--dt", "1e300", "--t-end", "1e301"],
+        ["--a", "1e400", "--b", "1e-400"],
+    ])
+    def test_overflowing_bound_is_inf(self, tmp_path, capsys, argv):
+        assert main(["diagnose", "bound", *argv, "--out-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
         got = {r["key"]: r["value"] for r in read_csv(tmp_path / "diagnostics.csv")}
         assert got["value"] == "inf"
+
+
+# Value pools for the argv fuzz, per flag (usual values, odd values); a value
+# is odd about one time in four.  Runs stay short: the dt and t_end pools give
+# at most 25 steps, and longer runs trip --max-steps (at most 1000) or a
+# library step guard before stepping.  Short matters: with a = b = 1e300 the
+# state grows up to 2**3000-fold per step, and printing it costs time
+# quadratic in its size.
+ODD = ("0", "-1", "nan", "1/0", "1e400", "ten", "")
+NUMBER = ("0.1", "0.2", "3", "1e300", "1e-300"), ODD
+DT = ("0.1", "0.3", "0.25", "1e300", "1e-300"), ODD
+T_END = ("1", "0.9", "2.5", "1e300", "1e-300"), ODD
+P_RUN = ("2", "10", "24", "53"), ("1", "200", "0", "x")
+P_REF = ("53", "113"), ("24", "114", "x")
+MAX_STEPS = ("1", "30", "1000"), ("0", "-3", "1e3", "x")
+COMMON = {"--scheme": (("euler", "midpoint", "rk3"), ("rk7",)), "--a": NUMBER, "--b": NUMBER}
+FUZZ_FLAGS = {  # subcommand: (flags always given, flags given half the time)
+    "sweep": (
+        {"--dt-list": (("0.1", "0.3,0.25", "1e300,0.1", "1e-300,1"), (",", "0.1,,x", "0.1,-1")),
+         "--t-end": T_END, "--max-steps": MAX_STEPS, "--jobs": (("1", "0"), ("-2", "x"))},
+        {**COMMON, "--p-run": P_RUN, "--p-ref": P_REF},
+    ),
+    "longrun": (
+        {"--dt": DT, "--t-end": T_END, "--max-steps": MAX_STEPS},
+        {**COMMON, "--samples": (("2", "3", "40"), ("1", "0", "x")),
+         "--spacing": (("log", "linear"), ("cubic",)), "--p-run": P_RUN, "--p-ref": P_REF},
+    ),
+    "diagnose": (
+        {"--dt": DT, "--t-end": T_END, "--threshold": (("1e-6", "1e-30", "1e300"), ODD),
+         "--input": (tuple(INPUTS), ("absent.csv",))},
+        {**COMMON, "--p-run": P_RUN, "--series": (("E_r", "E_t"), ("E",)),
+         "--bound-model": (("worst", "random"), ("best",))},
+    ),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    def value(pools):
+        usual, odd = pools
+        return draw(st.sampled_from(odd if draw(st.integers(0, 3)) == 3 else usual))
+
+    sub = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [sub]
+    if sub == "diagnose":
+        argv.append(draw(st.sampled_from(("ect", "os", "spectral", "drift", "residual", "bound"))))
+    required, optional = FUZZ_FLAGS[sub]
+    for flag, pools in required.items():
+        argv += [flag, value(pools)]
+    for flag, pools in optional.items():
+        if draw(st.booleans()):
+            argv += [flag, value(pools)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argv())
+def test_argv_fuzz_keeps_error_contract(fuzz_dir, argv):
+    """Any argv from the pools exits 0, 2, 3 or 4 and never raises."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*with_inputs(fuzz_dir, argv), "--out-dir", str(fuzz_dir / "out")])
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 class TestOffGridWarning:

@@ -10,7 +10,6 @@ from roundtrap.experiments import (
     SweepConfig,
     SweepRecord,
     longtime_run,
-    reference_trajectory,
     stepsize_sweep,
     _sweep_leg,
 )
@@ -171,12 +170,12 @@ class TestLongtimeRun:
 
 class TestReferenceTrajectory:
     def test_deterministic(self):
-        a = reference_trajectory(Scheme.MIDPOINT_IMPLICIT, PARAMS, Fraction(1, 20), 2, QUAD)
-        b = reference_trajectory(Scheme.MIDPOINT_IMPLICIT, PARAMS, Fraction(1, 20), 2, QUAD)
+        a = integrate(Scheme.MIDPOINT_IMPLICIT, PARAMS, Fraction(1, 20), 2, QUAD)
+        b = integrate(Scheme.MIDPOINT_IMPLICIT, PARAMS, Fraction(1, 20), 2, QUAD)
         assert a == b
 
     def test_reference_vs_itself_zero_roundoff(self):
-        traj = reference_trajectory(Scheme.RK3, PARAMS, Fraction(1, 20), 2, QUAD)
+        traj = integrate(Scheme.RK3, PARAMS, Fraction(1, 20), 2, QUAD)
         triple = error_separation(
             traj.final_state, traj.final_state, analytic_solution(PARAMS, 2)
         )
@@ -187,7 +186,7 @@ class TestReferenceTrajectory:
         # error to >= 10 significant digits (short run, exact rationals)
         dt = Fraction(1, 100)
         t_end = 1
-        ref = reference_trajectory(Scheme.MIDPOINT_IMPLICIT, PARAMS, dt, t_end, QUAD)
+        ref = integrate(Scheme.MIDPOINT_IMPLICIT, PARAMS, dt, t_end, QUAD)
         exact = integrate(Scheme.MIDPOINT_IMPLICIT, PARAMS, dt, t_end, None)
         analytic = analytic_solution(PARAMS, t_end)
         e_ref = error_separation(ref.final_state, ref.final_state, analytic).truncation

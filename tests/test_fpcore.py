@@ -23,7 +23,6 @@ from roundtrap.fpcore import (
     op_sqrt,
     op_sub,
     round_to,
-    unit_roundoff,
 )
 from conftest import rand_operand
 
@@ -43,7 +42,7 @@ class TestPrecisionConfig:
 
     @pytest.mark.parametrize("bits,expected", [(24, Fraction(1, 2**24)), (53, Fraction(1, 2**53)), (2, Fraction(1, 4))])
     def test_unit_roundoff(self, bits, expected):
-        assert unit_roundoff(PrecisionConfig(bits)) == expected
+        assert PrecisionConfig(bits).unit_roundoff == expected
         assert expected > 0
 
 
@@ -105,7 +104,7 @@ class TestRoundTo:
     def test_error_bound(self, x):
         exact = Fraction(x)
         got = round_to(x, SINGLE).to_fraction()
-        assert abs(got - exact) <= unit_roundoff(SINGLE) * abs(exact)
+        assert abs(got - exact) <= SINGLE.unit_roundoff * abs(exact)
 
 
 class TestOperations:
@@ -169,7 +168,7 @@ class TestOperations:
         ma, ea, mb, eb, sa, sb = data
         a = Fraction(sa * ma) * Fraction(2) ** ea
         b = Fraction(sb * mb) * Fraction(2) ** eb
-        u = unit_roundoff(SINGLE)
+        u = SINGLE.unit_roundoff
         for op, exact in (
             (op_add, a + b),
             (op_sub, a - b),

@@ -12,17 +12,19 @@ import pytest
 from roundtrap import schemes
 from roundtrap.cli import main
 from roundtrap.fpcore import PrecisionConfig, _add_raw, _fraction_to_raw, _round_raw
-from roundtrap.oscillator import OscillatorParams
+from roundtrap.oscillator import OscillatorParams, State
 from roundtrap.schemes import (
     BINARY64,
     EMULATED,
     SamplingPlan,
     Scheme,
+    _CONST_EXP,
     _float_to_raw,
-    _native_consts,
+    _native_floats,
     _split_factor,
     channel_backend,
     integrate,
+    step,
 )
 
 # the benchmark's seed table, plus a pair with coefficients above one
@@ -81,6 +83,56 @@ def test_bit_identical_to_emulator(scheme, p, sampling):
         )
 
 
+# Start states for single steps: inside the native state window, at its
+# edges, outside it, and beyond binary64's range (math.ldexp overflows at
+# 2**1024 and goes subnormal below 2**-1022).
+IN_WINDOW_STARTS = (
+    (Fraction(1), Fraction(0)),
+    (Fraction(-3, 7), Fraction(5, 11)),
+    (Fraction(0), Fraction(0)),
+    (Fraction(1, 2**400), Fraction(0)),  # y leaves the window: the guard trips
+)
+OUT_OF_WINDOW_STARTS = (
+    (Fraction(2**400), Fraction(1)),
+    (Fraction(2**450), Fraction(-3 * 2**449)),
+    (Fraction(1, 2**450), Fraction(-1, 3 * 2**440)),
+    (Fraction(2**1100), Fraction(-3 * 2**1100)),
+    (Fraction(1, 2**1100), Fraction(-3, 2**1100)),
+    (Fraction(1), Fraction(2**1100)),
+)
+
+
+@pytest.mark.parametrize("p", (10, 24, 53))
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_step_bit_identical_to_emulator(scheme, p):
+    cfg, dt, t = PrecisionConfig(p), Fraction("0.03"), Fraction(1, 3)
+    for a, b in PAIRS:
+        params = OscillatorParams(Fraction(a), Fraction(b))
+        for x, y in IN_WINDOW_STARTS + OUT_OF_WINDOW_STARTS:
+            got = step(scheme, params, State(x, y, t), dt, cfg)
+            assert got == emulated(step, scheme, params, State(x, y, t), dt, cfg), (a, b, x, y)
+            assert got.t == t + dt
+
+
+def test_step_backend_follows_start_window(monkeypatch):
+    # an in-window start steps natively, any other start on the emulator
+    calls = []
+
+    def counted(st, c, p):
+        calls.append(st)
+        return schemes._rk3_step(st, c, p)
+
+    monkeypatch.setattr(schemes, "_STEP_FN", {Scheme.RK3: counted})
+
+    def emulator_steps(x, y):
+        calls.clear()
+        step(Scheme.RK3, OscillatorParams(), State(x, y, 0), Fraction("0.03"), PrecisionConfig(24))
+        return len(calls)
+
+    assert [emulator_steps(x, y) for x, y in IN_WINDOW_STARTS] == [0, 0, 0, 1]
+    assert [emulator_steps(x, y) for x, y in OUT_OF_WINDOW_STARTS] == [1] * len(OUT_OF_WINDOW_STARTS)
+
+
 def veltkamp(v, p):
     """The rounding every native kernel inlines after each float operation."""
     C = _split_factor(p)
@@ -133,7 +185,7 @@ class TestGuardAndHandOff:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_out_of_range_constants(self, scheme):
         params = OscillatorParams(Fraction(1, 2**300), Fraction(2**290))
-        assert _native_consts(schemes._consts(scheme, params, Fraction("0.01"), 24)) is None
+        assert _native_floats(schemes._consts(scheme, params, Fraction("0.01"), 24), _CONST_EXP) is None
         assert_same_as_emulator(
             scheme, params, Fraction("0.01"), 1, PrecisionConfig(24), SamplingPlan.every(9)
         )

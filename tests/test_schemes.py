@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from roundtrap import _wide
-from roundtrap.fpcore import QUAD, SINGLE, PrecisionConfig
+from roundtrap.fpcore import QUAD, SINGLE, PrecisionConfig, round_to
 from roundtrap.oscillator import OscillatorParams, State, analytic_solution, invariant_value
 from roundtrap.schemes import (
     SamplingPlan,
@@ -14,9 +14,7 @@ from roundtrap.schemes import (
     integrate,
     integrate_pair,
     num_steps,
-    step_forward_euler,
-    step_midpoint,
-    step_rk3,
+    step,
     update_matrix,
 )
 
@@ -54,11 +52,6 @@ def stage_oracle(scheme: Scheme, x: Fraction, y: Fraction, dt: Fraction, params=
 ORACLE_PARAMS = [PARAMS, OscillatorParams(Fraction(3), Fraction(7)),
                  OscillatorParams(Fraction("0.8"), Fraction("0.025"))]
 ORACLE_DTS = [Fraction(1, 10), Fraction(3, 7), Fraction(1, 1000)]
-STEPS = {
-    Scheme.FORWARD_EULER: step_forward_euler,
-    Scheme.MIDPOINT_IMPLICIT: step_midpoint,
-    Scheme.RK3: step_rk3,
-}
 
 
 class TestSchemeEnum:
@@ -77,19 +70,19 @@ class TestSchemeEnum:
 
 class TestSingleSteps:
     def test_euler_exact(self):
-        s = step_forward_euler(S0, Fraction(1, 10), PARAMS)
+        s = step(Scheme.FORWARD_EULER, PARAMS, S0, Fraction(1, 10))
         assert (s.x, s.y) == (1, Fraction(1, 50))
         assert s.t == Fraction(1, 10)
 
-    @pytest.mark.parametrize("step", [step_forward_euler, step_midpoint, step_rk3])
-    def test_fixed_point(self, step):
-        s = step(State(0, 0, 0), Fraction(1, 7), PARAMS)
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_fixed_point(self, scheme):
+        s = step(scheme, PARAMS, State(0, 0, 0), Fraction(1, 7))
         assert (s.x, s.y) == (0, 0)
 
-    @pytest.mark.parametrize("step", [step_forward_euler, step_midpoint, step_rk3])
-    def test_dt_positive(self, step):
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_dt_positive(self, scheme):
         with pytest.raises(ValueError):
-            step(S0, 0, PARAMS)
+            step(scheme, PARAMS, S0, 0)
 
     def test_euler_p24_matches_native_single(self):
         # oracle: native single-precision evaluation with identical op order
@@ -104,28 +97,37 @@ class TestSingleSteps:
             x, y = nx, ny
         got = S0
         for _ in range(5):
-            got = step_forward_euler(got, Fraction(1, 10), PARAMS, SINGLE)
+            got = step(Scheme.FORWARD_EULER, PARAMS, got, Fraction(1, 10), SINGLE)
         assert float(got.x) == float(x)
         assert float(got.y) == float(y)
 
+    @pytest.mark.parametrize("p", (10, 24, 30))
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_rounded_step_rounds_start_state(self, scheme, p):
+        cfg, dt = PrecisionConfig(p), Fraction(1, 10)
+        x, y = Fraction(1, 3), Fraction(-2, 7)
+        rounded = State(round_to(x, cfg).to_fraction(), round_to(y, cfg).to_fraction(), 0)
+        assert rounded != State(x, y, 0)
+        assert step(scheme, PARAMS, State(x, y, 0), dt, cfg) == step(scheme, PARAMS, rounded, dt, cfg)
+
     def test_midpoint_exact_closed_form(self):
         # k = 0.00005; frozen rational oracle from the closed form
-        s = step_midpoint(S0, Fraction(1, 10), PARAMS)
+        s = step(Scheme.MIDPOINT_IMPLICIT, PARAMS, S0, Fraction(1, 10))
         assert s.x == Fraction(19999, 20001)
         assert s.y == Fraction(400, 20001)
 
     def test_midpoint_exact_step_conserves(self):
-        s = step_midpoint(S0, Fraction(1, 10), PARAMS)
+        s = step(Scheme.MIDPOINT_IMPLICIT, PARAMS, S0, Fraction(1, 10))
         assert invariant_value(PARAMS, s) == PARAMS.b
 
     def test_rk3_against_independent_oracle(self):
-        s = step_rk3(S0, Fraction(1, 10), PARAMS)
+        s = step(Scheme.RK3, PARAMS, S0, Fraction(1, 10))
         assert (s.x, s.y) == stage_oracle(Scheme.RK3, Fraction(1), Fraction(0), Fraction(1, 10))
 
     def test_rk3_local_order(self):
         # one-step error vs the analytic flow scales as dt**4
         def one_step_err(dt):
-            s = step_rk3(S0, dt, PARAMS)
+            s = step(Scheme.RK3, PARAMS, S0, dt)
             ref = analytic_solution(PARAMS, dt)
             return _wide.wide_norm2(s.x - ref.x, s.y - ref.y)
 
@@ -151,13 +153,14 @@ class TestUpdateMatrix:
     def test_matrix_matches_midpoint_step_exact(self):
         dt = Fraction(1, 10)
         m = update_matrix(Scheme.MIDPOINT_IMPLICIT, PARAMS, dt)
-        s = step_midpoint(S0, dt, PARAMS)
-        assert m.apply(1, 0) == (s.x, s.y)
+        s = step(Scheme.MIDPOINT_IMPLICIT, PARAMS, S0, dt)
+        want = stage_oracle(Scheme.MIDPOINT_IMPLICIT, Fraction(1), Fraction(0), dt)
+        assert m.apply(1, 0) == (s.x, s.y) == want
 
     def test_matrix_matches_midpoint_step_p113(self):
         dt = Fraction(1, 10)
         m = update_matrix(Scheme.MIDPOINT_IMPLICIT, PARAMS, dt)
-        s113 = step_midpoint(S0, dt, PARAMS, QUAD)
+        s113 = step(Scheme.MIDPOINT_IMPLICIT, PARAMS, S0, dt, QUAD)
         mx, my = m.apply(1, 0)
         assert rel_err(s113.x, mx) <= WIDE_TOL
         assert rel_err(s113.y, my) <= WIDE_TOL
@@ -165,7 +168,7 @@ class TestUpdateMatrix:
     def test_rk3_matrix_matches_step_exact(self):
         dt = Fraction(1, 10)
         m = update_matrix(Scheme.RK3, PARAMS, dt)
-        s = step_rk3(S0, dt, PARAMS)
+        s = step(Scheme.RK3, PARAMS, S0, dt)
         assert m.apply(1, 0) == (s.x, s.y) == stage_oracle(Scheme.RK3, Fraction(1), Fraction(0), dt)
 
     @pytest.mark.parametrize("dt", ORACLE_DTS)
@@ -176,7 +179,7 @@ class TestUpdateMatrix:
             for x, y in ((Fraction(1), Fraction(0)), (Fraction(1, 3), Fraction(-2, 7))):
                 want = stage_oracle(scheme, x, y, dt, params)
                 assert m.apply(x, y) == want
-                s = STEPS[scheme](State(x, y, 0), dt, params)
+                s = step(scheme, params, State(x, y, 0), dt)
                 assert (s.x, s.y, s.t) == (*want, dt)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -203,8 +206,9 @@ class TestIntegrate:
         dt = Fraction(1, 10)
         traj = integrate(Scheme.MIDPOINT_IMPLICIT, PARAMS, dt, dt)
         assert traj.n_steps == 1
-        single = step_midpoint(S0, dt, PARAMS)
+        single = step(Scheme.MIDPOINT_IMPLICIT, PARAMS, S0, dt)
         assert traj.final_state == single
+        assert (single.x, single.y) == stage_oracle(Scheme.MIDPOINT_IMPLICIT, Fraction(1), Fraction(0), dt)
 
     def test_midpoint_exact_conserves_along_trajectory(self):
         traj = integrate(
