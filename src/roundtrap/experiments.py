@@ -62,6 +62,8 @@ class SweepConfig:
             raise ValueError("dt_list is empty")
         if any(dt <= 0 for dt in self.dt_list):
             raise ValueError("step sizes must be positive")
+        for dt in self.dt_list:
+            num_steps(self.t_end, dt)  # rejects a step count too long to report
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 

@@ -82,22 +82,6 @@ class RValue:
     def __abs__(self) -> "RValue":
         return RValue(abs(self.significand), self.exponent)
 
-    def _cmp(self, other: "RValue") -> int:
-        d = self.to_fraction() - other.to_fraction()
-        return (d > 0) - (d < 0)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
 
 ZERO = RValue(0, 0)
 ONE = RValue(1, 0)

@@ -40,8 +40,15 @@ rounding, because rounding twice is innocuous when 53 >= 2p + 2
 range.  A range guard checks the state after every step; when it trips,
 the channel continues in the emulator from the last in-range state.  A
 channel whose start state or scheme constants lie outside their windows
-runs in the emulator throughout, as does every other p.  The emulator
-kernels remain the oracle: both backends give bit-identical trajectories.
+runs in the emulator throughout, as does every other p.  Both backends give
+bit-identical trajectories.
+
+The emulator runs fused kernels (``_FUSED_FN``): each advances the raw state
+k steps in its own loop with every rounding inline, instead of one raw
+``fpcore`` call per operation.  The op-by-op step kernels (``_euler_step``,
+``_midpoint_step``, ``_rk3_step``) are the oracle; k fused steps return the
+same integers as k op-by-op steps, and the native kernels follow the same
+operation order.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .fpcore import (
+    MAX_SIGNIFICAND_BITS,
     PrecisionConfig,
     _add_raw,
     _div_raw,
@@ -231,13 +239,6 @@ def _rk3_step(st, c, p):
     return (*nx, *ny)
 
 
-_STEP_FN = {
-    Scheme.FORWARD_EULER: _euler_step,
-    Scheme.MIDPOINT_IMPLICIT: _midpoint_step,
-    Scheme.RK3: _rk3_step,
-}
-
-
 def _consts(scheme: Scheme, params: OscillatorParams, dt: Fraction, p: int):
     """Per-run rounded constants, flattened to raw pairs."""
     am, ae = _fraction_to_raw(params.a, p)
@@ -256,6 +257,209 @@ def _consts(scheme: Scheme, params: OscillatorParams, dt: Fraction, p: int):
         d6m, d6e = _div_raw(dm, de, 6, 0, p)  # dt (/) 6, rounded
         return (-am, ae, bm, be, dm, de, dm, de - 1, dm, de + 1, d6m, d6e)
     raise ValueError(f"unsupported scheme {scheme}")
+
+
+# ---------------------------------------------------------------------------
+# Fused emulator kernels.  Each advances a raw state k steps in its own loop
+# and does the operations of its op-by-op kernel above on the same operands,
+# with the raw kernels' arithmetic inline, so both return the same integer
+# quadruple.  Two changes make the rounding cheaper:
+#
+# * Signed floor-shift rounding.  With s = bit_length(m) - p > 0 excess bits
+#   and m = q*2**s + r (floor division, 0 <= r < 2**s),
+#   (m + 2**(s-1) - 1 + (q & 1)) >> s is round-to-nearest-even of m/2**s for
+#   either sign of m; a carry to p+1 bits halves as in _round_raw.  The
+#   excess is at most 2p+4 (an aligned sum with RK3's 4*k2 operand, or a
+#   quotient), so _HALF holds 2**(s-1) - 1 for every s up to 2*113+4.
+# * Constant division shift.  Dividends and divisors carry at most p bits,
+#   so shifting the dividend by 2p+4 leaves a quotient of at least p+5 bits
+#   above its sticky bit, enough for one correct rounding, and correct
+#   rounding is unique.  _div_raw's shift, which depends on the operand
+#   widths, gives the same result.
+#
+# The midpoint kernel, the reference channel of the default sweep, inlines
+# every operation; Euler and RK3 call _rn and _add.  A zero result is (0, 0),
+# as _round_raw returns it.
+# ---------------------------------------------------------------------------
+
+_HALF = (0, *((1 << (s - 1)) - 1 for s in range(1, 2 * MAX_SIGNIFICAND_BITS + 5)))
+
+
+def _rn(m: int, e: int, p: int) -> tuple[int, int]:
+    """m * 2**e rounded to p bits, ties to even: _round_raw by a floor shift."""
+    s = m.bit_length() - p
+    if s > 0:
+        m = (m + _HALF[s] + ((m >> s) & 1)) >> s
+        e += s
+        if m.bit_length() > p:
+            m >>= 1
+            e += 1
+    elif not m:
+        e = 0
+    return m, e
+
+
+def _add(am: int, ae: int, bm: int, be: int, p: int) -> tuple[int, int]:
+    """_add_raw, rounding by _rn."""
+    if not am:
+        return _rn(bm, be, p)
+    if not bm:
+        return _rn(am, ae, p)
+    d = ae - be
+    if d < 0:
+        am, ae, bm, be, d = bm, be, am, ae, -d
+    if d <= 2 * p + 1:
+        return _rn((am << d) + bm, be, p)
+    k = p + 4
+    return _rn((am << k) + (1 if bm > 0 else -1), ae - k, p)
+
+
+def _div(am: int, ae: int, bm: int, be: int, p: int) -> tuple[int, int]:
+    """_div_raw by the constant shift 2p+4: the division _midpoint_fused
+    inlines.  Floor division keeps the round-to-odd sticky bit right for
+    either sign."""
+    if not am:
+        return 0, 0
+    s = 2 * p + 4
+    q, r = divmod(am << s, bm)
+    if r:
+        q |= 1
+    return _rn(q, ae - be - s, p)
+
+
+def _euler_fused(st, c, p, k):
+    mx, ex, my, ey = st
+    nam, nae, bm, be, dm, de = c
+    rn, add = _rn, _add
+    for _ in range(k):
+        t1m, t1e = rn(nam * my, nae + ey, p)  # (-a) (x) y
+        t2m, t2e = rn(dm * t1m, de + t1e, p)  # dt (x) .
+        u1m, u1e = rn(bm * mx, be + ex, p)
+        u2m, u2e = rn(dm * u1m, de + u1e, p)
+        mx, ex = add(mx, ex, t2m, t2e, p)  # x (+) .
+        my, ey = add(my, ey, u2m, u2e, p)
+    return mx, ex, my, ey
+
+
+def _midpoint_fused(st, c, p, k):
+    mx, ex, my, ey = st
+    omm, ome, opm, ope, am, ae, bm, be = c
+    nam = -am  # -(a*dt (x) y) = -a*dt (x) y, so x's subtraction is an addition
+    half, far, sticky, shift = _HALF, 2 * p + 1, p + 4, 2 * p + 4
+    qe = ope + shift
+    for _ in range(k):
+        # x (x) (1-k) and -a*dt (x) y
+        u1 = mx * omm; u1e = ex + ome
+        s = u1.bit_length() - p
+        if s > 0:
+            u1 = (u1 + half[s] + ((u1 >> s) & 1)) >> s; u1e += s
+            if u1.bit_length() > p: u1 >>= 1; u1e += 1
+        elif not u1: u1e = 0
+        u2 = nam * my; u2e = ae + ey
+        s = u2.bit_length() - p
+        if s > 0:
+            u2 = (u2 + half[s] + ((u2 >> s) & 1)) >> s; u2e += s
+            if u2.bit_length() > p: u2 >>= 1; u2e += 1
+        elif not u2: u2e = 0
+        # y (x) (1-k) and b*dt (x) x
+        v1 = my * omm; v1e = ey + ome
+        s = v1.bit_length() - p
+        if s > 0:
+            v1 = (v1 + half[s] + ((v1 >> s) & 1)) >> s; v1e += s
+            if v1.bit_length() > p: v1 >>= 1; v1e += 1
+        elif not v1: v1e = 0
+        v2 = bm * mx; v2e = be + ex
+        s = v2.bit_length() - p
+        if s > 0:
+            v2 = (v2 + half[s] + ((v2 >> s) & 1)) >> s; v2e += s
+            if v2.bit_length() > p: v2 >>= 1; v2e += 1
+        elif not v2: v2e = 0
+        # nx = u1 (+) u2, then (/) (1+k)
+        if u1 and u2:
+            d = u1e - u2e
+            if d >= 0:
+                if d <= far: n = (u1 << d) + u2; ne = u2e
+                else: n = (u1 << sticky) + (1 if u2 > 0 else -1); ne = u1e - sticky
+            elif d >= -far: n = u1 + (u2 << -d); ne = u1e
+            else: n = (u2 << sticky) + (1 if u1 > 0 else -1); ne = u2e - sticky
+            s = n.bit_length() - p
+            if s > 0:
+                n = (n + half[s] + ((n >> s) & 1)) >> s; ne += s
+                if n.bit_length() > p: n >>= 1; ne += 1
+        elif u1: n, ne = u1, u1e
+        else: n, ne = u2, u2e
+        if n:
+            q, r = divmod(n << shift, opm)
+            if r: q |= 1
+            s = q.bit_length() - p
+            mx = (q + half[s] + ((q >> s) & 1)) >> s; ex = ne - qe + s
+            if mx.bit_length() > p: mx >>= 1; ex += 1
+        else: mx = ex = 0
+        # ny = v1 (+) v2, then (/) (1+k)
+        if v1 and v2:
+            d = v1e - v2e
+            if d >= 0:
+                if d <= far: n = (v1 << d) + v2; ne = v2e
+                else: n = (v1 << sticky) + (1 if v2 > 0 else -1); ne = v1e - sticky
+            elif d >= -far: n = v1 + (v2 << -d); ne = v1e
+            else: n = (v2 << sticky) + (1 if v1 > 0 else -1); ne = v2e - sticky
+            s = n.bit_length() - p
+            if s > 0:
+                n = (n + half[s] + ((n >> s) & 1)) >> s; ne += s
+                if n.bit_length() > p: n >>= 1; ne += 1
+        elif v1: n, ne = v1, v1e
+        else: n, ne = v2, v2e
+        if n:
+            q, r = divmod(n << shift, opm)
+            if r: q |= 1
+            s = q.bit_length() - p
+            my = (q + half[s] + ((q >> s) & 1)) >> s; ey = ne - qe + s
+            if my.bit_length() > p: my >>= 1; ey += 1
+        else: my = ey = 0
+    return mx, ex, my, ey
+
+
+def _rk3_fused(st, c, p, k):
+    mx, ex, my, ey = st
+    nam, nae, bm, be, dm, de, hm, he, d2m, d2e, d6m, d6e = c
+    rn, add = _rn, _add
+    for _ in range(k):
+        k1xm, k1xe = rn(nam * my, nae + ey, p)
+        k1ym, k1ye = rn(bm * mx, be + ex, p)
+        tm, te = rn(hm * k1xm, he + k1xe, p)
+        x2m, x2e = add(mx, ex, tm, te, p)
+        tm, te = rn(hm * k1ym, he + k1ye, p)
+        y2m, y2e = add(my, ey, tm, te, p)
+        k2xm, k2xe = rn(nam * y2m, nae + y2e, p)
+        k2ym, k2ye = rn(bm * x2m, be + x2e, p)
+        tm, te = rn(dm * k1xm, de + k1xe, p)
+        x3m, x3e = add(mx, ex, -tm, te, p)
+        tm, te = rn(d2m * k2xm, d2e + k2xe, p)
+        x3m, x3e = add(x3m, x3e, tm, te, p)
+        tm, te = rn(dm * k1ym, de + k1ye, p)
+        y3m, y3e = add(my, ey, -tm, te, p)
+        tm, te = rn(d2m * k2ym, d2e + k2ye, p)
+        y3m, y3e = add(y3m, y3e, tm, te, p)
+        k3xm, k3xe = rn(nam * y3m, nae + y3e, p)
+        k3ym, k3ye = rn(bm * x3m, be + x3e, p)
+        # x + dt/6 * ((k1 + 4 k2) + k3); 4*k2 is an exact scaling
+        sm, se = add(k1xm, k1xe, k2xm << 2, k2xe, p)
+        sm, se = add(sm, se, k3xm, k3xe, p)
+        tm, te = rn(d6m * sm, d6e + se, p)
+        nxm, nxe = add(mx, ex, tm, te, p)
+        sm, se = add(k1ym, k1ye, k2ym << 2, k2ye, p)
+        sm, se = add(sm, se, k3ym, k3ye, p)
+        tm, te = rn(d6m * sm, d6e + se, p)
+        my, ey = add(my, ey, tm, te, p)
+        mx, ex = nxm, nxe
+    return mx, ex, my, ey
+
+
+_FUSED_FN = {
+    Scheme.FORWARD_EULER: _euler_fused,
+    Scheme.MIDPOINT_IMPLICIT: _midpoint_fused,
+    Scheme.RK3: _rk3_fused,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +668,22 @@ def update_matrix(scheme: Scheme, params: OscillatorParams, dt) -> UpdateMatrix:
     ))
 
 
+# str() refuses ints of more than 4300 digits (Python's default
+# int_max_str_digits), so a longer step count could not be reported.
+_MAX_STEP_DIGITS = 4300
+_STEP_COUNT_LIMIT = 10**_MAX_STEP_DIGITS
+
+
 def num_steps(t_end, dt) -> int:
-    """Nearest integer to t_end/dt (the experiments use commensurate pairs)."""
+    """Nearest integer to t_end/dt (the experiments use commensurate pairs).
+    Rejects a count of more than 4300 digits."""
     dt = _as_fraction(dt)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return round(_as_fraction(t_end) / dt)
+    n = round(_as_fraction(t_end) / dt)
+    if abs(n) >= _STEP_COUNT_LIMIT:
+        raise ValueError(f"t_end/dt is too large: the step count has more than {_MAX_STEP_DIGITS} digits")
+    return n
 
 
 def _check_steps(t_end: Fraction, dt: Fraction, max_steps: int) -> int:
@@ -520,10 +734,14 @@ def step(
     return State(s.x, s.y, state.t + dt)
 
 
-def _exact_step(st, m: UpdateMatrix, p):
-    """An exact step in the emulator kernels' calling convention: st is
-    (x, y) in Fractions and m the update matrix."""
-    return m.apply(*st)
+def _exact_fused(st, m: UpdateMatrix, p, k):
+    """k exact steps in the fused kernels' calling convention: st is (x, y)
+    in Fractions and m the update matrix."""
+    (a, b), (c, d) = m.entries
+    x, y = st
+    for _ in range(k):
+        x, y = a * x + b * y, c * x + d * y
+    return x, y
 
 
 def _channel(scheme: Scheme, params: OscillatorParams, dt: Fraction, cfg, x0, y0, wanted):
@@ -532,15 +750,15 @@ def _channel(scheme: Scheme, params: OscillatorParams, dt: Fraction, cfg, x0, y0
 
     cfg=None steps exactly with ``update_matrix``.  A rounded channel rounds
     the start to p bits, then steps on the native kernel while the range
-    guard holds and on the emulator kernel otherwise.  Kernels run the steps
-    between two samples in their own loops."""
+    guard holds and on the fused emulator kernel otherwise.  Kernels run the
+    steps between two samples in their own loops."""
     native = None
     if cfg is None:
-        step_fn, consts, p = _exact_step, update_matrix(scheme, params, dt), None
+        fused, consts, p = _exact_fused, update_matrix(scheme, params, dt), None
         st = (x0, y0)
     else:
         p = cfg.significand_bits
-        step_fn, consts = _STEP_FN[scheme], _consts(scheme, params, dt, p)
+        fused, consts = _FUSED_FN[scheme], _consts(scheme, params, dt, p)
         st = (*_fraction_to_raw(x0, p), *_fraction_to_raw(y0, p))
         xy = _native_floats(st, _STATE_EXP) if channel_backend(p) == BINARY64 else None
         native = _native_floats(consts, _CONST_EXP) if xy is not None else None
@@ -559,8 +777,7 @@ def _channel(scheme: Scheme, params: OscillatorParams, dt: Fraction, cfg, x0, y0
             # in-range state for the rest of the channel
             st = (*_float_to_raw(x, p), *_float_to_raw(y, p))
             native = None
-        for _ in range(target - i):
-            st = step_fn(st, consts, p)
+        st = fused(st, consts, p, target - i)
         i = target
         x, y = st if cfg is None else (_raw_to_fraction(st[0], st[1]), _raw_to_fraction(st[2], st[3]))
         samples.append((i, State(x, y, i * dt)))

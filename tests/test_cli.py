@@ -290,6 +290,10 @@ class TestErrorContract:
          "strictly increasing"),
         (["diagnose", "os", "--input", "skipped.csv"], "no completed records"),
         (["diagnose", "bound", "--dt", "1", "--t-end", "0.001"], "n must be >= 1"),
+        (["sweep", "--t-end", "1e5000", "--dt-list", "1", "--max-steps", "10", "--jobs", "1"],
+         "more than 4300 digits"),
+        (["longrun", "--t-end", "1e5000", "--dt", "1", "--samples", "3", "--max-steps", "10"],
+         "more than 4300 digits"),
     ])
     def test_rejected_argument_is_usage_error(self, tmp_path, capsys, argv, message):
         assert main([*with_inputs(tmp_path, argv), "--out-dir", str(tmp_path)]) == 2

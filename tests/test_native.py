@@ -61,10 +61,10 @@ class TestBackendSelection:
         assert [p for p in range(2, 114) if channel_backend(p) == BINARY64] == [*range(2, 26), 53]
 
     def test_native_path_skips_emulator(self, monkeypatch):
-        def forbidden(st, c, p):
+        def forbidden(st, c, p, k):
             raise AssertionError("emulator kernel called")
 
-        monkeypatch.setattr(schemes, "_STEP_FN", dict.fromkeys(Scheme, forbidden))
+        monkeypatch.setattr(schemes, "_FUSED_FN", dict.fromkeys(Scheme, forbidden))
         for scheme in Scheme:
             for p in NATIVE_PS:
                 integrate(scheme, OscillatorParams(), Fraction("0.01"), 1, PrecisionConfig(p))
@@ -118,11 +118,11 @@ def test_step_backend_follows_start_window(monkeypatch):
     # an in-window start steps natively, any other start on the emulator
     calls = []
 
-    def counted(st, c, p):
-        calls.append(st)
-        return schemes._rk3_step(st, c, p)
+    def counted(st, c, p, k):
+        calls.extend([st] * k)
+        return schemes._rk3_fused(st, c, p, k)
 
-    monkeypatch.setattr(schemes, "_STEP_FN", {Scheme.RK3: counted})
+    monkeypatch.setattr(schemes, "_FUSED_FN", {Scheme.RK3: counted})
 
     def emulator_steps(x, y):
         calls.clear()
