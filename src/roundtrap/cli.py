@@ -56,6 +56,7 @@ from .schemes import (
     update_matrix,
 )
 from .experiments import (
+    DESK_DT_STRINGS,
     STATUS_OK,
     SweepConfig,
     SweepRecord,
@@ -71,49 +72,7 @@ TIMESERIES_CSV = "timeseries.csv"
 DIAGNOSTICS_CSV = "diagnostics.csv"
 MANIFEST_JSON = "manifest.json"
 
-_DESK_DT_LIST_STR = "1e-1,3e-2,1e-2,3e-3,1e-3,3e-4,1e-4,3e-5,1e-5"
-
-DEFAULTS = {
-    "sweep": {
-        "scheme": "midpoint",
-        "a": "0.1",
-        "b": "0.2",
-        "t_end": "100",
-        "dt_list": _DESK_DT_LIST_STR,
-        "p_run": "24",
-        "p_ref": "113",
-        "max_steps": "20000000",
-        "jobs": None,
-        "out_dir": None,
-    },
-    "longrun": {
-        "scheme": "midpoint",
-        "a": "0.1",
-        "b": "0.2",
-        "t_end": "1000",
-        "dt": "1e-3",
-        "samples": "100",
-        "spacing": "log",
-        "p_run": "24",
-        "p_ref": "113",
-        "max_steps": "20000000",
-        "out_dir": None,
-    },
-    "diagnose": {
-        "scheme": "midpoint",
-        "a": "0.1",
-        "b": "0.2",
-        "dt": "1e-2",
-        "t_end": "10",
-        "p_run": "24",
-        "series": "E_r",
-        "threshold": None,
-        "input": None,
-        "mode": None,
-        "bound_model": "worst",
-        "out_dir": None,
-    },
-}
+_LOG10_2 = math.log10(2)
 
 
 class UsageError(Exception):
@@ -143,21 +102,86 @@ def _parse_precision(text: str, flag: str) -> PrecisionConfig:
 
 def format_wide(x: Optional[Fraction], digits: int = 25) -> str:
     """Deterministic decimal rendering with enough digits to round-trip the
-    wide value; 'nan' for missing values."""
+    wide value; 'nan' for missing values.  The text is decimal's for
+    Decimal(numerator) / Decimal(denominator) at precision ``digits``, but
+    found by integer scaling, in time near-linear in the size of x (the
+    Decimal conversions take quadratic time)."""
     if x is None:
         return "nan"
     if x == 0:
         return "0"
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        d = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
-    return str(d)
+    num, den = abs(x.numerator), x.denominator
+    low, high = 10 ** (digits - 1), 10**digits
+    # q = num/den / 10**e in [low, high), from an estimate of e; then round
+    # q half to even, and drop an exact result's trailing zeros down to units
+    e = math.floor((num.bit_length() - den.bit_length()) * _LOG10_2) - digits + 1
+    while True:
+        n, d = (num * 10**-e, den) if e < 0 else (num, den * 10**e)
+        q, r = divmod(n, d)
+        if q >= high:
+            e += 1
+        elif q < low:
+            e -= 1
+        else:
+            break
+    if 2 * r > d or (2 * r == d and q & 1):
+        q += 1
+        if q == high:
+            q, e = low, e + 1
+    elif not r:
+        while e < 0 and q % 10 == 0:
+            q, e = q // 10, e + 1
+    return str(decimal.Decimal(f"{'-' if x < 0 else ''}{q}E{e}"))  # decimal's layout
 
 
 def parse_wide(text: str) -> Optional[Fraction]:
     if text == "nan":
         return None
     return Fraction(text)
+
+
+# the library's defaults as flag strings; a sweep's are SweepConfig()'s
+_SWEEP = SweepConfig()
+_PARAMS = {"a": format_wide(OscillatorParams().a), "b": format_wide(OscillatorParams().b)}
+
+DEFAULTS = {
+    "sweep": {
+        "scheme": _SWEEP.scheme.value,
+        **_PARAMS,
+        "t_end": format_wide(_SWEEP.t_end),
+        "dt_list": ",".join(DESK_DT_STRINGS),
+        "p_run": str(_SWEEP.run_precision.significand_bits),
+        "p_ref": str(_SWEEP.ref_precision.significand_bits),
+        "max_steps": str(_SWEEP.max_steps),
+        "jobs": None,
+        "out_dir": None,
+    },
+    "longrun": {
+        "scheme": "midpoint",
+        **_PARAMS,
+        "t_end": "1000",
+        "dt": "1e-3",
+        "samples": "100",
+        "spacing": "log",
+        "p_run": "24",
+        "p_ref": "113",
+        "max_steps": "20000000",
+        "out_dir": None,
+    },
+    "diagnose": {
+        "scheme": "midpoint",
+        **_PARAMS,
+        "dt": "1e-2",
+        "t_end": "10",
+        "p_run": "24",
+        "series": "E_r",
+        "threshold": None,
+        "input": None,
+        "mode": None,
+        "bound_model": "worst",
+        "out_dir": None,
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +343,7 @@ def _params(resolved: dict) -> OscillatorParams:
     return OscillatorParams(a, b)
 
 
-def cmd_sweep(resolved: dict, argv: list[str]) -> int:
+def _sweep_config(resolved: dict) -> SweepConfig:
     dt_list = tuple(
         _parse_fraction(part.strip(), "--dt-list")
         for part in resolved["dt_list"].split(",")
@@ -327,7 +351,7 @@ def cmd_sweep(resolved: dict, argv: list[str]) -> int:
     )
     if not dt_list:
         raise UsageError("--dt-list: no step sizes given")
-    cfg = SweepConfig(
+    return SweepConfig(
         scheme=Scheme.from_name(resolved["scheme"]),
         params=_params(resolved),
         t_end=_parse_fraction(resolved["t_end"], "--t-end"),
@@ -336,6 +360,10 @@ def cmd_sweep(resolved: dict, argv: list[str]) -> int:
         ref_precision=_parse_precision(resolved["p_ref"], "--p-ref"),
         max_steps=_parse_int(resolved["max_steps"], "--max-steps"),
     )
+
+
+def cmd_sweep(resolved: dict, argv: list[str]) -> int:
+    cfg = _sweep_config(resolved)
     jobs = _parse_int(resolved["jobs"], "--jobs") if resolved["jobs"] else os.cpu_count() or 1
     records = stepsize_sweep(cfg, jobs=jobs)
     for r in records:

@@ -18,6 +18,7 @@ deterministic regardless of scheduling.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,9 +34,9 @@ STATUS_OK = "ok"
 STATUS_SKIPPED_GUARD = "skipped_guard"
 STATUS_SKIPPED_ZERO_STEPS = "skipped_zero_steps"
 
-DESK_DT_LIST = tuple(
-    Fraction(s) for s in ("1e-1", "3e-2", "1e-2", "3e-3", "1e-3", "3e-4", "1e-4", "3e-5", "1e-5")
-)
+# the desk sweep's step sizes as written, which the CLI's defaults show
+DESK_DT_STRINGS = ("1e-1", "3e-2", "1e-2", "3e-3", "1e-3", "3e-4", "1e-4", "3e-5", "1e-5")
+DESK_DT_LIST = tuple(Fraction(s) for s in DESK_DT_STRINGS)
 DESK_MAX_STEPS = 20_000_000
 
 
@@ -135,6 +136,8 @@ def stepsize_sweep(cfg: SweepConfig, jobs: Optional[int] = None) -> list[SweepRe
 
 
 def _sample_steps(n: int, count: int, spacing: str) -> tuple[int, ...]:
+    if n > sys.float_info.max:  # both spacings are computed in floats
+        raise ValueError("t_end/dt is too large to place samples: the step count exceeds the float range")
     if spacing == "linear":
         raw = (round(i * n / count) for i in range(1, count + 1))
     elif spacing == "log":

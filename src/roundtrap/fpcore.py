@@ -67,8 +67,7 @@ class RValue:
     exponent: int
 
     def to_fraction(self) -> Fraction:
-        m, e = self.significand, self.exponent
-        return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+        return _raw_to_fraction(self.significand, self.exponent)
 
     def __float__(self) -> float:
         return float(self.to_fraction())
@@ -93,33 +92,41 @@ ONE = RValue(1, 0)
 # Contract: operand significands carry at most p bits (callers pre-round);
 # results are round-to-nearest-even at p bits and may carry trailing zeros.
 # These are the hot path for the integrators, so they avoid object wrappers.
+#
+# _round_raw is the only rounding code (schemes' fused midpoint kernel
+# inlines a copy).  It rounds by a signed floor shift: with s =
+# bit_length(m) - p > 0 excess bits and m = q*2**s + r (floor division,
+# 0 <= r < 2**s), (m + 2**(s-1) - 1 + (q & 1)) >> s is m/2**s rounded to
+# nearest, ties to even, for either sign of m; a carry to p+1 bits halves.
+# _HALF holds 2**(s-1) - 1 for every excess up to 2*113+4, the widest the
+# step kernels produce (an aligned sum with RK3's 4*k2 operand, or a
+# quotient); the wider inputs of conversions compute it.
 # ---------------------------------------------------------------------------
+
+_HALF = (0, *((1 << (s - 1)) - 1 for s in range(1, 2 * MAX_SIGNIFICAND_BITS + 5)))
 
 
 def _round_raw(m: int, e: int, p: int) -> tuple[int, int]:
     """Round signed m * 2**e to p significand bits, ties to even."""
-    if m == 0:
-        return 0, 0
-    neg = m < 0
-    a = -m if neg else m
-    excess = a.bit_length() - p
-    if excess > 0:
-        low = a & ((1 << excess) - 1)
-        a >>= excess
-        e += excess
-        half = 1 << (excess - 1)
-        if low > half or (low == half and (a & 1)):
-            a += 1
-            if a.bit_length() > p:
-                a >>= 1
-                e += 1
-    return (-a if neg else a), e
+    s = m.bit_length() - p
+    if s > 0:
+        try:
+            m = (m + _HALF[s] + ((m >> s) & 1)) >> s
+        except IndexError:
+            m = (m + (1 << (s - 1)) - 1 + ((m >> s) & 1)) >> s
+        e += s
+        if m.bit_length() > p:
+            m >>= 1
+            e += 1
+    elif not m:
+        e = 0
+    return m, e
 
 
 def _add_raw(am: int, ae: int, bm: int, be: int, p: int) -> tuple[int, int]:
-    if am == 0:
+    if not am:
         return _round_raw(bm, be, p)
-    if bm == 0:
+    if not bm:
         return _round_raw(am, ae, p)
     d = ae - be
     if d < 0:
@@ -143,24 +150,18 @@ def _mul_raw(am: int, ae: int, bm: int, be: int, p: int) -> tuple[int, int]:
 def _div_raw(am: int, ae: int, bm: int, be: int, p: int) -> tuple[int, int]:
     if bm == 0:
         raise ZeroDivisionError("emulated division by zero")
-    if am == 0:
-        return 0, 0
-    neg = (am < 0) != (bm < 0)
-    a = -am if am < 0 else am
-    b = -bm if bm < 0 else bm
-    # quotient with >= p+2 bits, inexactness folded into a sticky low bit
-    s = p + 3 + max(0, b.bit_length() - a.bit_length() + 1)
-    q, r = divmod(a << s, b)
+    # quotient with >= p+2 bits, inexactness folded into a sticky low bit;
+    # floor division keeps that round-to-odd bit right for either sign
+    s = p + 3 + max(0, bm.bit_length() - am.bit_length() + 1)
+    q, r = divmod(am << s, bm)
     if r:
         q |= 1
-    return _round_raw(-q if neg else q, ae - be - s, p)
+    return _round_raw(q, ae - be - s, p)
 
 
 def _sqrt_raw(m: int, e: int, p: int) -> tuple[int, int]:
     if m < 0:
         raise ValueError("emulated square root of a negative value")
-    if m == 0:
-        return 0, 0
     # even shift so the root's exponent is integral, >= 2p+4 bits under the root
     t = max(0, 2 * p + 4 - m.bit_length())
     if (e - t) & 1:
@@ -174,11 +175,17 @@ def _sqrt_raw(m: int, e: int, p: int) -> tuple[int, int]:
 
 def _fraction_to_raw(x: Fraction, p: int) -> tuple[int, int]:
     num, den = x.numerator, x.denominator
-    if den == 1:
-        return _round_raw(num, 0, p)
     if den & (den - 1) == 0:  # power of two: exact scaling
         return _round_raw(num, 1 - den.bit_length(), p)
     return _div_raw(num, 0, den, 0, p)
+
+
+def _float_to_raw(v: float, p: int) -> tuple[int, int]:
+    """A finite float rounded to p bits, as a raw pair.  as_integer_ratio()
+    gives an integral float a significand wider than p bits even when the
+    float fits in p; rounding restores the raw-kernel operand contract."""
+    num, den = v.as_integer_ratio()
+    return _round_raw(num, 1 - den.bit_length(), p)
 
 
 def _raw_to_fraction(m: int, e: int) -> Fraction:
@@ -207,13 +214,10 @@ def round_to(x, cfg: PrecisionConfig) -> RValue:
     p = cfg.significand_bits
     if isinstance(x, RValue):
         return _canonical(*_round_raw(x.significand, x.exponent, p))
-    if isinstance(x, int):
-        return _canonical(*_round_raw(x, 0, p))
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"cannot round non-finite value {x!r}")
-        num, den = x.as_integer_ratio()
-        return _canonical(*_round_raw(num, 1 - den.bit_length(), p))
+        return _canonical(*_float_to_raw(x, p))
     if isinstance(x, Rational):
         return _canonical(*_fraction_to_raw(Fraction(x), p))
     raise TypeError(f"cannot round value of type {type(x).__name__}")

@@ -44,11 +44,11 @@ runs in the emulator throughout, as does every other p.  Both backends give
 bit-identical trajectories.
 
 The emulator runs fused kernels (``_FUSED_FN``): each advances the raw state
-k steps in its own loop with every rounding inline, instead of one raw
-``fpcore`` call per operation.  The op-by-op step kernels (``_euler_step``,
-``_midpoint_step``, ``_rk3_step``) are the oracle; k fused steps return the
-same integers as k op-by-op steps, and the native kernels follow the same
-operation order.
+k steps in its own loop, rounding with ``fpcore._round_raw`` (the midpoint
+kernel inlines it), instead of one ``fpcore`` operation call per operation.
+The op-by-op step kernels (``_euler_step``, ``_midpoint_step``,
+``_rk3_step``) fix the operation order: k fused steps return the same
+integers as k op-by-op steps, and the native kernels follow the same order.
 """
 
 from __future__ import annotations
@@ -60,10 +60,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .fpcore import (
-    MAX_SIGNIFICAND_BITS,
     PrecisionConfig,
+    _HALF,
     _add_raw,
     _div_raw,
+    _float_to_raw,
     _fraction_to_raw,
     _mul_raw,
     _raw_to_fraction,
@@ -262,75 +263,23 @@ def _consts(scheme: Scheme, params: OscillatorParams, dt: Fraction, p: int):
 # ---------------------------------------------------------------------------
 # Fused emulator kernels.  Each advances a raw state k steps in its own loop
 # and does the operations of its op-by-op kernel above on the same operands,
-# with the raw kernels' arithmetic inline, so both return the same integer
-# quadruple.  Two changes make the rounding cheaper:
-#
-# * Signed floor-shift rounding.  With s = bit_length(m) - p > 0 excess bits
-#   and m = q*2**s + r (floor division, 0 <= r < 2**s),
-#   (m + 2**(s-1) - 1 + (q & 1)) >> s is round-to-nearest-even of m/2**s for
-#   either sign of m; a carry to p+1 bits halves as in _round_raw.  The
-#   excess is at most 2p+4 (an aligned sum with RK3's 4*k2 operand, or a
-#   quotient), so _HALF holds 2**(s-1) - 1 for every s up to 2*113+4.
-# * Constant division shift.  Dividends and divisors carry at most p bits,
-#   so shifting the dividend by 2p+4 leaves a quotient of at least p+5 bits
-#   above its sticky bit, enough for one correct rounding, and correct
-#   rounding is unique.  _div_raw's shift, which depends on the operand
-#   widths, gives the same result.
+# so both return the same integer quadruple.  Euler and RK3 call fpcore's
+# _round_raw and _add_raw directly, with no per-operation wrapper.
 #
 # The midpoint kernel, the reference channel of the default sweep, inlines
-# every operation; Euler and RK3 call _rn and _add.  A zero result is (0, 0),
-# as _round_raw returns it.
+# every operation, _round_raw's floor-shift rounding included (_HALF is
+# fpcore's table).  It divides by 1+k at the constant shift 2p+4: dividends
+# and divisors carry at most p bits, so that leaves a quotient of at least
+# p+5 bits above its sticky bit, enough for one correct rounding, and
+# correct rounding is unique, so _div_raw's width-dependent shift gives the
+# same result.  A zero result is (0, 0), as _round_raw returns it.
 # ---------------------------------------------------------------------------
-
-_HALF = (0, *((1 << (s - 1)) - 1 for s in range(1, 2 * MAX_SIGNIFICAND_BITS + 5)))
-
-
-def _rn(m: int, e: int, p: int) -> tuple[int, int]:
-    """m * 2**e rounded to p bits, ties to even: _round_raw by a floor shift."""
-    s = m.bit_length() - p
-    if s > 0:
-        m = (m + _HALF[s] + ((m >> s) & 1)) >> s
-        e += s
-        if m.bit_length() > p:
-            m >>= 1
-            e += 1
-    elif not m:
-        e = 0
-    return m, e
-
-
-def _add(am: int, ae: int, bm: int, be: int, p: int) -> tuple[int, int]:
-    """_add_raw, rounding by _rn."""
-    if not am:
-        return _rn(bm, be, p)
-    if not bm:
-        return _rn(am, ae, p)
-    d = ae - be
-    if d < 0:
-        am, ae, bm, be, d = bm, be, am, ae, -d
-    if d <= 2 * p + 1:
-        return _rn((am << d) + bm, be, p)
-    k = p + 4
-    return _rn((am << k) + (1 if bm > 0 else -1), ae - k, p)
-
-
-def _div(am: int, ae: int, bm: int, be: int, p: int) -> tuple[int, int]:
-    """_div_raw by the constant shift 2p+4: the division _midpoint_fused
-    inlines.  Floor division keeps the round-to-odd sticky bit right for
-    either sign."""
-    if not am:
-        return 0, 0
-    s = 2 * p + 4
-    q, r = divmod(am << s, bm)
-    if r:
-        q |= 1
-    return _rn(q, ae - be - s, p)
 
 
 def _euler_fused(st, c, p, k):
     mx, ex, my, ey = st
     nam, nae, bm, be, dm, de = c
-    rn, add = _rn, _add
+    rn, add = _round_raw, _add_raw
     for _ in range(k):
         t1m, t1e = rn(nam * my, nae + ey, p)  # (-a) (x) y
         t2m, t2e = rn(dm * t1m, de + t1e, p)  # dt (x) .
@@ -422,7 +371,7 @@ def _midpoint_fused(st, c, p, k):
 def _rk3_fused(st, c, p, k):
     mx, ex, my, ey = st
     nam, nae, bm, be, dm, de, hm, he, d2m, d2e, d6m, d6e = c
-    rn, add = _rn, _add
+    rn, add = _round_raw, _add_raw
     for _ in range(k):
         k1xm, k1xe = rn(nam * my, nae + ey, p)
         k1ym, k1ye = rn(bm * mx, be + ex, p)
@@ -518,14 +467,6 @@ def _native_floats(raws, exp: int):
             return None
         out.append(math.ldexp(m, e))  # exact: |m| < 2**p <= 2**53
     return tuple(out)
-
-
-def _float_to_raw(v: float, p: int) -> tuple[int, int]:
-    """A p-bit float as a raw pair.  The significand of an integral float
-    comes out of as_integer_ratio() wider than p bits; re-rounding (exact
-    here) restores the raw-kernel operand contract."""
-    num, den = v.as_integer_ratio()
-    return _round_raw(num, 1 - den.bit_length(), p)
 
 
 def _euler_native(x, y, k, c, C):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import decimal
 import io
 import json
 from fractions import Fraction
@@ -9,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roundtrap.cli import build_parser, format_wide, main, manifest_argv, parse_wide
+from roundtrap.cli import (
+    DEFAULTS,
+    _sweep_config,
+    build_parser,
+    format_wide,
+    main,
+    manifest_argv,
+    parse_wide,
+)
+from roundtrap.experiments import SweepConfig
 
 
 def read_csv(path: Path):
@@ -47,6 +57,27 @@ def run_sweep(out, extra=()):
     ])
 
 
+def decimal_format(x: Fraction, digits: int) -> str:
+    """The decimal-module rendering format_wide reproduces."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        return str(decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator))
+
+
+@st.composite
+def wide_fractions(draw):
+    """Nonzero Fractions of up to 3000-bit terms: dyadic, decimal with
+    trailing zeros, and general, all inside decimal's default exponent range."""
+    num = draw(st.integers(1, 1 << draw(st.integers(1, 3000))))
+    num *= 10 ** draw(st.integers(0, 40)) * draw(st.sampled_from((1, -1)))
+    den = draw(st.one_of(
+        st.integers(0, 3000).map(lambda k: 1 << k),
+        st.integers(0, 900).map(lambda k: 10**k),
+        st.integers(1, 1 << draw(st.integers(1, 3000))),
+    ))
+    return Fraction(num, den)
+
+
 class TestFormatting:
     def test_round_trip_precision(self, rng):
         for _ in range(100):
@@ -60,6 +91,27 @@ class TestFormatting:
 
     def test_zero(self):
         assert format_wide(Fraction(0)) == "0"
+
+    @settings(max_examples=1000)
+    @given(wide_fractions(), st.one_of(st.just(25), st.integers(1, 40)))
+    def test_matches_decimal_division(self, x, digits):
+        assert format_wide(x, digits) == decimal_format(x, digits)
+
+    @pytest.mark.parametrize("x", [
+        Fraction(10**30), Fraction(12345 * 10**26), Fraction(-1, 10**10), Fraction(1, 4),
+        Fraction(10**25 + 1, 10**25), Fraction(10**25 - 1), Fraction(10**26 - 1),
+        Fraction(5, 10**7), Fraction(5, 10**6), Fraction(123456, 1000), Fraction(2, 3),
+        Fraction(-(10**25) - 5), Fraction(10**25 + 15), Fraction(1, 3 * 2**2000),
+    ])
+    def test_edges_match_decimal_division(self, x):
+        # carries, exact ties, trailing zeros and the plain/scientific switch
+        assert format_wide(x) == decimal_format(x, 25)
+
+    def test_beyond_decimal_exponent_range(self):
+        # decimal's default context raised Overflow here, which a 600-step
+        # rk3 drift at a = b = 1e300 reached (its values pass 1e1000000)
+        assert format_wide(Fraction(3 * 10**1000000)) == "3.000000000000000000000000E+1000000"
+        assert format_wide(Fraction(-1, 8 * 10**1000000)) == "-1.25E-1000001"
 
 
 class TestSweepCommand:
@@ -124,6 +176,9 @@ class TestSweepCommand:
 
     def test_bad_number_rejected(self, tmp_path):
         assert run_sweep(tmp_path, ("--t-end", "ten")) == 2
+
+    def test_defaults_parse_to_library_defaults(self):
+        assert _sweep_config(DEFAULTS["sweep"]) == SweepConfig()
 
 
 class TestLongrunCommand:
@@ -294,6 +349,9 @@ class TestErrorContract:
          "more than 4300 digits"),
         (["longrun", "--t-end", "1e5000", "--dt", "1", "--samples", "3", "--max-steps", "10"],
          "more than 4300 digits"),
+        *((["longrun", "--dt", "1e-300", "--t-end", "1e300", "--samples", "3",
+            "--max-steps", "1" + "0" * 700, "--spacing", spacing], "too large to place samples")
+          for spacing in ("log", "linear")),
     ])
     def test_rejected_argument_is_usage_error(self, tmp_path, capsys, argv, message):
         assert main([*with_inputs(tmp_path, argv), "--out-dir", str(tmp_path)]) == 2

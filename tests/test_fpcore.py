@@ -1,6 +1,7 @@
 """Emulator unit tests: frozen conversions, native-arithmetic conformance on
-modest samples (the acceptance suite runs the full 1e5-pair version), and
-the rounding invariants as hypothesis properties."""
+modest samples (the acceptance suite runs the full 1e5-pair version), the
+rounding invariants as hypothesis properties, and the raw kernels against
+an independent rounding oracle."""
 
 import math
 import random
@@ -22,6 +23,12 @@ from roundtrap.fpcore import (
     op_mul,
     op_sqrt,
     op_sub,
+    _add_raw,
+    _div_raw,
+    _fraction_to_raw,
+    _raw_to_fraction,
+    _round_raw,
+    _sqrt_raw,
     round_to,
 )
 from conftest import rand_operand
@@ -187,3 +194,131 @@ class TestRValue:
     def test_bool(self):
         assert not RValue(0, 0)
         assert RValue(1, -3)
+
+
+def round_raw_oracle(m, e, p):
+    """Round signed m * 2**e to p significand bits, ties to even, on the
+    magnitude: fpcore's _round_raw before it became a signed floor shift."""
+    if m == 0:
+        return 0, 0
+    neg = m < 0
+    a = -m if neg else m
+    excess = a.bit_length() - p
+    if excess > 0:
+        low = a & ((1 << excess) - 1)
+        a >>= excess
+        e += excess
+        half = 1 << (excess - 1)
+        if low > half or (low == half and (a & 1)):
+            a += 1
+            if a.bit_length() > p:
+                a >>= 1
+                e += 1
+    return (-a if neg else a), e
+
+
+def round_fraction(x: Fraction, p: int) -> Fraction:
+    """x rounded to p significand bits by Python's round-half-even round()
+    of the exact scaled value."""
+    if x == 0:
+        return x
+    e = x.numerator.bit_length() - x.denominator.bit_length() - p
+    if abs(x) >= Fraction(2) ** (e + p):
+        e += 1
+    scale = Fraction(2) ** e  # now 2**(p-1) <= |x| / scale < 2**p
+    return round(x / scale) * scale
+
+
+def assert_rounded(raw, exact: Fraction, p: int):
+    m, e = raw
+    assert m.bit_length() <= p
+    assert _raw_to_fraction(m, e) == round_fraction(exact, p)
+
+
+precisions = st.integers(2, 113)
+signs = st.sampled_from((1, -1))
+exponents = st.integers(-300, 300)
+
+
+@st.composite
+def significands(draw, max_bits):
+    """A signed integer of at most max_bits bits, full width half the time."""
+    bits = draw(st.integers(1, max_bits))
+    m = draw(st.integers(0, (1 << bits) - 1))
+    if draw(st.booleans()):
+        m |= 1 << (bits - 1)
+    return draw(signs) * m
+
+
+class TestRoundingPrimitives:
+    """The raw kernels against the oracles above.  The step kernels round at
+    most 3p+4 bits, an excess of 2p+4 that fpcore's table covers; widths up
+    to 2500 bits reach the path that computes the half-ulp constant."""
+
+    @settings(max_examples=1000)
+    @given(st.data(), precisions, exponents)
+    def test_round_raw_matches_oracle(self, data, p, e):
+        m = data.draw(st.one_of(significands(3 * p + 4), significands(2500)))
+        got = _round_raw(m, e, p)
+        assert got == round_raw_oracle(m, e, p)
+        assert_rounded(got, _raw_to_fraction(m, e), p)
+
+    @settings(max_examples=500)
+    @given(precisions, st.one_of(st.integers(1, 2 * 113 + 8), st.integers(1, 2500)), st.data(), signs)
+    def test_ties_and_carries(self, p, s, data, sign):
+        # q keeps p bits; (2q+1)*2**(s-1) lies exactly halfway between q and
+        # q+1 ulps, and q = 2**p - 1 carries out to p+1 bits when it rounds up
+        q = data.draw(st.one_of(st.integers(1 << (p - 1), (1 << p) - 1), st.just((1 << p) - 1)))
+        m = sign * ((2 * q + 1) << (s - 1))
+        want = round_raw_oracle(m, 0, p)
+        assert _round_raw(m, 0, p) == want
+        assert abs(want[0]) == (q + (q & 1)) >> (q == (1 << p) - 1)
+        assert_rounded(want, Fraction(m), p)
+        above = sign * (((1 << p) - 1) << s | ((1 << (s - 1)) + (s > 1)))
+        assert _round_raw(above, 0, p) == round_raw_oracle(above, 0, p) == (sign << (p - 1), s + 1)
+
+    @pytest.mark.parametrize("s", (1, 2, 229, 230, 231, 232, 2000))
+    @pytest.mark.parametrize("p", (2, 24, 113))
+    def test_table_edge(self, p, s):
+        # excesses on both sides of the table's last entry, 2*113+4 = 230
+        for m in ((1 << (p + s)) - 1, ((1 << p) - 1) << s | 1 << (s - 1), (1 << (p + s - 1)) | 1):
+            for signed in (m, -m):
+                assert _round_raw(signed, 7, p) == round_raw_oracle(signed, 7, p)
+
+    @settings(max_examples=500)
+    @given(st.data(), precisions, exponents, exponents)
+    def test_add_raw_rounds_exact_sum(self, data, p, ae, be):
+        am, bm = data.draw(significands(p)), data.draw(significands(p))
+        assert_rounded(_add_raw(am, ae, bm, be, p), _raw_to_fraction(am, ae) + _raw_to_fraction(bm, be), p)
+
+    @settings(max_examples=1000)
+    @given(st.data(), precisions, exponents, exponents)
+    def test_div_raw_rounds_exact_quotient(self, data, p, ae, be):
+        am, bm = data.draw(significands(p)), data.draw(significands(p).filter(bool))
+        assert_rounded(_div_raw(am, ae, bm, be, p), _raw_to_fraction(am, ae) / _raw_to_fraction(bm, be), p)
+
+    @settings(max_examples=500)
+    @given(st.data(), precisions)
+    def test_fraction_to_raw_rounds_once(self, data, p):
+        num = data.draw(significands(2500))
+        den = data.draw(st.one_of(st.just(1), st.integers(0, 2500).map(lambda k: 1 << k),
+                                  st.integers(1, 1 << 2500)))
+        x = Fraction(num, den)
+        assert_rounded(_fraction_to_raw(x, p), x, p)
+
+    @settings(max_examples=500)
+    @given(st.data(), precisions, exponents)
+    def test_sqrt_raw_brackets_root(self, data, p, e):
+        m = abs(data.draw(significands(p)))
+        rm, re = _sqrt_raw(m, e, p)
+        if not m:
+            assert (rm, re) == (0, 0)
+            return
+        assert 0 < rm.bit_length() <= p
+        shift = p - rm.bit_length()
+        rm, re = rm << shift, re - shift
+        # the midpoints to the neighbours, in quarter ulps; the one below a
+        # power of two is a quarter ulp away
+        lo = _raw_to_fraction(4 * rm - (1 if rm == 1 << (p - 1) else 2), re - 2)
+        hi = _raw_to_fraction(4 * rm + 2, re - 2)
+        assert lo * lo < _raw_to_fraction(m, e) < hi * hi

@@ -11,7 +11,7 @@ import pytest
 
 from roundtrap import schemes
 from roundtrap.cli import main
-from roundtrap.fpcore import PrecisionConfig, _add_raw, _fraction_to_raw, _round_raw
+from roundtrap.fpcore import PrecisionConfig, _add_raw, _float_to_raw, _fraction_to_raw, _round_raw
 from roundtrap.oscillator import OscillatorParams, State
 from roundtrap.schemes import (
     BINARY64,
@@ -19,7 +19,6 @@ from roundtrap.schemes import (
     SamplingPlan,
     Scheme,
     _CONST_EXP,
-    _float_to_raw,
     _native_floats,
     _split_factor,
     channel_backend,
