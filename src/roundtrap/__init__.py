@@ -14,6 +14,7 @@ from .fpcore import (
     DOUBLE,
     QUAD,
     SINGLE,
+    ParameterError,
     PrecisionConfig,
     RValue,
     op_add,
@@ -68,7 +69,7 @@ from .experiments import (
 
 __all__ = [
     "__version__",
-    "PrecisionConfig", "RValue", "SINGLE", "DOUBLE", "QUAD",
+    "ParameterError", "PrecisionConfig", "RValue", "SINGLE", "DOUBLE", "QUAD",
     "round_to", "op_add", "op_sub", "op_mul", "op_div", "op_sqrt",
     "OscillatorParams", "State", "INITIAL_STATE", "rhs", "analytic_solution", "invariant_value",
     "Scheme", "SamplingPlan", "Trajectory", "UpdateMatrix", "StepLimitError",

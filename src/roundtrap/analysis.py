@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _wide
-from .fpcore import PrecisionConfig
+from .fpcore import ParameterError, PrecisionConfig
 from .oscillator import OscillatorParams, State, invariant_value, _as_fraction
 from .schemes import Scheme, Trajectory, UpdateMatrix, _pencil, update_matrix
 
@@ -56,7 +56,7 @@ def error_separation(actual: State, reference: State, analytic: State) -> ErrorT
     truncation part (carried by ``reference``) and the round-off part
     (actual minus reference).  All three states must share the same t."""
     if not (actual.t == reference.t == analytic.t):
-        raise ValueError(
+        raise ParameterError(
             f"states are at different times: {actual.t}, {reference.t}, {analytic.t}"
         )
     ex, ey = actual.x - analytic.x, actual.y - analytic.y
@@ -110,7 +110,7 @@ def consistency_residual(
         ry = Fraction(b10 * nx1 + b11 * ny1 - c10 * nx0 - c11 * ny0, d)
         out.append((i, _wide.wide_norm2(rx, ry)))
     if not out:
-        raise ValueError("trajectory has no consecutive step pairs; sample with stride 1")
+        raise ParameterError("trajectory has no consecutive step pairs; sample with stride 1")
     return out
 
 
@@ -139,7 +139,7 @@ class ErrorBoundModel:
     def __post_init__(self):
         object.__setattr__(self, "per_step_eps", _as_fraction(self.per_step_eps))
         if self.per_step_eps <= 0:
-            raise ValueError("per_step_eps must be positive")
+            raise ParameterError("per_step_eps must be positive")
 
     @classmethod
     def for_precision(
@@ -231,7 +231,7 @@ def predict_error_bound(
     its float evaluation overflows.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ParameterError("n must be >= 1")
     dt = _as_fraction(dt)
     try:
         k_const = _power_norm_cap(update_matrix(scheme, params, dt), n)
@@ -286,12 +286,12 @@ def effective_computation_time(series: Sequence[tuple], threshold) -> Optional[F
     increasing t."""
     threshold = _as_fraction(threshold)
     if threshold <= 0:
-        raise ValueError("threshold must be positive")
+        raise ParameterError("threshold must be positive")
     if len(series) == 0:
-        raise ValueError("empty series")
+        raise ParameterError("empty series")
     pairs = [(_as_fraction(t), _as_fraction(err)) for t, err in series]
     if any(t1 >= t2 for (t1, _), (t2, _) in zip(pairs, pairs[1:])):
-        raise ValueError("series times must be strictly increasing")
+        raise ParameterError("series times must be strictly increasing")
     for t, err in pairs:
         if err >= threshold:
             return t
@@ -304,7 +304,7 @@ def optimal_step_size(sweep: Sequence):
     ignored."""
     candidates = [r for r in sweep if getattr(r, "e_total", None) is not None]
     if not candidates:
-        raise ValueError("sweep contains no completed records")
+        raise ParameterError("sweep contains no completed records")
     return min(candidates, key=lambda r: (r.e_total, -r.dt))
 
 

@@ -16,7 +16,8 @@ to round-trip the wide-precision value.  Replaying a manifest's resolved
 configuration reproduces every data column bit for bit (wall_time_s and the
 manifest timestamp are excluded from that guarantee).
 
-Exit codes: 0 success, 2 usage error, 3 step-count guard, 4 I/O error.
+Exit codes: 0 success, 2 usage error (a ParameterError), 3 step-count
+guard, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .analysis import (
     predict_error_bound,
     spectral_analysis,
 )
-from .fpcore import PrecisionConfig
+from .fpcore import ParameterError, PrecisionConfig
 from .oscillator import OscillatorParams
 from .schemes import (
     SamplingPlan,
@@ -75,29 +76,25 @@ MANIFEST_JSON = "manifest.json"
 _LOG10_2 = math.log10(2)
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_fraction(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"{flag}: cannot parse {text!r} as a number") from None
+        raise ParameterError(f"{flag}: cannot parse {text!r} as a number") from None
 
 
 def _parse_int(text: str, flag: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f"{flag}: cannot parse {text!r} as an integer") from None
+        raise ParameterError(f"{flag}: cannot parse {text!r} as an integer") from None
 
 
 def _parse_precision(text: str, flag: str) -> PrecisionConfig:
     try:
         return PrecisionConfig(_parse_int(text, flag))
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
+    except ParameterError as exc:
+        raise ParameterError(f"{flag}: {exc}") from None
 
 
 def format_wide(x: Optional[Fraction], digits: int = 25) -> str:
@@ -157,23 +154,23 @@ DEFAULTS = {
         "out_dir": None,
     },
     "longrun": {
-        "scheme": "midpoint",
+        "scheme": _SWEEP.scheme.value,
         **_PARAMS,
         "t_end": "1000",
         "dt": "1e-3",
         "samples": "100",
         "spacing": "log",
-        "p_run": "24",
-        "p_ref": "113",
-        "max_steps": "20000000",
+        "p_run": str(_SWEEP.run_precision.significand_bits),
+        "p_ref": str(_SWEEP.ref_precision.significand_bits),
+        "max_steps": str(_SWEEP.max_steps),
         "out_dir": None,
     },
     "diagnose": {
-        "scheme": "midpoint",
+        "scheme": _SWEEP.scheme.value,
         **_PARAMS,
         "dt": "1e-2",
         "t_end": "10",
-        "p_run": "24",
+        "p_run": str(_SWEEP.run_precision.significand_bits),
         "series": "E_r",
         "threshold": None,
         "input": None,
@@ -188,6 +185,15 @@ DEFAULTS = {
 # Argument parsing and config-file precedence
 # ---------------------------------------------------------------------------
 
+# the allowed values of the flags that have a fixed set: argparse checks a
+# flag's value, _resolve a config file's
+_CHOICES = {
+    "scheme": tuple(s.value for s in Scheme),
+    "spacing": ("log", "linear"),
+    "series": ("E_r", "E_t"),
+    "bound_model": ("worst", "random"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -198,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--scheme", choices=[s.value for s in Scheme])
+        p.add_argument("--scheme", choices=_CHOICES["scheme"])
         p.add_argument("--a", dest="a")
         p.add_argument("--b", dest="b")
         p.add_argument("--config", help="JSON file with flag defaults")
@@ -218,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", dest="t_end")
     p.add_argument("--dt", dest="dt")
     p.add_argument("--samples", help="number of sample times (>= 2)")
-    p.add_argument("--spacing", choices=["log", "linear"])
+    p.add_argument("--spacing", choices=_CHOICES["spacing"])
     p.add_argument("--p-run", dest="p_run")
     p.add_argument("--p-ref", dest="p_ref")
     p.add_argument("--max-steps", dest="max_steps")
@@ -232,11 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--input", help="input CSV (ect: timeseries.csv, os: sweep.csv)")
     p.add_argument("--threshold", help="error threshold for ect")
-    p.add_argument("--series", choices=["E_r", "E_t"], help="which series ect scans")
+    p.add_argument("--series", choices=_CHOICES["series"], help="which series ect scans")
     p.add_argument("--dt", dest="dt")
     p.add_argument("--t-end", dest="t_end")
     p.add_argument("--p-run", dest="p_run")
-    p.add_argument("--bound-model", dest="bound_model", choices=["worst", "random"])
+    p.add_argument("--bound-model", dest="bound_model", choices=_CHOICES["bound_model"])
     return parser
 
 
@@ -250,14 +256,19 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise FileNotFoundError(f"config file not found: {path}")
         try:
             loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path}: invalid JSON ({exc})") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParameterError(f"config file {path}: invalid JSON ({exc})") from None
         if not isinstance(loaded, dict):
-            raise UsageError(f"config file {path}: expected a JSON object")
+            raise ParameterError(f"config file {path}: expected a JSON object")
         unknown = set(loaded) - set(defaults)
         if unknown:
-            raise UsageError(f"config file {path}: unknown keys {sorted(unknown)}")
+            raise ParameterError(f"config file {path}: unknown keys {sorted(unknown)}")
         from_file = {k: (None if v is None else str(v)) for k, v in loaded.items()}
+        for key, choices in _CHOICES.items():
+            value = from_file.get(key)
+            if value is not None and value not in choices:
+                raise ParameterError(
+                    f"config file {path}: {key} must be one of {', '.join(choices)}, got {value!r}")
     resolved = {}
     for key, default in defaults.items():
         flag_value = getattr(args, key, None)
@@ -336,11 +347,7 @@ def _warn_off_grid(dt: Fraction, t_end: Fraction, n: int) -> None:
 
 
 def _params(resolved: dict) -> OscillatorParams:
-    a = _parse_fraction(resolved["a"], "--a")
-    b = _parse_fraction(resolved["b"], "--b")
-    if a <= 0 or b <= 0:
-        raise UsageError("--a and --b must be positive")
-    return OscillatorParams(a, b)
+    return OscillatorParams(_parse_fraction(resolved["a"], "--a"), _parse_fraction(resolved["b"], "--b"))
 
 
 def _sweep_config(resolved: dict) -> SweepConfig:
@@ -349,8 +356,6 @@ def _sweep_config(resolved: dict) -> SweepConfig:
         for part in resolved["dt_list"].split(",")
         if part.strip()
     )
-    if not dt_list:
-        raise UsageError("--dt-list: no step sizes given")
     return SweepConfig(
         scheme=Scheme.from_name(resolved["scheme"]),
         params=_params(resolved),
@@ -390,13 +395,8 @@ def cmd_sweep(resolved: dict, argv: list[str]) -> int:
 
 
 def cmd_longrun(resolved: dict, argv: list[str]) -> int:
-    samples = _parse_int(resolved["samples"], "--samples")
-    if samples < 2:
-        raise UsageError("--samples must be >= 2")
     p_run = _parse_precision(resolved["p_run"], "--p-run")
     p_ref = _parse_precision(resolved["p_ref"], "--p-ref")
-    if p_ref.significand_bits <= p_run.significand_bits:
-        raise UsageError("--p-ref must be strictly wider than --p-run")
     dt = _parse_fraction(resolved["dt"], "--dt")
     t_end = _parse_fraction(resolved["t_end"], "--t-end")
     records = longtime_run(
@@ -406,7 +406,7 @@ def cmd_longrun(resolved: dict, argv: list[str]) -> int:
         t_end,
         p_run,
         p_ref,
-        samples,
+        _parse_int(resolved["samples"], "--samples"),
         spacing=resolved["spacing"],
         max_steps=_parse_int(resolved["max_steps"], "--max-steps"),
     )
@@ -421,26 +421,29 @@ def cmd_longrun(resolved: dict, argv: list[str]) -> int:
 
 def _read_csv(path_str: Optional[str], what: str) -> list[dict]:
     if not path_str:
-        raise UsageError(f"--input is required for {what}")
+        raise ParameterError(f"--input is required for {what}")
     path = Path(path_str)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
-    with path.open(newline="") as fh:
-        return list(csv.DictReader(fh))
+    try:
+        with path.open(newline="") as fh:
+            return list(csv.DictReader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParameterError(f"--input: {path} is not a readable CSV file ({exc})") from None
 
 
 def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
     mode = resolved["mode"]
     if mode == "ect":
         if not resolved["threshold"]:
-            raise UsageError("--threshold is required for ect")
+            raise ParameterError("--threshold is required for ect")
         threshold = _parse_fraction(resolved["threshold"], "--threshold")
         series_name = resolved["series"]
         rows = _read_csv(resolved["input"], "ect")
         try:
             series = [(Fraction(r["t"]), Fraction(r[series_name])) for r in rows]
-        except (KeyError, ValueError) as exc:
-            raise UsageError(f"--input: not a timeseries.csv with a {series_name} column ({exc})") from None
+        except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row
+            raise ParameterError(f"--input: not a timeseries.csv with a {series_name} column ({exc})") from None
         ect = effective_computation_time(series, threshold)
         return [
             ("ect", "series", series_name),
@@ -462,8 +465,8 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
                 )
                 for r in rows
             ]
-        except (KeyError, ValueError) as exc:
-            raise UsageError(f"--input: not a sweep.csv ({exc})") from None
+        except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row
+            raise ParameterError(f"--input: not a sweep.csv ({exc})") from None
         best = optimal_step_size(records)
         return [
             ("os", "dt", format_wide(best.dt)),
@@ -495,7 +498,7 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
         return out
     if mode == "residual":
         if n > 200_000:
-            raise UsageError("residual diagnostics sample every step; keep t-end/dt <= 200000")
+            raise ParameterError("residual diagnostics sample every step; keep t-end/dt <= 200000")
         traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(1))
         norms = sorted(r for _, r in consistency_residual(traj, params))
         median = norms[len(norms) // 2]
@@ -515,7 +518,7 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
             ("bound", "n_steps", str(n)),
             ("bound", "value", text),
         ]
-    raise UsageError(f"unknown diagnose mode {mode!r}")
+    raise ParameterError(f"unknown diagnose mode {mode!r}")
 
 
 def cmd_diagnose(resolved: dict, argv: list[str]) -> int:
@@ -544,7 +547,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         resolved = _resolve(args)
         return DISPATCH[args.subcommand](resolved, list(argv))
-    except (UsageError, ValueError) as exc:  # the library's ValueError rejects an argument
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StepLimitError as exc:

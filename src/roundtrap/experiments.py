@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .analysis import error_separation
-from .fpcore import PrecisionConfig, QUAD, SINGLE
+from .fpcore import ParameterError, PrecisionConfig, QUAD, SINGLE
 from .oscillator import OscillatorParams, analytic_solution, _as_fraction
 from .schemes import SamplingPlan, Scheme, _check_steps, integrate_pair, num_steps
 
@@ -56,17 +56,17 @@ class SweepConfig:
         object.__setattr__(self, "t_end", _as_fraction(self.t_end))
         object.__setattr__(self, "dt_list", tuple(_as_fraction(dt) for dt in self.dt_list))
         if self.ref_precision.significand_bits <= self.run_precision.significand_bits:
-            raise ValueError("reference precision must be strictly wider than run precision")
+            raise ParameterError("reference precision must be strictly wider than run precision")
         if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+            raise ParameterError("t_end must be positive")
         if not self.dt_list:
-            raise ValueError("dt_list is empty")
+            raise ParameterError("dt_list is empty")
         if any(dt <= 0 for dt in self.dt_list):
-            raise ValueError("step sizes must be positive")
+            raise ParameterError("step sizes must be positive")
         for dt in self.dt_list:
             num_steps(self.t_end, dt)  # rejects a step count too long to report
         if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+            raise ParameterError("max_steps must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,13 +137,13 @@ def stepsize_sweep(cfg: SweepConfig, jobs: Optional[int] = None) -> list[SweepRe
 
 def _sample_steps(n: int, count: int, spacing: str) -> tuple[int, ...]:
     if n > sys.float_info.max:  # both spacings are computed in floats
-        raise ValueError("t_end/dt is too large to place samples: the step count exceeds the float range")
+        raise ParameterError("t_end/dt is too large to place samples: the step count exceeds the float range")
     if spacing == "linear":
         raw = (round(i * n / count) for i in range(1, count + 1))
     elif spacing == "log":
         raw = (round(n ** (i / count)) for i in range(1, count + 1))
     else:
-        raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
+        raise ParameterError(f"spacing must be 'linear' or 'log', got {spacing!r}")
     steps = sorted({max(1, s) for s in raw} | {n})
     return tuple(steps)
 
@@ -163,9 +163,9 @@ def longtime_run(
     truncation error norms at ``sample_count`` log- or linearly-spaced
     times."""
     if sample_count < 2:
-        raise ValueError("sample_count must be >= 2")
+        raise ParameterError("sample_count must be >= 2")
     if ref_precision.significand_bits <= run_precision.significand_bits:
-        raise ValueError("reference precision must be strictly wider than run precision")
+        raise ParameterError("reference precision must be strictly wider than run precision")
     dt = _as_fraction(dt)
     t_end = _as_fraction(t_end)
     n = _check_steps(t_end, dt, max_steps)
@@ -177,8 +177,6 @@ def longtime_run(
     out = []
     for (i, s_run), (j, s_ref) in zip(run.samples, ref.samples):
         assert i == j
-        if i == 0:
-            continue
         triple = error_separation(s_run, s_ref, analytic_solution(params, s_run.t))
         out.append(TimeSeriesRecord(s_run.t, triple.roundoff.norm, triple.truncation.norm))
     return out

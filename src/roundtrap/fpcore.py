@@ -27,6 +27,11 @@ MIN_SIGNIFICAND_BITS = 2
 MAX_SIGNIFICAND_BITS = 113
 
 
+class ParameterError(ValueError):
+    """An argument the library rejects on purpose.  The CLI reports it as a
+    usage error (exit 2); any other ValueError is a defect and propagates."""
+
+
 @dataclass(frozen=True, slots=True)
 class PrecisionConfig:
     """An emulated format: significand width in bits, implicit leading bit
@@ -38,7 +43,7 @@ class PrecisionConfig:
         if not isinstance(self.significand_bits, int):
             raise TypeError("significand_bits must be an integer")
         if not MIN_SIGNIFICAND_BITS <= self.significand_bits <= MAX_SIGNIFICAND_BITS:
-            raise ValueError(
+            raise ParameterError(
                 f"significand_bits must be in [{MIN_SIGNIFICAND_BITS}, "
                 f"{MAX_SIGNIFICAND_BITS}], got {self.significand_bits}"
             )
@@ -161,7 +166,7 @@ def _div_raw(am: int, ae: int, bm: int, be: int, p: int) -> tuple[int, int]:
 
 def _sqrt_raw(m: int, e: int, p: int) -> tuple[int, int]:
     if m < 0:
-        raise ValueError("emulated square root of a negative value")
+        raise ParameterError("emulated square root of a negative value")
     # even shift so the root's exponent is integral, >= 2p+4 bits under the root
     t = max(0, 2 * p + 4 - m.bit_length())
     if (e - t) & 1:
@@ -216,7 +221,7 @@ def round_to(x, cfg: PrecisionConfig) -> RValue:
         return _canonical(*_round_raw(x.significand, x.exponent, p))
     if isinstance(x, float):
         if not math.isfinite(x):
-            raise ValueError(f"cannot round non-finite value {x!r}")
+            raise ParameterError(f"cannot round non-finite value {x!r}")
         return _canonical(*_float_to_raw(x, p))
     if isinstance(x, Rational):
         return _canonical(*_fraction_to_raw(Fraction(x), p))

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _wide
+from .fpcore import ParameterError
 
 ANALYTIC_PREC_BITS = _wide.WIDE_PREC_BITS
 
@@ -38,7 +39,7 @@ class OscillatorParams:
         object.__setattr__(self, "a", _as_fraction(self.a))
         object.__setattr__(self, "b", _as_fraction(self.b))
         if self.a <= 0 or self.b <= 0:
-            raise ValueError("oscillator coefficients a, b must be positive")
+            raise ParameterError("oscillator coefficients a, b must be positive")
 
     def angular_frequency(self) -> Fraction:
         """sqrt(a*b) to wide precision."""
@@ -87,7 +88,7 @@ def analytic_solution(params: OscillatorParams, t) -> State:
     """
     t = _as_fraction(t)
     if t < 0:
-        raise ValueError("analytic solution is defined for t >= 0")
+        raise ParameterError("analytic solution is defined for t >= 0")
     if t == 0:
         return INITIAL_STATE
     omega, amp = _orbit_constants(params)

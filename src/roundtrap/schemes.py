@@ -20,7 +20,7 @@ One loop, ``_channel``, advances a channel from a start state from sample
 to sample, in one of three ways: exactly, natively in binary64, or in the
 emulator.  ``integrate`` runs it from (1, 0) and ``step`` for one step.
 
-Rounded-mode operation order is fixed (see the step kernels) so runs are
+Rounded-mode operation order is fixed (see the kernels) so runs are
 bit-reproducible: constants such as a*dt and 1+-k are rounded once per run,
 which is bit-identical to recomputing them each step because rounding is
 deterministic.  The requested step size is itself rounded to the run
@@ -43,12 +43,13 @@ channel whose start state or scheme constants lie outside their windows
 runs in the emulator throughout, as does every other p.  Both backends give
 bit-identical trajectories.
 
-The emulator runs fused kernels (``_FUSED_FN``): each advances the raw state
-k steps in its own loop, rounding with ``fpcore._round_raw`` (the midpoint
-kernel inlines it), instead of one ``fpcore`` operation call per operation.
-The op-by-op step kernels (``_euler_step``, ``_midpoint_step``,
-``_rk3_step``) fix the operation order: k fused steps return the same
-integers as k op-by-op steps, and the native kernels follow the same order.
+The emulator runs one fused kernel per scheme (``_FUSED_FN``): each
+advances the raw state k steps in its own loop, rounding with
+``fpcore._round_raw`` (the midpoint kernel inlines it).  The native kernels
+fix the operation order, and tests require both backends to agree bit for
+bit.  ``_midpoint_step``, the midpoint rule one ``fpcore`` operation at a
+time, also fixes the order of the inlined midpoint kernel, whose rounding
+and division shift depend on p.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .fpcore import (
+    ParameterError,
     PrecisionConfig,
     _HALF,
     _add_raw,
@@ -102,7 +104,7 @@ class Scheme(Enum):
             return cls(name)
         except ValueError:
             valid = ", ".join(s.value for s in cls)
-            raise ValueError(f"unknown scheme {name!r} (expected one of: {valid})") from None
+            raise ParameterError(f"unknown scheme {name!r} (expected one of: {valid})") from None
 
 
 _ORDERS = {Scheme.FORWARD_EULER: 1, Scheme.MIDPOINT_IMPLICIT: 2, Scheme.RK3: 3}
@@ -121,9 +123,9 @@ class SamplingPlan:
 
     def __post_init__(self):
         if (self.stride is None) == (self.at_steps is None):
-            raise ValueError("specify exactly one of stride or at_steps")
+            raise ParameterError("specify exactly one of stride or at_steps")
         if self.stride is not None and self.stride < 1:
-            raise ValueError("stride must be >= 1")
+            raise ParameterError("stride must be >= 1")
         if self.at_steps is not None:
             object.__setattr__(self, "at_steps", tuple(sorted(set(self.at_steps))))
 
@@ -176,21 +178,10 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Rounded-mode step kernels.  States are (mx, ex, my, ey) integer quadruples;
-# constants are precomputed per run by _consts().
+# Rounded-mode states are (mx, ex, my, ey) integer quadruples; constants are
+# precomputed per run by _consts().  _midpoint_step is one midpoint step, one
+# fpcore operation at a time: the oracle of the inlined _midpoint_fused.
 # ---------------------------------------------------------------------------
-
-
-def _euler_step(st, c, p):
-    mx, ex, my, ey = st
-    nam, nae, bm, be, dm, de = c
-    t1m, t1e = _mul_raw(nam, nae, my, ey, p)  # (-a) (x) y
-    t2m, t2e = _mul_raw(dm, de, t1m, t1e, p)  # dt (x) .
-    nxm, nxe = _add_raw(mx, ex, t2m, t2e, p)  # x (+) .
-    u1m, u1e = _mul_raw(bm, be, mx, ex, p)
-    u2m, u2e = _mul_raw(dm, de, u1m, u1e, p)
-    nym, nye = _add_raw(my, ey, u2m, u2e, p)
-    return nxm, nxe, nym, nye
 
 
 def _midpoint_step(st, c, p):
@@ -205,39 +196,6 @@ def _midpoint_step(st, c, p):
     qxm, qxe = _div_raw(nxm, nxe, opm, ope, p)  # (/) (1+k)
     qym, qye = _div_raw(nym, nye, opm, ope, p)
     return qxm, qxe, qym, qye
-
-
-def _rk3_step(st, c, p):
-    mx, ex, my, ey = st
-    nam, nae, bm, be, dm, de, hm, he, d2m, d2e, d6m, d6e = c
-    k1x = _mul_raw(nam, nae, my, ey, p)
-    k1y = _mul_raw(bm, be, mx, ex, p)
-    t = _mul_raw(hm, he, *k1x, p)
-    x2 = _add_raw(mx, ex, *t, p)
-    t = _mul_raw(hm, he, *k1y, p)
-    y2 = _add_raw(my, ey, *t, p)
-    k2x = _mul_raw(nam, nae, *y2, p)
-    k2y = _mul_raw(bm, be, *x2, p)
-    t = _mul_raw(dm, de, *k1x, p)
-    x3 = _sub_raw(mx, ex, *t, p)
-    t = _mul_raw(d2m, d2e, *k2x, p)
-    x3 = _add_raw(*x3, *t, p)
-    t = _mul_raw(dm, de, *k1y, p)
-    y3 = _sub_raw(my, ey, *t, p)
-    t = _mul_raw(d2m, d2e, *k2y, p)
-    y3 = _add_raw(*y3, *t, p)
-    k3x = _mul_raw(nam, nae, *y3, p)
-    k3y = _mul_raw(bm, be, *x3, p)
-    # x + dt/6 * ((k1 + 4 k2) + k3); 4*k2 is an exact scaling
-    s = _add_raw(*k1x, k2x[0] << 2, k2x[1], p)
-    s = _add_raw(*s, *k3x, p)
-    t = _mul_raw(d6m, d6e, *s, p)
-    nx = _add_raw(mx, ex, *t, p)
-    s = _add_raw(*k1y, k2y[0] << 2, k2y[1], p)
-    s = _add_raw(*s, *k3y, p)
-    t = _mul_raw(d6m, d6e, *s, p)
-    ny = _add_raw(my, ey, *t, p)
-    return (*nx, *ny)
 
 
 def _consts(scheme: Scheme, params: OscillatorParams, dt: Fraction, p: int):
@@ -261,13 +219,14 @@ def _consts(scheme: Scheme, params: OscillatorParams, dt: Fraction, p: int):
 
 
 # ---------------------------------------------------------------------------
-# Fused emulator kernels.  Each advances a raw state k steps in its own loop
-# and does the operations of its op-by-op kernel above on the same operands,
-# so both return the same integer quadruple.  Euler and RK3 call fpcore's
-# _round_raw and _add_raw directly, with no per-operation wrapper.
+# Fused emulator kernels, one per scheme.  Each advances a raw state k steps
+# in its own loop and does the operations of its native twin below on the
+# same operands.  Euler and RK3 call fpcore's _round_raw and _add_raw
+# directly, with no per-operation wrapper.
 #
-# The midpoint kernel, the reference channel of the default sweep, inlines
-# every operation, _round_raw's floor-shift rounding included (_HALF is
+# The midpoint kernel, the reference channel of the default sweep, does the
+# operations of _midpoint_step above and returns the same integer quadruple,
+# but inlines each of them, _round_raw's floor-shift rounding included (_HALF is
 # fpcore's table).  It divides by 1+k at the constant shift 2p+4: dividends
 # and divisors carry at most p bits, so that leaves a quotient of at least
 # p+5 bits above its sticky bit, enough for one correct rounding, and
@@ -600,7 +559,7 @@ def update_matrix(scheme: Scheme, params: OscillatorParams, dt) -> UpdateMatrix:
     dt (dt=0 gives the identity for every scheme)."""
     dt = _as_fraction(dt)
     if dt < 0:
-        raise ValueError("dt must be nonnegative")
+        raise ParameterError("dt must be nonnegative")
     ((p, q), (r, s)), ((c00, c01), (c10, c11)) = _pencil(scheme, params, dt)
     det = p * s - q * r
     return UpdateMatrix((
@@ -620,19 +579,19 @@ def num_steps(t_end, dt) -> int:
     Rejects a count of more than 4300 digits."""
     dt = _as_fraction(dt)
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise ParameterError("dt must be positive")
     n = round(_as_fraction(t_end) / dt)
     if abs(n) >= _STEP_COUNT_LIMIT:
-        raise ValueError(f"t_end/dt is too large: the step count has more than {_MAX_STEP_DIGITS} digits")
+        raise ParameterError(f"t_end/dt is too large: the step count has more than {_MAX_STEP_DIGITS} digits")
     return n
 
 
 def _check_steps(t_end: Fraction, dt: Fraction, max_steps: int) -> int:
     n = num_steps(t_end, dt)
     if t_end <= 0:
-        raise ValueError("t_end must be positive")
+        raise ParameterError("t_end must be positive")
     if n < 1:
-        raise ValueError(f"t_end/dt = {float(t_end / dt):g} rounds to zero steps")
+        raise ParameterError(f"t_end/dt = {float(t_end / dt):g} rounds to zero steps")
     if n > max_steps:
         raise StepLimitError(n, max_steps)
     return n
@@ -670,7 +629,7 @@ def step(
     step first rounds the state to the precision."""
     dt = _as_fraction(dt)
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise ParameterError("dt must be positive")
     [(_, s)] = _channel(scheme, params, dt, cfg, state.x, state.y, (1,))
     return State(s.x, s.y, state.t + dt)
 

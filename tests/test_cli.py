@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roundtrap import cli
 from roundtrap.cli import (
     DEFAULTS,
     _sweep_config,
@@ -33,19 +34,21 @@ def strip_volatile(rows):
 
 # --input files for the diagnose modes that read one, by name
 INPUTS = {
-    "timeseries.csv": "t,E_r,E_t\n1,1E-9,1E-6\n2,3E-9,4E-6\n",
-    "decreasing.csv": "t,E_r,E_t\n2,1E-9,1E-6\n1,3E-9,4E-6\n",
-    "sweep.csv": "dt,n_steps,E,E_t,E_r,status,wall_time_s\n0.1,20,1E-3,1E-3,1E-9,ok,0.1\n",
-    "skipped.csv": "dt,n_steps,E,E_t,E_r,status,wall_time_s\n"
-                   "1E-9,1000000000,nan,nan,nan,skipped_guard,0.000000\n",
-    "junk.csv": "no,such\ncolumns,here\n",
+    "timeseries.csv": b"t,E_r,E_t\n1,1E-9,1E-6\n2,3E-9,4E-6\n",
+    "decreasing.csv": b"t,E_r,E_t\n2,1E-9,1E-6\n1,3E-9,4E-6\n",
+    "short.csv": b"t,E_r,E_t\n1,1E-9\n",
+    "sweep.csv": b"dt,n_steps,E,E_t,E_r,status,wall_time_s\n0.1,20,1E-3,1E-3,1E-9,ok,0.1\n",
+    "skipped.csv": b"dt,n_steps,E,E_t,E_r,status,wall_time_s\n"
+                   b"1E-9,1000000000,nan,nan,nan,skipped_guard,0.000000\n",
+    "junk.csv": b"no,such\ncolumns,here\n",
+    "binary.csv": b"\xff\xfe\x00t\n",
 }
 
 
 def with_inputs(directory: Path, argv):
     """argv with each INPUTS name replaced by the path of that file, written to directory."""
-    for name, text in INPUTS.items():
-        (directory / name).write_text(text)
+    for name, data in INPUTS.items():
+        (directory / name).write_bytes(data)
     return [str(directory / a) if a in INPUTS else a for a in argv]
 
 
@@ -352,12 +355,40 @@ class TestErrorContract:
         *((["longrun", "--dt", "1e-300", "--t-end", "1e300", "--samples", "3",
             "--max-steps", "1" + "0" * 700, "--spacing", spacing], "too large to place samples")
           for spacing in ("log", "linear")),
+        (["diagnose", "ect", "--input", "short.csv", "--threshold", "1e-6", "--series", "E_t"],
+         "not a timeseries.csv"),
+        (["diagnose", "os", "--input", "binary.csv"], "not a readable CSV file"),
+        (["sweep", "--config", "binary.csv"], "invalid JSON"),
     ])
     def test_rejected_argument_is_usage_error(self, tmp_path, capsys, argv, message):
         assert main([*with_inputs(tmp_path, argv), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["sweep"], "scheme", "rk7"),
+        (["longrun"], "spacing", "cubic"),
+        (["diagnose", "ect"], "series", "E"),
+        (["diagnose", "bound"], "bound_model", "best"),
+    ])
+    def test_config_value_outside_choices_is_usage_error(self, tmp_path, capsys, argv, key, value):
+        # argparse checks these flags' values; a config file's go through _resolve
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key} must be one of" in err and repr(value) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_library_defect_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        # only ParameterError means a rejected argument; a plain ValueError propagates
+        def defect(matrix):
+            raise ValueError("defect")
+
+        monkeypatch.setattr(cli, "spectral_analysis", defect)
+        with pytest.raises(ValueError, match="defect"):
+            main(["diagnose", "spectral", "--out-dir", str(tmp_path)])
 
     @pytest.mark.parametrize("argv", [
         ["--scheme", "euler", "--dt", "0.1", "--t-end", "10000000"],

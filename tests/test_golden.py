@@ -28,6 +28,17 @@ GOLDEN = {
          "--p-run", "24", "--p-ref", "113", "--jobs", "1"],
         "sweep.csv",
     ),
+    # p_run 30 and 64 and p_ref 113: both channels on the emulator
+    "sweep_rk3_emulated.csv": (
+        ["sweep", "--scheme", "rk3", "--a", "0.4", "--b", "0.05", "--t-end", "3",
+         "--dt-list", "1e-1,3e-2,1e-2", "--p-run", "30", "--p-ref", "113", "--jobs", "1"],
+        "sweep.csv",
+    ),
+    "sweep_euler_emulated.csv": (
+        ["sweep", "--scheme", "euler", "--a", "0.025", "--b", "0.8", "--t-end", "3",
+         "--dt-list", "1e-1,3e-2,1e-2", "--p-run", "64", "--p-ref", "113", "--jobs", "1"],
+        "sweep.csv",
+    ),
     "timeseries.csv": (
         ["longrun", "--dt", "1e-2", "--t-end", "100", "--samples", "200", "--spacing", "linear",
          "--p-run", "24", "--p-ref", "113"],
