@@ -7,7 +7,9 @@ and step, much wider precision), and the analytic solution.  Differences are
 formed exactly -- states store exact rationals -- so total = truncation +
 round-off holds componentwise by construction, not approximately.  Norms and
 other irrational quantities are evaluated wide (240 bits) and returned as
-exact rationals of the evaluated value.
+exact rationals of the evaluated value.  An error's components and norm are
+evaluated when first read, the norm from integer numerators over one
+common denominator.
 
 The consistency residual (B u1 - C u0)/delta is formed exactly over integers
 from the scheme's pencil (B, C), the definition exact steps also use.
@@ -27,13 +29,46 @@ from .oscillator import OscillatorParams, State, invariant_value, _as_fraction
 from .schemes import Scheme, Trajectory, UpdateMatrix, _pencil, update_matrix
 
 
-@dataclass(frozen=True, slots=True)
 class ErrorVec:
-    """Per-component error and its Euclidean norm."""
+    """The error ``a - b`` of one state against another: its components and
+    its Euclidean norm, each evaluated when first read.  The norm comes from
+    the four coordinates' numerators over one denominator, without forming
+    the components.  Two ErrorVecs are equal when their components are (the
+    norm is a function of them)."""
 
-    x: Fraction
-    y: Fraction
-    norm: Fraction
+    __slots__ = ("_a", "_b", "_norm")
+
+    def __init__(self, a: State, b: State):
+        self._a = a
+        self._b = b
+        self._norm = None
+
+    @property
+    def x(self) -> Fraction:
+        return self._a.x - self._b.x
+
+    @property
+    def y(self) -> Fraction:
+        return self._a.y - self._b.y
+
+    @property
+    def norm(self) -> Fraction:
+        if self._norm is None:
+            a, b = self._a, self._b
+            (ax, ay, bx, by), den = _wide.align(a.x, a.y, b.x, b.y)
+            self._norm = _wide.wide_norm2(ax - bx, ay - by, den)
+        return self._norm
+
+    def __eq__(self, other):
+        if not isinstance(other, ErrorVec):
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+    def __repr__(self):
+        return f"ErrorVec(x={self.x!r}, y={self.y!r}, norm={self.norm!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,22 +82,19 @@ class ErrorTriple:
     t: Fraction
 
 
-def _error_vec(dx: Fraction, dy: Fraction) -> ErrorVec:
-    return ErrorVec(dx, dy, _wide.wide_norm2(dx, dy))
-
-
 def error_separation(actual: State, reference: State, analytic: State) -> ErrorTriple:
     """Split the error of ``actual`` against ``analytic`` into the
     truncation part (carried by ``reference``) and the round-off part
-    (actual minus reference).  All three states must share the same t."""
+    (actual minus reference).  All three states must share the same t.
+    Nothing is computed until a component or norm is read."""
     if not (actual.t == reference.t == analytic.t):
         raise ParameterError(
             f"states are at different times: {actual.t}, {reference.t}, {analytic.t}"
         )
-    ex, ey = actual.x - analytic.x, actual.y - analytic.y
-    tx, ty = reference.x - analytic.x, reference.y - analytic.y
-    rx, ry = actual.x - reference.x, actual.y - reference.y
-    return ErrorTriple(_error_vec(ex, ey), _error_vec(tx, ty), _error_vec(rx, ry), actual.t)
+    return ErrorTriple(
+        ErrorVec(actual, analytic), ErrorVec(reference, analytic), ErrorVec(actual, reference),
+        actual.t,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +113,7 @@ def consistency_residual(
     quantity whose failure to vanish breaks consistency.  Keyed by the index
     of the earlier step of each pair.  Each component is one integer linear
     form over the pair's common denominator (a power of two for a rounded
-    run) and the pencil's, made a Fraction once.
+    run) and the pencil's; the norm is taken from the two forms directly.
     """
     delta = trajectory.machine_dt
     b, c = _pencil(trajectory.scheme, params, delta)
@@ -106,9 +138,9 @@ def consistency_residual(
         nx1 = x1.numerator * (q // dx1)
         ny1 = y1.numerator * (q // dy1)
         d = scale * q
-        rx = Fraction(b00 * nx1 + b01 * ny1 - c00 * nx0 - c01 * ny0, d)
-        ry = Fraction(b10 * nx1 + b11 * ny1 - c10 * nx0 - c11 * ny0, d)
-        out.append((i, _wide.wide_norm2(rx, ry)))
+        rx = b00 * nx1 + b01 * ny1 - c00 * nx0 - c01 * ny0
+        ry = b10 * nx1 + b11 * ny1 - c10 * nx0 - c11 * ny0
+        out.append((i, _wide.wide_norm2(rx, ry, d)))
     if not out:
         raise ParameterError("trajectory has no consecutive step pairs; sample with stride 1")
     return out

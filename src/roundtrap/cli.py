@@ -263,6 +263,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ParameterError(f"config file {path}: unknown keys {sorted(unknown)}")
+        if "mode" in loaded:
+            raise ParameterError(
+                f"config file {path}: the diagnose mode is a positional argument, not a config key")
         from_file = {k: (None if v is None else str(v)) for k, v in loaded.items()}
         for key, choices in _CHOICES.items():
             value = from_file.get(key)
@@ -432,6 +435,16 @@ def _read_csv(path_str: Optional[str], what: str) -> list[dict]:
         raise ParameterError(f"--input: {path} is not a readable CSV file ({exc})") from None
 
 
+def _float_first(x: Fraction) -> tuple[float, Fraction]:
+    """Sort key ordering Fractions exactly: rounding to float is monotone,
+    so the float decides every comparison but those between values with
+    the same float, which the Fraction then decides."""
+    try:
+        return x.numerator / x.denominator, x
+    except OverflowError:
+        return (math.inf if x > 0 else -math.inf), x
+
+
 def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
     mode = resolved["mode"]
     if mode == "ect":
@@ -500,7 +513,7 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
         if n > 200_000:
             raise ParameterError("residual diagnostics sample every step; keep t-end/dt <= 200000")
         traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(1))
-        norms = sorted(r for _, r in consistency_residual(traj, params))
+        norms = sorted((r for _, r in consistency_residual(traj, params)), key=_float_first)
         median = norms[len(norms) // 2]
         return [
             ("residual", "count", str(len(norms))),

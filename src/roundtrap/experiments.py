@@ -17,6 +17,7 @@ deterministic regardless of scheduling.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import time
@@ -136,16 +137,47 @@ def stepsize_sweep(cfg: SweepConfig, jobs: Optional[int] = None) -> list[SweepRe
 
 
 def _sample_steps(n: int, count: int, spacing: str) -> tuple[int, ...]:
+    """The sorted distinct steps of ``count`` samples over n steps, and n.
+    Sample i (1 <= i <= count) falls on step round(i*n/count) (linear) or
+    round(n**(i/count)) (log), and on step 1 at the earliest.  Both are
+    nondecreasing in i, so a galloping search skips each run of samples on
+    one step, and the work grows with the number of distinct steps, not
+    with count."""
     if n > sys.float_info.max:  # both spacings are computed in floats
         raise ParameterError("t_end/dt is too large to place samples: the step count exceeds the float range")
     if spacing == "linear":
-        raw = (round(i * n / count) for i in range(1, count + 1))
+        dense = count >= 2 * n
+
+        def at(i: int) -> int:
+            return max(1, round(i * n / count))
     elif spacing == "log":
-        raw = (round(n ** (i / count)) for i in range(1, count + 1))
+        dense = count >= 2 * n * math.log(n)
+
+        def at(i: int) -> int:
+            return round(n ** (i / count))
     else:
         raise ParameterError(f"spacing must be 'linear' or 'log', got {spacing!r}")
-    steps = sorted({max(1, s) for s in raw} | {n})
-    return tuple(steps)
+    if dense and n < 1 << 40:
+        # consecutive samples are at most ~1/2 step apart: every step is hit
+        return tuple(range(1, n + 1))
+    steps = []
+    i = 1
+    while i <= count:
+        s = at(i)
+        steps.append(s)
+        lo, width = i, 1  # at(lo) == s; find the first index past the run
+        while lo + width <= count and at(lo + width) == s:
+            lo += width
+            width *= 2
+        hi = min(lo + width, count + 1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if at(mid) == s:
+                lo = mid
+            else:
+                hi = mid
+        i = hi
+    return tuple(sorted({*steps, n}))
 
 
 def longtime_run(

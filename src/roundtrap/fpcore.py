@@ -156,7 +156,9 @@ def _div_raw(am: int, ae: int, bm: int, be: int, p: int) -> tuple[int, int]:
     if bm == 0:
         raise ZeroDivisionError("emulated division by zero")
     # quotient with >= p+2 bits, inexactness folded into a sticky low bit;
-    # floor division keeps that round-to-odd bit right for either sign
+    # floor division keeps that round-to-odd bit right for either sign.  The
+    # shift counts the divisor's width, so bm may be wider than p bits (the
+    # wide layer divides by the odd part of a denominator of any size)
     s = p + 3 + max(0, bm.bit_length() - am.bit_length() + 1)
     q, r = divmod(am << s, bm)
     if r:

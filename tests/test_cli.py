@@ -20,7 +20,11 @@ from roundtrap.cli import (
     manifest_argv,
     parse_wide,
 )
+from roundtrap.analysis import consistency_residual
 from roundtrap.experiments import SweepConfig
+from roundtrap.fpcore import PrecisionConfig
+from roundtrap.oscillator import OscillatorParams
+from roundtrap.schemes import SamplingPlan, Scheme, integrate
 
 
 def read_csv(path: Path):
@@ -302,6 +306,32 @@ class TestDiagnoseCommand:
         ]) == 2
 
 
+class TestResidualMedian:
+    def test_sort_key_orders_exactly(self, rng):
+        # near-ties: distinct Fractions that share one float, around
+        # values of every scale, including some beyond the float range
+        values = [Fraction(0)]
+        for base in (Fraction(1, 3), Fraction(2, 7 << 600), Fraction(10**300) * 7,
+                     Fraction(3, 2) * 2**2000, Fraction(5, 1 << 1100)):
+            for sign in (1, -1):
+                values.extend(sign * (base + Fraction(k, 1 << 80) * base) for k in range(-6, 7))
+        values += [Fraction(rng.getrandbits(60), rng.getrandbits(40) + 1) for _ in range(200)]
+        near = [v for v in values if abs(v) < 2**1000]
+        assert len({float(v) for v in near}) < len(set(near))  # the float alone cannot order them
+        for _ in range(20):
+            rng.shuffle(values)
+            assert sorted(values, key=cli._float_first) == sorted(values)
+
+    def test_median_and_max(self, tmp_path):
+        assert main(["diagnose", "residual", "--scheme", "rk3", "--dt", "1e-2", "--t-end", "3",
+                     "--p-run", "24", "--out-dir", str(tmp_path)]) == 0
+        got = {r["key"]: r["value"] for r in read_csv(tmp_path / "diagnostics.csv")}
+        traj = integrate(Scheme.RK3, OscillatorParams(), Fraction(1, 100), 3, PrecisionConfig(24),
+                         SamplingPlan.every(1))
+        norms = sorted(r for _, r in consistency_residual(traj, OscillatorParams()))
+        assert got == {"count": "300", "median": format_wide(norms[150]), "max": format_wide(norms[-1])}
+
+
 class TestConfigPrecedence:
     def test_flags_beat_config_beat_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -380,6 +410,22 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{key} must be one of" in err and repr(value) in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_config_mode_is_usage_error(self, tmp_path, capsys):
+        # the diagnose mode is positional; a config file naming another one is rejected
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"mode": "bound"}))
+        assert main(["diagnose", "spectral", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "mode" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "manifest.json").exists()
+        # without it the manifest records the positional mode in DEFAULTS' key order
+        cfg.write_text(json.dumps({"dt": "1e-1"}))
+        assert main(["diagnose", "spectral", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        resolved = json.loads((tmp_path / "manifest.json").read_text())["resolved"]
+        assert list(resolved) == list(DEFAULTS["diagnose"])
+        assert (resolved["mode"], resolved["dt"]) == ("spectral", "1e-1")
 
     def test_library_defect_is_not_a_usage_error(self, tmp_path, monkeypatch):
         # only ParameterError means a rejected argument; a plain ValueError propagates

@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from roundtrap.experiments import (
     SweepRecord,
     longtime_run,
     stepsize_sweep,
+    _sample_steps,
     _sweep_leg,
 )
 from roundtrap.fpcore import QUAD, SINGLE, PrecisionConfig
@@ -166,6 +169,38 @@ class TestLongtimeRun:
             Scheme.MIDPOINT_IMPLICIT, PARAMS, Fraction(1, 50), 50, SINGLE, QUAD, 10, spacing="linear"
         )
         assert recs[-1].e_trunc > recs[0].e_trunc
+
+
+def sample_steps_by_count(n: int, count: int, spacing: str) -> tuple[int, ...]:
+    """The sample placement as first written: every one of the count
+    samples computed, then the distinct steps kept."""
+    if spacing == "linear":
+        raw = (round(i * n / count) for i in range(1, count + 1))
+    else:
+        raw = (round(n ** (i / count)) for i in range(1, count + 1))
+    return tuple(sorted({max(1, s) for s in raw} | {n}))
+
+
+class TestSampleSteps:
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_matches_sample_by_sample_placement(self, spacing):
+        for n in range(1, 130):
+            counts = {*range(2, 40), n - 1, n, n + 1, 2 * n - 1, 2 * n, 2 * n + 1, 7 * n + 3,
+                      round(2 * n * math.log(n)) if n > 1 else 2, 20 * n}
+            for count in sorted(c for c in counts if c >= 2):
+                assert _sample_steps(n, count, spacing) == sample_steps_by_count(n, count, spacing)
+
+    @pytest.mark.parametrize("n, count", [(20000, 10000), (10000, 20000), (1000, 20001),
+                                          (123457, 977), (10**9, 5000), (2**40 + 3, 3000)])
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_matches_on_long_runs(self, n, count, spacing):
+        assert _sample_steps(n, count, spacing) == sample_steps_by_count(n, count, spacing)
+
+    @pytest.mark.parametrize("n, count, spacing", [(1000, 10**9, "linear"), (1000, 10**7, "log")])
+    def test_work_bounded_by_distinct_steps(self, n, count, spacing):
+        started = time.perf_counter()
+        assert _sample_steps(n, count, spacing) == tuple(range(1, n + 1))
+        assert time.perf_counter() - started < 1.0
 
 
 class TestReferenceTrajectory:

@@ -298,6 +298,15 @@ class TestRoundingPrimitives:
         assert_rounded(_div_raw(am, ae, bm, be, p), _raw_to_fraction(am, ae) / _raw_to_fraction(bm, be), p)
 
     @settings(max_examples=500)
+    @given(st.data(), st.one_of(precisions, st.just(240)), exponents, exponents)
+    def test_div_raw_wide_divisor(self, data, p, ae, be):
+        # a divisor wider than p, as the wide layer passes (240 bits, any denominator)
+        am = data.draw(significands(p))
+        bits = data.draw(st.integers(p + 1, 2500))
+        bm = data.draw(signs) * (data.draw(st.integers(0, (1 << (bits - 1)) - 1)) | 1 << (bits - 1))
+        assert_rounded(_div_raw(am, ae, bm, be, p), _raw_to_fraction(am, ae) / _raw_to_fraction(bm, be), p)
+
+    @settings(max_examples=500)
     @given(st.data(), precisions)
     def test_fraction_to_raw_rounds_once(self, data, p):
         num = data.draw(significands(2500))

@@ -1,9 +1,10 @@
-"""The wide layer against its earlier mpf-object implementation.
+"""The wide layer against its two earlier implementations.
 
-The oracle functions below are the wide layer as it was written on mpmath's
-``mpf`` objects inside ``workprec``.  The raw-tuple implementation must give
-the same Fraction, bit for bit, on every input: any difference would change
-the CLI's data columns.
+The oracle functions below are the wide layer as it was written, first on
+mpmath's ``mpf`` objects inside ``workprec``, then on mpmath's raw ``libmp``
+kernels.  The implementation on fpcore's kernels must give the same
+Fraction, bit for bit, on every input: any difference would change the
+CLI's data columns.
 """
 
 import math
@@ -14,8 +15,10 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_sqrt
 
-from roundtrap import _wide
+from roundtrap import _wide, fpcore
+from roundtrap.analysis import ErrorVec, error_separation
 from roundtrap.oscillator import INITIAL_STATE, OscillatorParams, State, analytic_solution
 
 # ---------------------------------------------------------------------------
@@ -48,6 +51,48 @@ def oracle_cos_sin(x: Fraction) -> tuple[Fraction, Fraction]:
     with mpmath.workprec(_wide.WIDE_PREC_BITS):
         mx = oracle_to_mpf(x)
         return _wide.mpf_to_fraction(mpmath.cos(mx)), _wide.mpf_to_fraction(mpmath.sin(mx))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the mpmath-raw implementation
+# ---------------------------------------------------------------------------
+
+
+def raw_oracle_fraction(raw: tuple) -> Fraction:
+    sign, man, exp, _ = raw
+    man = int(man)
+    if man == 0:
+        return Fraction(0)
+    if sign:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def raw_oracle_to_raw(num: int, den: int) -> tuple:
+    zeros = (den & -den).bit_length() - 1
+    odd = den >> zeros
+    if odd == 1:
+        return from_man_exp(num, -zeros, _wide.WIDE_PREC_BITS, "n")
+    return mpf_div(from_int(num, _wide.WIDE_PREC_BITS, "n"), from_man_exp(odd, zeros),
+                   _wide.WIDE_PREC_BITS, "n")
+
+
+def raw_oracle_sqrt_ratio(num: int, den: int) -> Fraction:
+    return raw_oracle_fraction(mpf_sqrt(raw_oracle_to_raw(num, den), _wide.WIDE_PREC_BITS, "n"))
+
+
+def raw_oracle_norm2(x: Fraction, y: Fraction) -> Fraction:
+    xd, yd = x.denominator, y.denominator
+    n = (x.numerator * yd) ** 2 + (y.numerator * xd) ** 2
+    r = math.isqrt(n)
+    dd = xd * yd
+    if r * r == n:
+        return Fraction(r, dd)
+    d = dd * dd
+    if dd & (dd - 1):
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+    return raw_oracle_sqrt_ratio(n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +171,132 @@ class TestNorm2:
 
     def test_both_zero(self):
         assert _wide.wide_norm2(Fraction(0), Fraction(0)) == 0 == oracle_norm2(Fraction(0), Fraction(0))
+
+
+# numerators up to 1200 bits: a conversion then shifts away up to 960 bits,
+# past the 230 of fpcore's half-ulp table
+wide_numerators = st.one_of(
+    numerators,
+    st.builds(random_bits, st.integers(0, 2**32), st.integers(231, 1200), st.sampled_from((1, -1))),
+)
+denominators = st.one_of(
+    st.integers(0, 600).map(lambda k: 1 << k),
+    st.sampled_from((3, 10**7, 7 << 40, 3 << 300)),
+    st.integers(1, 1 << 400),
+)
+
+
+class TestAgainstRawOracle:
+    """fpcore's kernels against mpmath's raw kernels, at 240 bits."""
+
+    @given(num=wide_numerators, den=denominators)
+    @settings(max_examples=500)
+    def test_to_raw(self, num, den):
+        got = fpcore._raw_to_fraction(*_wide._to_raw(num, den))
+        assert got == raw_oracle_fraction(raw_oracle_to_raw(num, den))
+
+    @pytest.mark.parametrize("bits", (241, 242, 470, 471, 472, 473, 1000))
+    def test_to_raw_table_edge(self, bits):
+        # excesses over 240 bits around 230, the last one fpcore's table holds;
+        # the last numerator lies halfway between two 240-bit values
+        tie = ((1 << 240) - 1) << (bits - 240) | 1 << (bits - 241)
+        for num in ((1 << bits) - 1, (1 << (bits - 1)) | 1, tie):
+            for den in (1, 1 << 77, 3, 10**30):
+                for signed in (num, -num):
+                    got = fpcore._raw_to_fraction(*_wide._to_raw(signed, den))
+                    assert got == raw_oracle_fraction(raw_oracle_to_raw(signed, den))
+
+    @given(num=wide_numerators.map(abs).filter(bool), den=denominators)
+    @settings(max_examples=300)
+    def test_sqrt_ratio(self, num, den):
+        assert _wide._sqrt_ratio(num, den) == raw_oracle_sqrt_ratio(num, den)
+
+    @given(x=rationals, y=rationals)
+    @settings(max_examples=300)
+    def test_norm2_fractions(self, x, y):
+        assert _wide.wide_norm2(x, y) == raw_oracle_norm2(x, y)
+
+    @given(u=wide_numerators, v=wide_numerators, den=denominators)
+    @settings(max_examples=500)
+    def test_norm2_integer_form(self, u, v, den):
+        want = raw_oracle_norm2(Fraction(u, den), Fraction(v, den))
+        assert _wide.wide_norm2(u, v, den) == want
+        assert _wide.wide_norm2(-v, u, den) == want
+
+    @given(xyz=exact_norm_pairs(), k=st.integers(0, 300))
+    @settings(max_examples=200)
+    def test_norm2_integer_form_exact_squares(self, xyz, k):
+        x, y, hypot = xyz
+        (u, v), den = _wide.align(x, y)
+        assert _wide.wide_norm2(u << k, v << k, den << k) == hypot == raw_oracle_norm2(x, y)
+
+    @given(u=wide_numerators, den=denominators)
+    def test_norm2_integer_form_zero(self, u, den):
+        assert _wide.wide_norm2(0, 0, den) == 0
+        assert _wide.wide_norm2(u, 0, den) == abs(Fraction(u, den)) == _wide.wide_norm2(0, u, den)
+
+    @given(xs=st.lists(rationals, min_size=1, max_size=6))
+    def test_align(self, xs):
+        nums, den = _wide.align(*xs)
+        assert [Fraction(n, den) for n in nums] == xs
+        if all(x.denominator & (x.denominator - 1) == 0 for x in xs):
+            assert den == max(x.denominator for x in xs)
+
+
+def eager_error(a: State, b: State) -> tuple[Fraction, Fraction, Fraction]:
+    """The error vector as error_separation computed it before it became
+    lazy: Fraction differences, then the mpmath-raw norm."""
+    dx, dy = a.x - b.x, a.y - b.y
+    return dx, dy, raw_oracle_norm2(dx, dy)
+
+
+def run_like(rng: random.Random, bits: int) -> Fraction:
+    """A dyadic value of ``bits`` significant bits near the orbit's scale."""
+    return Fraction(random_bits(rng.getrandbits(32), bits, rng.choice((1, -1))),
+                    1 << (bits + rng.randrange(-2, 6)))
+
+
+class TestErrorVec:
+    def test_matches_eager_form_on_random_states(self):
+        rng = random.Random(20081)
+        for _ in range(300):
+            t = Fraction(rng.randrange(1, 10**6), 100)
+            kind = rng.choice(("channels", "general"))
+            if kind == "channels":
+                # run (24 bits), reference (113 bits) and analytic (240 bits) values;
+                # the run sometimes equals the reference in one coordinate
+                actual = State(run_like(rng, 24), run_like(rng, 24), t)
+                reference = State(run_like(rng, 113), run_like(rng, 113), t)
+                if rng.random() < 0.2:
+                    reference = State(actual.x, reference.y, t)
+                analytic = State(run_like(rng, 240), run_like(rng, 240), t)
+            else:
+                actual, reference, analytic = (
+                    State(Fraction(rng.randrange(-10**20, 10**20), rng.randrange(1, 10**12)),
+                          Fraction(rng.randrange(-10**20, 10**20), rng.choice((3, 10**9, 1 << 40))), t)
+                    for _ in range(3))
+            triple = error_separation(actual, reference, analytic)
+            for vec, (a, b) in ((triple.total, (actual, analytic)),
+                                (triple.truncation, (reference, analytic)),
+                                (triple.roundoff, (actual, reference))):
+                dx, dy, norm = eager_error(a, b)
+                if rng.random() < 0.5:  # the norm read before or after the components
+                    assert vec.norm == norm
+                assert (vec.x, vec.y, vec.norm) == (dx, dy, norm)
+
+    def test_value_equality(self):
+        t = Fraction(3)
+        actual = State(Fraction(5, 4), Fraction(-3, 8), t)
+        analytic = State(Fraction(1), Fraction(1, 8), t)
+        triple = error_separation(actual, actual, analytic)
+        assert triple.total == triple.truncation
+        assert hash(triple.total) == hash(triple.truncation)
+        assert triple.total != triple.roundoff
+        assert triple == error_separation(actual, actual, analytic)
+        # equal components from different states: equal vectors
+        shifted = error_separation(State(Fraction(9, 4), Fraction(5, 8), t), actual, actual)
+        assert shifted.total == ErrorVec(State(Fraction(1), Fraction(1), t), State(0, 0, t))
+        assert shifted.total != ErrorVec(State(Fraction(1), Fraction(-1), t), State(0, 0, t))
 
 
 class TestSqrt:
