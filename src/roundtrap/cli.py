@@ -260,12 +260,9 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ParameterError(f"config file {path}: invalid JSON ({exc})") from None
         if not isinstance(loaded, dict):
             raise ParameterError(f"config file {path}: expected a JSON object")
-        unknown = set(loaded) - set(defaults)
+        unknown = set(loaded) - (set(defaults) - {"mode"})  # diagnose's mode is positional only
         if unknown:
             raise ParameterError(f"config file {path}: unknown keys {sorted(unknown)}")
-        if "mode" in loaded:
-            raise ParameterError(
-                f"config file {path}: the diagnose mode is a positional argument, not a config key")
         from_file = {k: (None if v is None else str(v)) for k, v in loaded.items()}
         for key, choices in _CHOICES.items():
             value = from_file.get(key)
@@ -513,7 +510,9 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
         if n > 200_000:
             raise ParameterError("residual diagnostics sample every step; keep t-end/dt <= 200000")
         traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(1))
-        norms = sorted((r for _, r in consistency_residual(traj, params)), key=_float_first)
+        norms = [r for _, r in consistency_residual(traj, params)]
+        del traj  # the sort keys reuse the trajectory's memory
+        norms.sort(key=_float_first)
         median = norms[len(norms) // 2]
         return [
             ("residual", "count", str(len(norms))),

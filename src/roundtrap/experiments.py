@@ -17,7 +17,6 @@ deterministic regardless of scheduling.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 import time
@@ -146,38 +145,36 @@ def _sample_steps(n: int, count: int, spacing: str) -> tuple[int, ...]:
     if n > sys.float_info.max:  # both spacings are computed in floats
         raise ParameterError("t_end/dt is too large to place samples: the step count exceeds the float range")
     if spacing == "linear":
-        dense = count >= 2 * n
-
         def at(i: int) -> int:
             return max(1, round(i * n / count))
     elif spacing == "log":
-        dense = count >= 2 * n * math.log(n)
-
         def at(i: int) -> int:
             return round(n ** (i / count))
     else:
         raise ParameterError(f"spacing must be 'linear' or 'log', got {spacing!r}")
-    if dense and n < 1 << 40:
-        # consecutive samples are at most ~1/2 step apart: every step is hit
-        return tuple(range(1, n + 1))
     steps = []
-    i = 1
-    while i <= count:
-        s = at(i)
+    i, s = 1, at(1)
+    while True:
         steps.append(s)
-        lo, width = i, 1  # at(lo) == s; find the first index past the run
-        while lo + width <= count and at(lo + width) == s:
+        # at(lo) == s; find hi, the first index past the run, and nxt = at(hi)
+        lo, hi, width = i, count + 1, 1
+        while lo + width < hi:
+            nxt = at(lo + width)
+            if nxt != s:
+                hi = lo + width
+                break
             lo += width
             width *= 2
-        hi = min(lo + width, count + 1)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if at(mid) == s:
+            value = at(mid)
+            if value == s:
                 lo = mid
             else:
-                hi = mid
-        i = hi
-    return tuple(sorted({*steps, n}))
+                hi, nxt = mid, value
+        if hi > count:
+            return tuple(sorted({*steps, n}))
+        i, s = hi, nxt
 
 
 def longtime_run(

@@ -297,6 +297,10 @@ class TestErrorVec:
         shifted = error_separation(State(Fraction(9, 4), Fraction(5, 8), t), actual, actual)
         assert shifted.total == ErrorVec(State(Fraction(1), Fraction(1), t), State(0, 0, t))
         assert shifted.total != ErrorVec(State(Fraction(1), Fraction(-1), t), State(0, 0, t))
+        # the public fields are read-only, as in the former frozen dataclass
+        for field in ("x", "y", "norm"):
+            with pytest.raises(AttributeError):
+                setattr(shifted.total, field, Fraction(0))
 
 
 class TestSqrt:
