@@ -32,7 +32,7 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
 from .analysis import (
@@ -67,34 +67,9 @@ from .experiments import (
 
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "ROUNDTRAP_OUT_DIR"
-
-SWEEP_CSV = "sweep.csv"
-TIMESERIES_CSV = "timeseries.csv"
-DIAGNOSTICS_CSV = "diagnostics.csv"
 MANIFEST_JSON = "manifest.json"
 
 _LOG10_2 = math.log10(2)
-
-
-def _parse_fraction(text: str, flag: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParameterError(f"{flag}: cannot parse {text!r} as a number") from None
-
-
-def _parse_int(text: str, flag: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParameterError(f"{flag}: cannot parse {text!r} as an integer") from None
-
-
-def _parse_precision(text: str, flag: str) -> PrecisionConfig:
-    try:
-        return PrecisionConfig(_parse_int(text, flag))
-    except ParameterError as exc:
-        raise ParameterError(f"{flag}: {exc}") from None
 
 
 def format_wide(x: Optional[Fraction], digits: int = 25) -> str:
@@ -182,17 +157,95 @@ DEFAULTS = {
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing and config-file precedence
+# Flags and config-file precedence
 # ---------------------------------------------------------------------------
 
-# the allowed values of the flags that have a fixed set: argparse checks a
-# flag's value, _resolve a config file's
-_CHOICES = {
-    "scheme": tuple(s.value for s in Scheme),
-    "spacing": ("log", "linear"),
-    "series": ("E_r", "E_t"),
-    "bound_model": ("worst", "random"),
+
+def _fractions(text: str) -> tuple[Fraction, ...]:
+    return tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
+
+
+def _precision(text: str) -> PrecisionConfig:
+    return PrecisionConfig(int(text))
+
+
+def _jobs(text: str) -> int:
+    return int(text) if text else os.cpu_count() or 1
+
+
+def _threshold(text: str) -> Fraction:
+    if not text:
+        raise ParameterError("required for ect")
+    return Fraction(text)
+
+
+def _read_csv(text: str) -> list[dict]:
+    if not text:
+        raise ParameterError("required for ect and os")
+    path = Path(text)
+    if not path.exists():
+        raise FileNotFoundError(f"input file not found: {path}")
+    try:
+        with path.open(newline="") as fh:
+            return list(csv.DictReader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParameterError(f"{path} is not a readable CSV file ({exc})") from None
+
+
+def _out_dir(text: str) -> Path:
+    return Path(text or os.environ.get(OUT_DIR_ENV) or ".")
+
+
+_BOUND_MODELS = {"worst": BoundMode.WORST_CASE, "random": BoundMode.RANDOM_WALK}
+
+
+class Flag:
+    """A resolved key's parser (its text, "" when unset), help and allowed values."""
+
+    __slots__ = ("parse", "help", "choices")
+
+    def __init__(self, parse: Callable[[str], object], help: str, choices: tuple[str, ...] = ()):
+        self.parse, self.help, self.choices = parse, help, choices
+
+
+# every key of DEFAULTS; the flag is --key-with-dashes, diagnose's mode is positional
+FLAGS = {
+    "scheme": Flag(Scheme.from_name, "difference scheme", tuple(s.value for s in Scheme)),
+    "a": Flag(Fraction, "coefficient a of dx/dt = -a*y"),
+    "b": Flag(Fraction, "coefficient b of dy/dt = b*x"),
+    "t_end": Flag(Fraction, "final time"),
+    "dt": Flag(Fraction, "step size"),
+    "dt_list": Flag(_fractions, "comma-separated step sizes"),
+    "p_run": Flag(_precision, "run significand bits"),
+    "p_ref": Flag(_precision, "reference significand bits"),
+    "max_steps": Flag(int, "most steps a run may take"),
+    "jobs": Flag(_jobs, "worker processes for sweep legs (default: CPU count)"),
+    "samples": Flag(int, "number of sample times (>= 2)"),
+    "spacing": Flag(str, "spacing of the sample times", ("log", "linear")),
+    "mode": Flag(str, "which diagnostic to run", ("ect", "os", "spectral", "drift", "residual", "bound")),
+    "input": Flag(_read_csv, "input CSV (ect: timeseries.csv, os: sweep.csv)"),
+    "threshold": Flag(_threshold, "error threshold for ect"),
+    "series": Flag(str, "which series ect scans", ("E_r", "E_t")),
+    "bound_model": Flag(_BOUND_MODELS.__getitem__, "worst-case or random-walk round-off",
+                        tuple(_BOUND_MODELS)),
+    "out_dir": Flag(_out_dir, f"output directory (or ${OUT_DIR_ENV})"),
 }
+
+
+def _flag(key: str) -> str:
+    return f"--{key.replace('_', '-')}"
+
+
+def _get(resolved: dict, key: str):
+    """The resolved value of key, parsed by its FLAGS entry; a usage error
+    names the key's flag.  Subcommands parse only the keys they use."""
+    text = resolved[key] or ""
+    try:
+        return FLAGS[key].parse(text)
+    except ParameterError as exc:
+        raise ParameterError(f"{_flag(key)}: {exc}") from None
+    except (ValueError, ZeroDivisionError):  # from int() or Fraction()
+        raise ParameterError(f"{_flag(key)}: cannot parse {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,60 +255,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"roundtrap {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--scheme", choices=_CHOICES["scheme"])
-        p.add_argument("--a", dest="a")
-        p.add_argument("--b", dest="b")
+    for name, keys in DEFAULTS.items():
+        p = sub.add_parser(name, help=DISPATCH[name].__doc__)
         p.add_argument("--config", help="JSON file with flag defaults")
-        p.add_argument("--out-dir", dest="out_dir", help=f"output directory (or ${OUT_DIR_ENV})")
-
-    p = sub.add_parser("sweep", help="error vs. step size at fixed final time")
-    common(p)
-    p.add_argument("--t-end", dest="t_end")
-    p.add_argument("--dt-list", dest="dt_list", help="comma-separated step sizes")
-    p.add_argument("--p-run", dest="p_run", help="run significand bits")
-    p.add_argument("--p-ref", dest="p_ref", help="reference significand bits")
-    p.add_argument("--max-steps", dest="max_steps")
-    p.add_argument("--jobs", help="worker processes for sweep legs")
-
-    p = sub.add_parser("longrun", help="error vs. time at fixed step size")
-    common(p)
-    p.add_argument("--t-end", dest="t_end")
-    p.add_argument("--dt", dest="dt")
-    p.add_argument("--samples", help="number of sample times (>= 2)")
-    p.add_argument("--spacing", choices=_CHOICES["spacing"])
-    p.add_argument("--p-run", dest="p_run")
-    p.add_argument("--p-ref", dest="p_ref")
-    p.add_argument("--max-steps", dest="max_steps")
-
-    p = sub.add_parser("diagnose", help="diagnostics over stored results or short runs")
-    p.add_argument(
-        "mode",
-        choices=["ect", "os", "spectral", "drift", "residual", "bound"],
-        help="which diagnostic to run",
-    )
-    common(p)
-    p.add_argument("--input", help="input CSV (ect: timeseries.csv, os: sweep.csv)")
-    p.add_argument("--threshold", help="error threshold for ect")
-    p.add_argument("--series", choices=_CHOICES["series"], help="which series ect scans")
-    p.add_argument("--dt", dest="dt")
-    p.add_argument("--t-end", dest="t_end")
-    p.add_argument("--p-run", dest="p_run")
-    p.add_argument("--bound-model", dest="bound_model", choices=_CHOICES["bound_model"])
+        for key in keys:
+            name_or_flag = key if key == "mode" else _flag(key)
+            p.add_argument(name_or_flag, choices=FLAGS[key].choices or None, help=FLAGS[key].help)
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """flags > config file > defaults; returns a plain string-keyed dict."""
-    defaults = dict(DEFAULTS[args.subcommand])
+    defaults = DEFAULTS[args.subcommand]
     from_file = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text())
+            # a number keeps its text: "0.1" stays 1/10, as on the command line
+            loaded = json.loads(path.read_text(), parse_float=str, parse_int=str)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParameterError(f"config file {path}: invalid JSON ({exc})") from None
         if not isinstance(loaded, dict):
@@ -263,31 +282,14 @@ def _resolve(args: argparse.Namespace) -> dict:
         unknown = set(loaded) - (set(defaults) - {"mode"})  # diagnose's mode is positional only
         if unknown:
             raise ParameterError(f"config file {path}: unknown keys {sorted(unknown)}")
-        from_file = {k: (None if v is None else str(v)) for k, v in loaded.items()}
-        for key, choices in _CHOICES.items():
-            value = from_file.get(key)
-            if value is not None and value not in choices:
+        from_file = {k: str(v) for k, v in loaded.items() if v is not None}
+        for key, value in from_file.items():
+            choices = FLAGS[key].choices
+            if choices and value not in choices:
                 raise ParameterError(
                     f"config file {path}: {key} must be one of {', '.join(choices)}, got {value!r}")
-    resolved = {}
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = str(flag_value)
-        elif key in from_file and from_file[key] is not None:
-            resolved[key] = from_file[key]
-        else:
-            resolved[key] = default
-    if args.subcommand == "diagnose":
-        resolved["mode"] = args.mode
-    return resolved
-
-
-def _out_dir(resolved: dict) -> Path:
-    target = resolved.get("out_dir") or os.environ.get(OUT_DIR_ENV) or "."
-    path = Path(target)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    flags = {k: v for k, v in vars(args).items() if k in defaults and v is not None}
+    return {**defaults, **from_file, **flags}  # in DEFAULTS' key order
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -323,14 +325,14 @@ def manifest_argv(manifest: dict, out_dir: Optional[str] = None) -> list[str]:
     if out_dir is not None:
         resolved["out_dir"] = out_dir
     for key, value in resolved.items():
-        if value is None:
-            continue
-        argv.extend([f"--{key.replace('_', '-')}", str(value)])
+        if value is not None:
+            argv.extend([_flag(key), str(value)])
     return argv
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations
+# Subcommand implementations: each returns its CSV file name, header and rows
+# and the backend of each channel it integrated; the docstring is its help
 # ---------------------------------------------------------------------------
 
 
@@ -347,34 +349,28 @@ def _warn_off_grid(dt: Fraction, t_end: Fraction, n: int) -> None:
 
 
 def _params(resolved: dict) -> OscillatorParams:
-    return OscillatorParams(_parse_fraction(resolved["a"], "--a"), _parse_fraction(resolved["b"], "--b"))
+    return OscillatorParams(_get(resolved, "a"), _get(resolved, "b"))
 
 
 def _sweep_config(resolved: dict) -> SweepConfig:
-    dt_list = tuple(
-        _parse_fraction(part.strip(), "--dt-list")
-        for part in resolved["dt_list"].split(",")
-        if part.strip()
-    )
     return SweepConfig(
-        scheme=Scheme.from_name(resolved["scheme"]),
+        dt_list=_get(resolved, "dt_list"),
+        scheme=_get(resolved, "scheme"),
         params=_params(resolved),
-        t_end=_parse_fraction(resolved["t_end"], "--t-end"),
-        dt_list=dt_list,
-        run_precision=_parse_precision(resolved["p_run"], "--p-run"),
-        ref_precision=_parse_precision(resolved["p_ref"], "--p-ref"),
-        max_steps=_parse_int(resolved["max_steps"], "--max-steps"),
+        t_end=_get(resolved, "t_end"),
+        run_precision=_get(resolved, "p_run"),
+        ref_precision=_get(resolved, "p_ref"),
+        max_steps=_get(resolved, "max_steps"),
     )
 
 
-def cmd_sweep(resolved: dict, argv: list[str]) -> int:
+def cmd_sweep(resolved: dict) -> tuple[str, list[str], list, dict]:
+    """error vs. step size at fixed final time"""
     cfg = _sweep_config(resolved)
-    jobs = _parse_int(resolved["jobs"], "--jobs") if resolved["jobs"] else os.cpu_count() or 1
-    records = stepsize_sweep(cfg, jobs=jobs)
+    records = stepsize_sweep(cfg, jobs=_get(resolved, "jobs"))
     for r in records:
         if r.status == STATUS_OK:
             _warn_off_grid(r.dt, cfg.t_end, r.n_steps)
-    out = _out_dir(resolved)
     rows = [
         [
             format_wide(r.dt),
@@ -387,49 +383,20 @@ def cmd_sweep(resolved: dict, argv: list[str]) -> int:
         ]
         for r in records
     ]
-    _write_csv(out / SWEEP_CSV, ["dt", "n_steps", "E", "E_t", "E_r", "status", "wall_time_s"], rows)
-    backends = _backends(run=cfg.run_precision, reference=cfg.ref_precision)
-    _write_manifest(out, "sweep", resolved, argv, backends)
-    print(f"wrote {out / SWEEP_CSV} ({len(rows)} rows)")
-    return 0
+    header = ["dt", "n_steps", "E", "E_t", "E_r", "status", "wall_time_s"]
+    return "sweep.csv", header, rows, _backends(run=cfg.run_precision, reference=cfg.ref_precision)
 
 
-def cmd_longrun(resolved: dict, argv: list[str]) -> int:
-    p_run = _parse_precision(resolved["p_run"], "--p-run")
-    p_ref = _parse_precision(resolved["p_ref"], "--p-ref")
-    dt = _parse_fraction(resolved["dt"], "--dt")
-    t_end = _parse_fraction(resolved["t_end"], "--t-end")
-    records = longtime_run(
-        Scheme.from_name(resolved["scheme"]),
-        _params(resolved),
-        dt,
-        t_end,
-        p_run,
-        p_ref,
-        _parse_int(resolved["samples"], "--samples"),
-        spacing=resolved["spacing"],
-        max_steps=_parse_int(resolved["max_steps"], "--max-steps"),
-    )
+def cmd_longrun(resolved: dict) -> tuple[str, list[str], list, dict]:
+    """error vs. time at fixed step size"""
+    p_run, p_ref = _get(resolved, "p_run"), _get(resolved, "p_ref")
+    dt, t_end = _get(resolved, "dt"), _get(resolved, "t_end")
+    records = longtime_run(_get(resolved, "scheme"), _params(resolved), dt, t_end, p_run, p_ref,
+                           _get(resolved, "samples"), spacing=_get(resolved, "spacing"),
+                           max_steps=_get(resolved, "max_steps"))
     _warn_off_grid(dt, t_end, num_steps(t_end, dt))
-    out = _out_dir(resolved)
     rows = [[format_wide(r.t), format_wide(r.e_round), format_wide(r.e_trunc)] for r in records]
-    _write_csv(out / TIMESERIES_CSV, ["t", "E_r", "E_t"], rows)
-    _write_manifest(out, "longrun", resolved, argv, _backends(run=p_run, reference=p_ref))
-    print(f"wrote {out / TIMESERIES_CSV} ({len(rows)} rows)")
-    return 0
-
-
-def _read_csv(path_str: Optional[str], what: str) -> list[dict]:
-    if not path_str:
-        raise ParameterError(f"--input is required for {what}")
-    path = Path(path_str)
-    if not path.exists():
-        raise FileNotFoundError(f"input file not found: {path}")
-    try:
-        with path.open(newline="") as fh:
-            return list(csv.DictReader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ParameterError(f"--input: {path} is not a readable CSV file ({exc})") from None
+    return "timeseries.csv", ["t", "E_r", "E_t"], rows, _backends(run=p_run, reference=p_ref)
 
 
 def _float_first(x: Fraction) -> tuple[float, Fraction]:
@@ -442,14 +409,12 @@ def _float_first(x: Fraction) -> tuple[float, Fraction]:
         return (math.inf if x > 0 else -math.inf), x
 
 
-def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
+def _diagnose_rows(resolved: dict) -> tuple[list[tuple[str, str, str]], dict]:
     mode = resolved["mode"]
     if mode == "ect":
-        if not resolved["threshold"]:
-            raise ParameterError("--threshold is required for ect")
-        threshold = _parse_fraction(resolved["threshold"], "--threshold")
-        series_name = resolved["series"]
-        rows = _read_csv(resolved["input"], "ect")
+        threshold = _get(resolved, "threshold")
+        series_name = _get(resolved, "series")
+        rows = _get(resolved, "input")
         try:
             series = [(Fraction(r["t"]), Fraction(r[series_name])) for r in rows]
         except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row
@@ -459,9 +424,9 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
             ("ect", "series", series_name),
             ("ect", "threshold", format_wide(threshold)),
             ("ect", "t", "none" if ect is None else format_wide(ect)),
-        ]
+        ], {}
     if mode == "os":
-        rows = _read_csv(resolved["input"], "os")
+        rows = _get(resolved, "input")
         try:
             records = [
                 SweepRecord(
@@ -482,45 +447,22 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
             ("os", "dt", format_wide(best.dt)),
             ("os", "E", format_wide(best.e_total)),
             ("os", "n_steps", str(best.n_steps)),
-        ]
+        ], {}
 
-    scheme = Scheme.from_name(resolved["scheme"])
-    params = _params(resolved)
-    dt = _parse_fraction(resolved["dt"], "--dt")
+    scheme, params, dt = _get(resolved, "scheme"), _params(resolved), _get(resolved, "dt")
     if mode == "spectral":
         info = spectral_analysis(update_matrix(scheme, params, dt))
         return [
             ("spectral", "det", format_wide(info.det)),
             ("spectral", "eigenvalue_modulus_1", format_wide(info.eigenvalue_moduli[0])),
             ("spectral", "eigenvalue_modulus_2", format_wide(info.eigenvalue_moduli[1])),
-        ]
+        ], {}
 
-    t_end = _parse_fraction(resolved["t_end"], "--t-end")
-    p_run = _parse_precision(resolved["p_run"], "--p-run")
+    t_end, p_run = _get(resolved, "t_end"), _get(resolved, "p_run")
     n = num_steps(t_end, dt)
     _warn_off_grid(dt, t_end, n)
-    if mode == "drift":
-        stride = max(1, n // 16)
-        traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(stride))
-        drift = conservation_drift(traj, params)
-        out = [("drift", format_wide(t), format_wide(d)) for t, d in drift]
-        out.append(("drift", "max", format_wide(max(d for _, d in drift))))
-        return out
-    if mode == "residual":
-        if n > 200_000:
-            raise ParameterError("residual diagnostics sample every step; keep t-end/dt <= 200000")
-        traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(1))
-        norms = [r for _, r in consistency_residual(traj, params)]
-        del traj  # the sort keys reuse the trajectory's memory
-        norms.sort(key=_float_first)
-        median = norms[len(norms) // 2]
-        return [
-            ("residual", "count", str(len(norms))),
-            ("residual", "median", format_wide(median)),
-            ("residual", "max", format_wide(norms[-1])),
-        ]
     if mode == "bound":
-        bound_mode = BoundMode.RANDOM_WALK if resolved["bound_model"] == "random" else BoundMode.WORST_CASE
+        bound_mode = _get(resolved, "bound_model")
         model = ErrorBoundModel.for_precision(p_run, params, bound_mode)
         value = predict_error_bound(params, scheme, dt, n, model)
         # an overflowing bound is inf, which has no Fraction
@@ -529,23 +471,50 @@ def _diagnose_rows(resolved: dict) -> list[tuple[str, str, str]]:
             ("bound", "model", bound_mode.value),
             ("bound", "n_steps", str(n)),
             ("bound", "value", text),
-        ]
-    raise ParameterError(f"unknown diagnose mode {mode!r}")
+        ], {}
+    backends = _backends(run=p_run)  # drift and residual integrate the run channel
+    if mode == "drift":
+        stride = max(1, n // 16)
+        traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(stride))
+        drift = conservation_drift(traj, params)
+        out = [("drift", format_wide(t), format_wide(d)) for t, d in drift]
+        out.append(("drift", "max", format_wide(max(d for _, d in drift))))
+        return out, backends
+    # residual
+    if n > 200_000:
+        raise ParameterError("residual diagnostics sample every step; keep t-end/dt <= 200000")
+    traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(1))
+    norms = [r for _, r in consistency_residual(traj, params)]
+    del traj  # the sort keys reuse the trajectory's memory
+    norms.sort(key=_float_first)
+    median = norms[len(norms) // 2]
+    return [
+        ("residual", "count", str(len(norms))),
+        ("residual", "median", format_wide(median)),
+        ("residual", "max", format_wide(norms[-1])),
+    ], backends
 
 
-def cmd_diagnose(resolved: dict, argv: list[str]) -> int:
-    rows = _diagnose_rows(resolved)
-    integrates = resolved["mode"] in ("drift", "residual")
-    backends = _backends(run=_parse_precision(resolved["p_run"], "--p-run")) if integrates else {}
-    out = _out_dir(resolved)
-    _write_csv(out / DIAGNOSTICS_CSV, ["kind", "key", "value"], [list(r) for r in rows])
-    _write_manifest(out, "diagnose", resolved, argv, backends)
+def cmd_diagnose(resolved: dict) -> tuple[str, list[str], list, dict]:
+    """diagnostics over stored results or short runs"""
+    rows, backends = _diagnose_rows(resolved)
     for kind, key, value in rows:
         print(f"{kind} {key} = {value}")
-    return 0
+    return "diagnostics.csv", ["kind", "key", "value"], rows, backends
 
 
 DISPATCH = {"sweep": cmd_sweep, "longrun": cmd_longrun, "diagnose": cmd_diagnose}
+
+
+def _run(subcommand: str, resolved: dict, argv: list[str]) -> int:
+    """Run the subcommand, then write its CSV and manifest to the output directory."""
+    csv_name, header, rows, backends = DISPATCH[subcommand](resolved)
+    out = _get(resolved, "out_dir")
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / csv_name, header, rows)
+    _write_manifest(out, subcommand, resolved, argv, backends)
+    print(f"wrote {out / csv_name} ({len(rows)} rows)")
+    return 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -557,8 +526,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        resolved = _resolve(args)
-        return DISPATCH[args.subcommand](resolved, list(argv))
+        return _run(args.subcommand, _resolve(args), list(argv))
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

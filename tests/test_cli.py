@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from roundtrap import cli
 from roundtrap.cli import (
     DEFAULTS,
+    FLAGS,
+    _get,
     _sweep_config,
     build_parser,
     format_wide,
@@ -22,7 +24,7 @@ from roundtrap.cli import (
 )
 from roundtrap.analysis import consistency_residual
 from roundtrap.experiments import SweepConfig
-from roundtrap.fpcore import PrecisionConfig
+from roundtrap.fpcore import ParameterError, PrecisionConfig
 from roundtrap.oscillator import OscillatorParams
 from roundtrap.schemes import SamplingPlan, Scheme, integrate
 
@@ -185,6 +187,14 @@ class TestSweepCommand:
         assert run_sweep(tmp_path, ("--t-end", "ten")) == 2
 
     def test_defaults_parse_to_library_defaults(self):
+        for defaults in DEFAULTS.values():
+            for key, text in defaults.items():
+                assert text is None or text in (FLAGS[key].choices or (text,))
+                if key in ("threshold", "input"):  # no default: the modes that read them need them
+                    with pytest.raises(ParameterError, match=f"^--{key}: required for ect"):
+                        _get(defaults, key)
+                elif key != "mode":  # positional, always given
+                    _get(defaults, key)
         assert _sweep_config(DEFAULTS["sweep"]) == SweepConfig()
 
 
@@ -333,6 +343,26 @@ class TestResidualMedian:
 
 
 class TestConfigPrecedence:
+    def test_config_numbers_keep_their_text(self, tmp_path, capsys):
+        # a JSON number is read as its text, not rounded to a double
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"a": 0.10000000000000000001, "t_end": 12345678901234567891.5}')
+        assert main(["diagnose", "spectral", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        resolved = json.loads((tmp_path / "manifest.json").read_text())["resolved"]
+        assert (resolved["a"], resolved["t_end"]) == ("0.10000000000000000001", "12345678901234567891.5")
+        from_config = read_csv(tmp_path / "diagnostics.csv")
+        assert main(["diagnose", "spectral", "--a", "0.10000000000000000001",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert read_csv(tmp_path / "diagnostics.csv") == from_config
+        cfg.write_text('{"a": 1E400}')  # beyond binary64, but an exact number
+        assert main(["diagnose", "spectral", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["resolved"]["a"] == "1E400"
+        cfg.write_text('{"a": 1%s}' % ("0" * 5000))  # beyond int()'s digit limit
+        capsys.readouterr()
+        assert main(["diagnose", "spectral", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --a: cannot parse") and "Traceback" not in err
+
     def test_flags_beat_config_beat_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"t_end": "4", "dt_list": "1e-1", "p_ref": "53"}))
@@ -361,6 +391,18 @@ class TestConfigPrecedence:
             "sweep", "--t-end", "1", "--dt-list", "1e-1", "--p-run", "24", "--p-ref", "53",
         ]) == 0
         assert (tmp_path / "from_env" / "sweep.csv").exists()
+
+
+# every (subcommand, key) with allowed values but diagnose's mode, which a
+# config file may not name; the order keeps the earlier cases' test ids
+CONFIG_OUTSIDE_CHOICES = [
+    (["sweep"], "scheme", "rk7"),
+    (["longrun"], "spacing", "cubic"),
+    (["diagnose", "ect"], "series", "E"),
+    (["diagnose", "bound"], "bound_model", "best"),
+    (["longrun"], "scheme", "rk7"),
+    (["diagnose", "spectral"], "scheme", "rk7"),
+]
 
 
 class TestErrorContract:
@@ -396,12 +438,7 @@ class TestErrorContract:
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("argv, key, value", [
-        (["sweep"], "scheme", "rk7"),
-        (["longrun"], "spacing", "cubic"),
-        (["diagnose", "ect"], "series", "E"),
-        (["diagnose", "bound"], "bound_model", "best"),
-    ])
+    @pytest.mark.parametrize("argv, key, value", CONFIG_OUTSIDE_CHOICES)
     def test_config_value_outside_choices_is_usage_error(self, tmp_path, capsys, argv, key, value):
         # argparse checks these flags' values; a config file's go through _resolve
         cfg = tmp_path / "c.json"
@@ -563,3 +600,15 @@ class TestParser:
 
     def test_parser_builds(self):
         build_parser()
+
+    def test_config_choice_cases_cover_the_table(self):
+        table = {(sub, key) for sub, keys in DEFAULTS.items() for key in keys
+                 if FLAGS[key].choices and key != "mode"}
+        assert {(argv[0], key) for argv, key, _ in CONFIG_OUTSIDE_CHOICES} == table
+
+    @pytest.mark.parametrize("sub", sorted(DEFAULTS))
+    def test_help_comes_from_the_table(self, capsys, sub):
+        assert main([sub, "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+        for key in DEFAULTS[sub]:
+            assert " ".join(FLAGS[key].help.split()) in out

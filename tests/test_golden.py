@@ -1,8 +1,11 @@
 """Golden CLI outputs: small fixed configurations whose data columns must not
 change by a single byte.
 
-The files under tests/golden/ were written by the commands below.  A change
-that alters a data column on purpose regenerates them with
+The files under tests/golden/ were written by the commands below, and
+manifests.json holds each command's manifest ``resolved`` block (without
+``out_dir``) and ``backends`` block, which pins the CLI's defaults, their key
+order and the backend of each channel.  A change that alters a data column
+or a manifest block on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -11,6 +14,7 @@ bit-reproducibility guarantee and is not compared.
 """
 
 import csv
+import json
 import sys
 from pathlib import Path
 
@@ -19,6 +23,7 @@ import pytest
 from roundtrap.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+MANIFESTS = GOLDEN_DIR / "manifests.json"
 UNCHECKED_COLUMNS = ("wall_time_s",)
 
 # golden file name -> (argv without --out-dir, CSV the command writes)
@@ -83,6 +88,13 @@ def data_rows(path: Path) -> list[list[str]]:
     return [[row[i] for i in keep] for row in rows]
 
 
+def manifest_blocks(out: Path) -> dict:
+    """The manifest's resolved block without out_dir, and its backends block."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    resolved = {k: v for k, v in manifest["resolved"].items() if k != "out_dir"}
+    return {"resolved": resolved, "backends": manifest["backends"]}
+
+
 def run(name: str, out: Path) -> Path:
     argv, written = GOLDEN[name]
     assert main([*argv, "--out-dir", str(out)]) == 0
@@ -92,13 +104,21 @@ def run(name: str, out: Path) -> Path:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_data_columns_match_golden(name, tmp_path):
     assert data_rows(run(name, tmp_path)) == data_rows(GOLDEN_DIR / name)
+    golden = json.loads(MANIFESTS.read_text())[name]
+    got = manifest_blocks(tmp_path)
+    # list(items()) compares the key order too, which is the manifest's
+    assert {k: list(v.items()) for k, v in got.items()} == {k: list(v.items()) for k, v in golden.items()}
 
 
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN_DIR.mkdir(exist_ok=True)
+    manifests = {}
     for name in GOLDEN:
         with tempfile.TemporaryDirectory() as tmp:
             (GOLDEN_DIR / name).write_bytes(run(name, Path(tmp)).read_bytes())
+            manifests[name] = manifest_blocks(Path(tmp))
             print(f"wrote {GOLDEN_DIR / name}", file=sys.stderr)
+    MANIFESTS.write_text(json.dumps(manifests, indent=2) + "\n")
+    print(f"wrote {MANIFESTS}", file=sys.stderr)
