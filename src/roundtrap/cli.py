@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Three subcommands drive the experiments and diagnostics and emit plot-ready
-CSV files plus a manifest.json recording the fully resolved configuration
-and the backend (binary64 or emulated) of each integrated channel:
+CSV files plus a manifest.json recording the fully resolved configuration,
+the backend (binary64 or emulated) of each integrated channel and, in its
+environment block, whether the compiled midpoint kernels stepped:
 
     roundtrap sweep    [flags]          -> sweep.csv, manifest.json
     roundtrap longrun  [flags]          -> timeseries.csv, manifest.json
@@ -13,8 +14,9 @@ Flag values override a --config JSON file, which overrides built-in defaults
 Numeric flags are parsed as exact decimals, so "0.1" means 1/10, not the
 nearest double.  Error norms are printed with 25 significant digits, enough
 to round-trip the wide-precision value.  Replaying a manifest's resolved
-configuration reproduces every data column bit for bit (wall_time_s and the
-manifest timestamp are excluded from that guarantee).
+configuration reproduces every data column bit for bit (wall_time_s, the
+manifest timestamp and its environment block are excluded from that
+guarantee).
 
 Exit codes: 0 success, 2 usage error (a ParameterError), 3 step-count
 guard, 4 I/O error.
@@ -52,6 +54,7 @@ from .schemes import (
     Scheme,
     StepLimitError,
     channel_backend,
+    compiled_kernels,
     integrate,
     num_steps,
     update_matrix,
@@ -236,6 +239,16 @@ def _flag(key: str) -> str:
     return f"--{key.replace('_', '-')}"
 
 
+_ECHO_CHARS = 40  # how much of an offending value a usage error repeats
+
+
+def _echo(text: str) -> str:
+    """text quoted for a usage error; a longer one cut, with its length."""
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
 def _get(resolved: dict, key: str):
     """The resolved value of key, parsed by its FLAGS entry; a usage error
     names the key's flag.  Subcommands parse only the keys they use."""
@@ -244,8 +257,12 @@ def _get(resolved: dict, key: str):
         return FLAGS[key].parse(text)
     except ParameterError as exc:
         raise ParameterError(f"{_flag(key)}: {exc}") from None
-    except (ValueError, ZeroDivisionError):  # from int() or Fraction()
-        raise ParameterError(f"{_flag(key)}: cannot parse {text!r}") from None
+    except (ValueError, ZeroDivisionError) as exc:  # from int() or Fraction()
+        reason = ""
+        if "integer string conversion" in str(exc):
+            reason = (f": a number of more than {sys.get_int_max_str_digits()} digits"
+                      " (Python's limit on converting text to an integer)")
+        raise ParameterError(f"{_flag(key)}: cannot parse {_echo(text)}{reason}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,7 +304,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             choices = FLAGS[key].choices
             if choices and value not in choices:
                 raise ParameterError(
-                    f"config file {path}: {key} must be one of {', '.join(choices)}, got {value!r}")
+                    f"config file {path}: {key} must be one of {', '.join(choices)}, got {_echo(value)}")
     flags = {k: v for k, v in vars(args).items() if k in defaults and v is not None}
     return {**defaults, **from_file, **flags}  # in DEFAULTS' key order
 
@@ -300,7 +317,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _write_manifest(
-    out: Path, subcommand: str, resolved: dict, argv: list[str], backends: dict
+    out: Path, subcommand: str, resolved: dict, argv: list[str], channels: dict
 ) -> None:
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -309,7 +326,7 @@ def _write_manifest(
         "subcommand": subcommand,
         "command": ["roundtrap", *argv],
         "resolved": resolved,
-        "backends": backends,
+        **channels,
     }
     (out / MANIFEST_JSON).write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -332,13 +349,21 @@ def manifest_argv(manifest: dict, out_dir: Optional[str] = None) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Subcommand implementations: each returns its CSV file name, header and rows
-# and the backend of each channel it integrated; the docstring is its help
+# and the manifest blocks of the channels it integrated; the docstring is its
+# help
 # ---------------------------------------------------------------------------
 
 
-def _backends(**channels: PrecisionConfig) -> dict:
-    """The backend each channel's precision selects, for the manifest."""
-    return {name: channel_backend(cfg.significand_bits) for name, cfg in channels.items()}
+def _channels(scheme: Optional[Scheme] = None, **channels: PrecisionConfig) -> dict:
+    """The manifest's backends block, the backend each channel's precision
+    selects, and its environment block: whether the compiled midpoint
+    kernels step any of the channels.  Finding that out loads the kernels,
+    so a sweep's pool workers inherit them."""
+    ps = [cfg.significand_bits for cfg in channels.values()]
+    return {
+        "backends": {name: channel_backend(p) for name, p in zip(channels, ps)},
+        "environment": {"compiled_kernels": any(compiled_kernels(scheme, p) for p in ps)},
+    }
 
 
 def _warn_off_grid(dt: Fraction, t_end: Fraction, n: int) -> None:
@@ -367,6 +392,7 @@ def _sweep_config(resolved: dict) -> SweepConfig:
 def cmd_sweep(resolved: dict) -> tuple[str, list[str], list, dict]:
     """error vs. step size at fixed final time"""
     cfg = _sweep_config(resolved)
+    channels = _channels(cfg.scheme, run=cfg.run_precision, reference=cfg.ref_precision)
     records = stepsize_sweep(cfg, jobs=_get(resolved, "jobs"))
     for r in records:
         if r.status == STATUS_OK:
@@ -384,19 +410,19 @@ def cmd_sweep(resolved: dict) -> tuple[str, list[str], list, dict]:
         for r in records
     ]
     header = ["dt", "n_steps", "E", "E_t", "E_r", "status", "wall_time_s"]
-    return "sweep.csv", header, rows, _backends(run=cfg.run_precision, reference=cfg.ref_precision)
+    return "sweep.csv", header, rows, channels
 
 
 def cmd_longrun(resolved: dict) -> tuple[str, list[str], list, dict]:
     """error vs. time at fixed step size"""
-    p_run, p_ref = _get(resolved, "p_run"), _get(resolved, "p_ref")
+    scheme, p_run, p_ref = _get(resolved, "scheme"), _get(resolved, "p_run"), _get(resolved, "p_ref")
     dt, t_end = _get(resolved, "dt"), _get(resolved, "t_end")
-    records = longtime_run(_get(resolved, "scheme"), _params(resolved), dt, t_end, p_run, p_ref,
+    records = longtime_run(scheme, _params(resolved), dt, t_end, p_run, p_ref,
                            _get(resolved, "samples"), spacing=_get(resolved, "spacing"),
                            max_steps=_get(resolved, "max_steps"))
     _warn_off_grid(dt, t_end, num_steps(t_end, dt))
     rows = [[format_wide(r.t), format_wide(r.e_round), format_wide(r.e_trunc)] for r in records]
-    return "timeseries.csv", ["t", "E_r", "E_t"], rows, _backends(run=p_run, reference=p_ref)
+    return "timeseries.csv", ["t", "E_r", "E_t"], rows, _channels(scheme, run=p_run, reference=p_ref)
 
 
 def _float_first(x: Fraction) -> tuple[float, Fraction]:
@@ -424,7 +450,7 @@ def _diagnose_rows(resolved: dict) -> tuple[list[tuple[str, str, str]], dict]:
             ("ect", "series", series_name),
             ("ect", "threshold", format_wide(threshold)),
             ("ect", "t", "none" if ect is None else format_wide(ect)),
-        ], {}
+        ], _channels()
     if mode == "os":
         rows = _get(resolved, "input")
         try:
@@ -447,7 +473,7 @@ def _diagnose_rows(resolved: dict) -> tuple[list[tuple[str, str, str]], dict]:
             ("os", "dt", format_wide(best.dt)),
             ("os", "E", format_wide(best.e_total)),
             ("os", "n_steps", str(best.n_steps)),
-        ], {}
+        ], _channels()
 
     scheme, params, dt = _get(resolved, "scheme"), _params(resolved), _get(resolved, "dt")
     if mode == "spectral":
@@ -456,7 +482,7 @@ def _diagnose_rows(resolved: dict) -> tuple[list[tuple[str, str, str]], dict]:
             ("spectral", "det", format_wide(info.det)),
             ("spectral", "eigenvalue_modulus_1", format_wide(info.eigenvalue_moduli[0])),
             ("spectral", "eigenvalue_modulus_2", format_wide(info.eigenvalue_moduli[1])),
-        ], {}
+        ], _channels()
 
     t_end, p_run = _get(resolved, "t_end"), _get(resolved, "p_run")
     n = num_steps(t_end, dt)
@@ -471,15 +497,15 @@ def _diagnose_rows(resolved: dict) -> tuple[list[tuple[str, str, str]], dict]:
             ("bound", "model", bound_mode.value),
             ("bound", "n_steps", str(n)),
             ("bound", "value", text),
-        ], {}
-    backends = _backends(run=p_run)  # drift and residual integrate the run channel
+        ], _channels()
+    channels = _channels(scheme, run=p_run)  # drift and residual integrate the run channel
     if mode == "drift":
         stride = max(1, n // 16)
         traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(stride))
         drift = conservation_drift(traj, params)
         out = [("drift", format_wide(t), format_wide(d)) for t, d in drift]
         out.append(("drift", "max", format_wide(max(d for _, d in drift))))
-        return out, backends
+        return out, channels
     # residual
     if n > 200_000:
         raise ParameterError("residual diagnostics sample every step; keep t-end/dt <= 200000")
@@ -492,15 +518,15 @@ def _diagnose_rows(resolved: dict) -> tuple[list[tuple[str, str, str]], dict]:
         ("residual", "count", str(len(norms))),
         ("residual", "median", format_wide(median)),
         ("residual", "max", format_wide(norms[-1])),
-    ], backends
+    ], channels
 
 
 def cmd_diagnose(resolved: dict) -> tuple[str, list[str], list, dict]:
     """diagnostics over stored results or short runs"""
-    rows, backends = _diagnose_rows(resolved)
+    rows, channels = _diagnose_rows(resolved)
     for kind, key, value in rows:
         print(f"{kind} {key} = {value}")
-    return "diagnostics.csv", ["kind", "key", "value"], rows, backends
+    return "diagnostics.csv", ["kind", "key", "value"], rows, channels
 
 
 DISPATCH = {"sweep": cmd_sweep, "longrun": cmd_longrun, "diagnose": cmd_diagnose}
@@ -508,11 +534,11 @@ DISPATCH = {"sweep": cmd_sweep, "longrun": cmd_longrun, "diagnose": cmd_diagnose
 
 def _run(subcommand: str, resolved: dict, argv: list[str]) -> int:
     """Run the subcommand, then write its CSV and manifest to the output directory."""
-    csv_name, header, rows, backends = DISPATCH[subcommand](resolved)
+    csv_name, header, rows, channels = DISPATCH[subcommand](resolved)
     out = _get(resolved, "out_dir")
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / csv_name, header, rows)
-    _write_manifest(out, subcommand, resolved, argv, backends)
+    _write_manifest(out, subcommand, resolved, argv, channels)
     print(f"wrote {out / csv_name} ({len(rows)} rows)")
     return 0
 

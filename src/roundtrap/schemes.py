@@ -43,6 +43,25 @@ channel whose start state or scheme constants lie outside their windows
 runs in the emulator throughout, as does every other p.  Both backends give
 bit-identical trajectories.
 
+Compiled kernels.  The midpoint scheme, the paper's conservative scheme,
+also has a C twin of its binary64 kernel and a binary128 kernel for
+p = 113 (``_kernels.c``, loaded through ctypes by ``_compiled``).  IEEE
+binary128 has exactly a 113-bit significand, and GCC's ``_Float128`` rounds
+each +, -, * and / once, correctly, to nearest with ties to even: the
+emulator's single rounding, as long as no value leaves the normal range,
+which the same state and constant windows guarantee with a wide margin.
+The library is built with ``-ffp-contract=off``, because GCC would
+otherwise fuse a multiplication and an addition into one FMA, which rounds
+once instead of twice, and without ``-ffast-math``, which would simplify
+the Veltkamp split away.  It is built on first use, not at import, into
+``${XDG_CACHE_HOME:-~/.cache}/roundtrap/``, and used only after 40 steps of
+each kernel reproduce the Python kernels.  When anything fails (no gcc, a
+compile error, an unwritable cache, no ``_Float128``, a wrong answer) the
+channel silently keeps the Python kernels.  The guard and the hand-off to
+the emulator are the same, so ``channel_backend``, the manifest's backends
+and every output bit stay the same; the manifest's environment block
+records whether the compiled kernels stepped.
+
 The emulator runs one fused kernel per scheme (``_FUSED_FN``): each
 advances the raw state k steps in its own loop, rounding with
 ``fpcore._round_raw`` (the midpoint kernel inlines it).  The native kernels
@@ -54,6 +73,7 @@ and division shift depend on p.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -66,7 +86,6 @@ from .fpcore import (
     _HALF,
     _add_raw,
     _div_raw,
-    _float_to_raw,
     _fraction_to_raw,
     _mul_raw,
     _raw_to_fraction,
@@ -399,6 +418,7 @@ BINARY64 = "binary64"
 EMULATED = "emulated"
 
 _STATE_EXP, _CONST_EXP = 400, 64
+_BINARY128_BITS = 113
 _STATE_LO, _STATE_HI = 2.0**-_STATE_EXP, 2.0**_STATE_EXP
 
 
@@ -416,16 +436,19 @@ def _in_window(v: float) -> bool:
     return v == 0.0 or _STATE_LO <= abs(v) <= _STATE_HI
 
 
+def _raw_in_window(raws, exp: int) -> bool:
+    """Whether every nonzero one of the flattened raw pairs lies in
+    [2**-exp, 2**exp), checked on the raw exponent."""
+    return all(not m or -exp <= e + abs(m).bit_length() - 1 < exp for m, e in zip(raws[::2], raws[1::2]))
+
+
 def _native_floats(raws, exp: int):
-    """Flattened raw pairs as floats, or None when a nonzero one lies outside
-    [2**-exp, 2**exp).  The window is checked on the raw exponent, before
-    math.ldexp could overflow or leave the normal range."""
-    out = []
-    for m, e in zip(raws[::2], raws[1::2]):
-        if m and not -exp <= e + abs(m).bit_length() - 1 < exp:
-            return None
-        out.append(math.ldexp(m, e))  # exact: |m| < 2**p <= 2**53
-    return tuple(out)
+    """Flattened raw pairs of at most 53 bits as floats, or None when one
+    lies outside its window, before math.ldexp could overflow or leave the
+    normal range."""
+    if not _raw_in_window(raws, exp):
+        return None
+    return tuple(math.ldexp(m, e) for m, e in zip(raws[::2], raws[1::2]))  # exact
 
 
 def _euler_native(x, y, k, c, C):
@@ -507,6 +530,86 @@ _NATIVE_FN = {
     Scheme.MIDPOINT_IMPLICIT: _midpoint_native,
     Scheme.RK3: _rk3_native,
 }
+
+
+def _python_native(kernel, xy, c, C):
+    """A Python kernel above in the calling convention of ``_native_kernel``."""
+    x, y = xy
+
+    def advance(k):
+        nonlocal x, y
+        done, x, y = kernel(x, y, k, c, C)
+        # from the exact ratio: Fraction(float) takes a slower path to it
+        return done, Fraction(*x.as_integer_ratio()), Fraction(*y.as_integer_ratio())
+
+    return advance
+
+
+def _native_kernel(scheme: Scheme, p: int, st, consts):
+    """The native kernel of a rounded channel from the raw start st: a
+    function k -> (steps done, x, y) that advances the channel up to k steps
+    and returns its last in-range state as Fractions.  None when the channel
+    runs on the emulator throughout: a precision without a native kernel,
+    or a start or constants outside their windows."""
+    compiled = _load_kernels() if _compiled_precision(scheme, p) else None
+    binary64 = channel_backend(p) == BINARY64
+    if not (binary64 or compiled):
+        return None
+    if not (_raw_in_window(st, _STATE_EXP) and _raw_in_window(consts, _CONST_EXP)):
+        return None
+    if not binary64:
+        return compiled.midpoint_b128(st, consts)
+    xy, c, C = _native_floats(st, _STATE_EXP), _native_floats(consts, _CONST_EXP), _split_factor(p)
+    if compiled is not None:
+        return compiled.midpoint_b64(xy, c, C)
+    return _python_native(_NATIVE_FN[scheme], xy, c, C)
+
+
+def _compiled_precision(scheme: Scheme, p: int) -> bool:
+    """Whether the compiled kernels cover the scheme at p bits: the
+    midpoint scheme in binary64 where channel_backend says so, and in
+    binary128 at p = 113."""
+    return scheme is Scheme.MIDPOINT_IMPLICIT and (channel_backend(p) == BINARY64 or p == _BINARY128_BITS)
+
+
+@functools.cache
+def _load_kernels():
+    """The compiled midpoint kernels (a ``_compiled.Kernels``), or None when
+    they cannot be built or loaded or disagree with the Python kernels;
+    looked up once per process, on first use."""
+    from . import _compiled
+
+    kernels = _compiled.load()
+    return kernels if kernels is not None and _known_answers(kernels) else None
+
+
+def compiled_kernels(scheme: Scheme, p: int) -> bool:
+    """Whether a rounded channel of the scheme at p bits steps on the
+    compiled kernels (while its values stay inside the windows)."""
+    return _compiled_precision(scheme, p) and _load_kernels() is not None
+
+
+def _known_answers(kernels) -> bool:
+    """Whether 40 compiled midpoint steps from (1, 0) give the Python
+    kernels' results at p = 10, 24, 53 and 113."""
+    params, dt, k = OscillatorParams(Fraction(1, 10), Fraction(1, 5)), Fraction(3, 100), 40
+    start = (1, 0, 0, 0)
+    try:
+        for p in (10, 24, 53, _BINARY128_BITS):
+            c = _consts(Scheme.MIDPOINT_IMPLICIT, params, dt, p)
+            if p == _BINARY128_BITS:
+                mx, ex, my, ey = _midpoint_fused(start, c, p, k)
+                want = (k, _raw_to_fraction(mx, ex), _raw_to_fraction(my, ey))
+                got = kernels.midpoint_b128(start, c)(k)
+            else:
+                xy, cf, C = (1.0, 0.0), _native_floats(c, _CONST_EXP), _split_factor(p)
+                want = _python_native(_midpoint_native, xy, cf, C)(k)
+                got = kernels.midpoint_b64(xy, cf, C)(k)
+            if got != want:
+                return False
+    except Exception:  # a library that misbehaves is not used
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +752,7 @@ def _channel(scheme: Scheme, params: OscillatorParams, dt: Fraction, cfg, x0, y0
     step indices ``wanted``; returns the (i, State at time i*dt) samples.
 
     cfg=None steps exactly with ``update_matrix``.  A rounded channel rounds
-    the start to p bits, then steps on the native kernel while the range
+    the start to p bits, then steps on a native kernel while the range
     guard holds and on the fused emulator kernel otherwise.  Kernels run the
     steps between two samples in their own loops."""
     native = None
@@ -660,22 +763,20 @@ def _channel(scheme: Scheme, params: OscillatorParams, dt: Fraction, cfg, x0, y0
         p = cfg.significand_bits
         fused, consts = _FUSED_FN[scheme], _consts(scheme, params, dt, p)
         st = (*_fraction_to_raw(x0, p), *_fraction_to_raw(y0, p))
-        xy = _native_floats(st, _STATE_EXP) if channel_backend(p) == BINARY64 else None
-        native = _native_floats(consts, _CONST_EXP) if xy is not None else None
-        if native is not None:
-            (x, y), kernel, C = xy, _NATIVE_FN[scheme], _split_factor(p)
+        native = _native_kernel(scheme, p, st, consts)
     samples = []
     i = 0
     for target in wanted:
         if native is not None:
-            done, x, y = kernel(x, y, target - i, native, C)
-            i += done
-            if i == target:
-                samples.append((i, State(Fraction(x), Fraction(y), i * dt)))
+            done, x, y = native(target - i)
+            if done == target - i:
+                i = target  # the caller's int: a long run keeps no int per sample of its own
+                samples.append((i, State(x, y, i * dt)))
                 continue
+            i += done
             # the guard tripped: the emulator takes over from the last
             # in-range state for the rest of the channel
-            st = (*_float_to_raw(x, p), *_float_to_raw(y, p))
+            st = (*_fraction_to_raw(x, p), *_fraction_to_raw(y, p))
             native = None
         st = fused(st, consts, p, target - i)
         i = target

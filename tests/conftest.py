@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from roundtrap import schemes
 from roundtrap.fpcore import PrecisionConfig
 
 
@@ -49,3 +50,13 @@ def p53():
 @pytest.fixture(scope="session")
 def p113():
     return PrecisionConfig(113)
+
+
+@pytest.fixture
+def compiled():
+    """The compiled midpoint kernels; the test is skipped where they do not
+    build or load (CI fails on ubuntu when they do not)."""
+    kernels = schemes._load_kernels()
+    if kernels is None:
+        pytest.skip("the compiled kernels did not build or load")
+    return kernels

@@ -3,6 +3,7 @@ import csv
 import decimal
 import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -437,6 +438,29 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_long_value_is_cut_with_reason(self, tmp_path, capsys, source):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python converts text of any length to an int")
+        digits = "1" + "0" * 5000
+        argv = ["diagnose", "spectral", "--out-dir", str(tmp_path)]
+        if source == "flag":
+            argv += ["--a", digits]
+        else:
+            (tmp_path / "c.json").write_text('{"a": %s}' % digits)
+            argv += ["--config", str(tmp_path / "c.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --a: cannot parse '10000") and "(5001 characters)" in err
+        assert len(err) < 300 and err.count("\n") == 1
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+    def test_long_config_choice_is_cut(self, tmp_path, capsys):
+        (tmp_path / "c.json").write_text(json.dumps({"scheme": "x" * 5000}))
+        assert main(["sweep", "--config", str(tmp_path / "c.json"), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "got 'xxxx" in err and "(5000 characters)" in err and len(err) < 300
 
     @pytest.mark.parametrize("argv, key, value", CONFIG_OUTSIDE_CHOICES)
     def test_config_value_outside_choices_is_usage_error(self, tmp_path, capsys, argv, key, value):

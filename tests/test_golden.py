@@ -4,7 +4,8 @@ change by a single byte.
 The files under tests/golden/ were written by the commands below, and
 manifests.json holds each command's manifest ``resolved`` block (without
 ``out_dir``) and ``backends`` block, which pins the CLI's defaults, their key
-order and the backend of each channel.  A change that alters a data column
+order and the backend of each channel.  The midpoint runs are checked with
+the compiled kernels and again with the Python kernels.  A change that alters a data column
 or a manifest block on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from roundtrap import schemes
 from roundtrap.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -108,6 +110,19 @@ def test_data_columns_match_golden(name, tmp_path):
     got = manifest_blocks(tmp_path)
     # list(items()) compares the key order too, which is the manifest's
     assert {k: list(v.items()) for k, v in got.items()} == {k: list(v.items()) for k, v in golden.items()}
+
+
+# the golden runs that step the midpoint scheme, which has compiled kernels
+MIDPOINT_GOLDEN = ("sweep.csv", "timeseries.csv", "diagnostics_residual_midpoint.csv")
+
+
+@pytest.mark.parametrize("name", MIDPOINT_GOLDEN)
+def test_python_kernels_match_golden(name, tmp_path, monkeypatch):
+    # the same files with the compiled kernels switched off, so that both
+    # paths stay pinned
+    monkeypatch.setattr(schemes, "_load_kernels", lambda: None)
+    assert data_rows(run(name, tmp_path)) == data_rows(GOLDEN_DIR / name)
+    assert json.loads((tmp_path / "manifest.json").read_text())["environment"] == {"compiled_kernels": False}
 
 
 if __name__ == "__main__":

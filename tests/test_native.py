@@ -1,6 +1,9 @@
-"""The native binary64 backend against the emulator, which stays the oracle:
-every native trajectory must equal the emulated one bit for bit, including
-runs that leave the guarded range and hand off to the emulator."""
+"""The native backends against the emulator, which stays the oracle: every
+native trajectory must equal the emulated one bit for bit, including runs
+that leave the guarded range and hand off to the emulator.  The native
+kernels are the Python binary64 kernels and, for the midpoint scheme, the
+compiled binary64 and binary128 kernels, which must also equal the Python
+kernels."""
 
 import csv
 import math
@@ -32,6 +35,7 @@ PAIRS = (
     ("0.025", "0.8"), ("0.8", "0.025"), ("3", "7"),
 )
 NATIVE_PS = (2, 10, 24, 25, 53)
+COMPILED_PS = (*NATIVE_PS, 113)
 SAMPLINGS = {
     "stride": SamplingPlan.every(7),
     "explicit": SamplingPlan.at((0, 1, 2, 33, 99, 149)),
@@ -43,6 +47,18 @@ def emulated(fn, *args, **kwargs):
     """Call fn with every channel forced onto the emulator."""
     mp = pytest.MonkeyPatch()
     mp.setattr(schemes, "channel_backend", lambda p: EMULATED)
+    mp.setattr(schemes, "_load_kernels", lambda: None)
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        mp.undo()
+
+
+def python_kernels(fn, *args, **kwargs):
+    """Call fn with the compiled kernels switched off: the Python kernels
+    step where they would have."""
+    mp = pytest.MonkeyPatch()
+    mp.setattr(schemes, "_load_kernels", lambda: None)
     try:
         return fn(*args, **kwargs)
     finally:
@@ -219,6 +235,99 @@ class TestGuardAndHandOff:
             assert abs(m).bit_length() <= p and math.ldexp(m, e) == v
 
 
+class TestCompiledMidpoint:
+    """The compiled midpoint kernels against the emulator and the Python
+    kernels.  At p = 113 the emulator is the only other path."""
+
+    M = Scheme.MIDPOINT_IMPLICIT
+
+    @pytest.mark.parametrize("sampling", SAMPLINGS)
+    @pytest.mark.parametrize("p", COMPILED_PS)
+    def test_bit_identical(self, compiled, p, sampling):
+        for a, b in PAIRS:
+            params = OscillatorParams(Fraction(a), Fraction(b))
+            args = (self.M, params, Fraction("0.03"), Fraction("4.5"), PrecisionConfig(p), SAMPLINGS[sampling])
+            got = integrate(*args).samples
+            assert got == emulated(integrate, *args).samples, (a, b)
+            assert got == python_kernels(integrate, *args).samples, (a, b)
+
+    @pytest.mark.parametrize("p", COMPILED_PS)
+    def test_step_bit_identical(self, compiled, p):
+        cfg, dt, t = PrecisionConfig(p), Fraction("0.03"), Fraction(1, 3)
+        for a, b in PAIRS:
+            params = OscillatorParams(Fraction(a), Fraction(b))
+            for x, y in IN_WINDOW_STARTS + OUT_OF_WINDOW_STARTS:
+                got = step(self.M, params, State(x, y, t), dt, cfg)
+                assert got == emulated(step, self.M, params, State(x, y, t), dt, cfg), (a, b, x, y)
+                assert got == python_kernels(step, self.M, params, State(x, y, t), dt, cfg), (a, b, x, y)
+
+    # Starts whose orbit leaves the state window about a quarter period
+    # (370 steps) in: y's amplitude is sqrt(b/a) = 5.66 times x's, so from
+    # x = 2**398 it passes 2**400; with a and b swapped, x falls from
+    # 2**-395 and crosses zero in steps of about 2**-403.
+    HAND_OFFS = (
+        (("0.025", "0.8"), Fraction(2**398), Fraction(0)),
+        (("0.8", "0.025"), Fraction(1, 2**395), Fraction(1, 2**397)),
+    )
+
+    @pytest.mark.parametrize("p", (10, 24, 53, 113))  # p=2 distorts the orbits too much
+    def test_guard_trips_mid_run_and_hands_off(self, compiled, monkeypatch, p):
+        emulator_steps = []
+
+        def counted(st, c, q, k):
+            emulator_steps.append(k)
+            return schemes._midpoint_fused(st, c, q, k)
+
+        wanted = (0, 1, 7, 40, 200, 300, 350, 400, 600)
+        for (a, b), x0, y0 in self.HAND_OFFS:
+            params = OscillatorParams(Fraction(a), Fraction(b))
+            args = (self.M, params, Fraction("0.03"), PrecisionConfig(p), x0, y0, wanted)
+            emulator_steps.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(schemes, "_FUSED_FN", {self.M: counted})
+                got = schemes._channel(*args)
+            assert 0 < sum(emulator_steps) < wanted[-1], (a, b)  # both backends stepped
+            assert got == emulated(schemes._channel, *args), (a, b)
+            if p != 113:
+                assert got == python_kernels(schemes._channel, *args), (a, b)
+
+    @pytest.mark.parametrize("p", (24, 113))
+    def test_out_of_range_constants(self, compiled, monkeypatch, p):
+        def forbidden(*args):
+            raise AssertionError("compiled kernel called")
+
+        monkeypatch.setattr(type(compiled), "midpoint_b64", forbidden)
+        monkeypatch.setattr(type(compiled), "midpoint_b128", forbidden)
+        params = OscillatorParams(Fraction(1, 2**300), Fraction(2**290))
+        assert_same_as_emulator(
+            self.M, params, Fraction("0.01"), 1, PrecisionConfig(p), SamplingPlan.every(9)
+        )
+
+    def test_native_paths_skip_emulator(self, compiled, monkeypatch):
+        def forbidden(st, c, p, k):
+            raise AssertionError("emulator kernel called")
+
+        monkeypatch.setattr(schemes, "_FUSED_FN", dict.fromkeys(Scheme, forbidden))
+        args = (self.M, OscillatorParams(), Fraction("0.01"), 1)
+        for p in COMPILED_PS:
+            integrate(*args, PrecisionConfig(p))
+        for p in NATIVE_PS:
+            python_kernels(integrate, *args, PrecisionConfig(p))
+        with pytest.raises(AssertionError, match="emulator kernel"):
+            python_kernels(integrate, *args, PrecisionConfig(113))
+
+    def test_known_answers_refuse_a_wrong_kernel(self, compiled, monkeypatch):
+        right = type(compiled).midpoint_b128
+
+        def off_by_one_step(self, st, c):
+            advance = right(self, st, c)
+            return lambda k: advance(k + 1)
+
+        assert schemes._known_answers(compiled)
+        monkeypatch.setattr(type(compiled), "midpoint_b128", off_by_one_step)
+        assert not schemes._known_answers(compiled)
+
+
 def _data_columns(path):
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
@@ -232,7 +341,9 @@ def _data_columns(path):
     (["diagnose", "residual", "--scheme", "rk3", "--dt", "1e-2", "--t-end", "1"], "diagnostics.csv"),
 ])
 def test_cli_outputs_identical_under_both_backends(tmp_path, argv, name):
-    native, emu = tmp_path / "native", tmp_path / "emulated"
+    native, emu, python = tmp_path / "native", tmp_path / "emulated", tmp_path / "python"
     assert main([*argv, "--out-dir", str(native)]) == 0
     assert emulated(main, [*argv, "--out-dir", str(emu)]) == 0
+    assert python_kernels(main, [*argv, "--out-dir", str(python)]) == 0
     assert _data_columns(native / name) == _data_columns(emu / name)
+    assert _data_columns(native / name) == _data_columns(python / name)
