@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -127,6 +126,9 @@ def stepsize_sweep(cfg: SweepConfig, jobs: Optional[int] = None) -> list[SweepRe
         jobs = 1
     if jobs <= 1 or len(dts) == 1:
         return [_sweep_leg(cfg, dt) for dt in dts]
+    # imported here: it loads multiprocessing, which a one-process run need not pay for
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(jobs, len(dts), os.cpu_count() or 1)
     # longest leg first, so it never queues behind short ones
     longest_first = sorted(dts, key=lambda dt: num_steps(cfg.t_end, dt), reverse=True)

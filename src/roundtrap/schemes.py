@@ -438,8 +438,10 @@ def _in_window(v: float) -> bool:
 
 def _raw_in_window(raws, exp: int) -> bool:
     """Whether every nonzero one of the flattened raw pairs lies in
-    [2**-exp, 2**exp), checked on the raw exponent."""
-    return all(not m or -exp <= e + abs(m).bit_length() - 1 < exp for m, e in zip(raws[::2], raws[1::2]))
+    [2**-exp, 2**exp], the window of _in_window: for m * 2**e that is
+    floor(log2|v|) >= -exp and ceil(log2|v|) <= exp."""
+    return all(not m or -exp <= e + abs(m).bit_length() - 1 and e + (abs(m) - 1).bit_length() <= exp
+               for m, e in zip(raws[::2], raws[1::2]))
 
 
 def _native_floats(raws, exp: int):

@@ -26,6 +26,15 @@ def decimal_sqrt(x: Fraction, digits: int = 60) -> Fraction:
     return Fraction(d)
 
 
+def mpf_to_fraction(x) -> Fraction:
+    """Exact rational value of a finite mpmath float."""
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        raise ValueError("non-finite value has no rational representation")
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
 def rel_diff(a: Fraction, b: Fraction) -> Fraction:
     if b == 0:
         return abs(a)

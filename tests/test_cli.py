@@ -3,6 +3,8 @@ import csv
 import decimal
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -636,3 +638,12 @@ class TestParser:
         out = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
         for key in DEFAULTS[sub]:
             assert " ".join(FLAGS[key].help.split()) in out
+
+
+def test_import_loads_neither_the_pool_nor_mpmath():
+    # the process pool is imported only by a sweep that uses it, and the
+    # wide layer needs no mpmath
+    code = "import sys, roundtrap.cli; print(*(m in sys.modules for m in ('multiprocessing', 'mpmath')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]

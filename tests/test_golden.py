@@ -16,6 +16,8 @@ bit-reproducibility guarantee and is not compared.
 
 import csv
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -123,6 +125,17 @@ def test_python_kernels_match_golden(name, tmp_path, monkeypatch):
     monkeypatch.setattr(schemes, "_load_kernels", lambda: None)
     assert data_rows(run(name, tmp_path)) == data_rows(GOLDEN_DIR / name)
     assert json.loads((tmp_path / "manifest.json").read_text())["environment"] == {"compiled_kernels": False}
+
+
+def test_runtime_without_mpmath(tmp_path):
+    # the CLI needs nothing outside the standard library: with mpmath made
+    # unimportable, the golden longrun writes the same bytes
+    argv, written = GOLDEN["timeseries.csv"]
+    code = ("import sys; sys.modules['mpmath'] = None; from roundtrap.cli import main; "
+            f"sys.exit(main({[*argv, '--out-dir', str(tmp_path)]!r}))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    assert (tmp_path / written).read_bytes() == (GOLDEN_DIR / "timeseries.csv").read_bytes()
 
 
 if __name__ == "__main__":

@@ -106,9 +106,9 @@ IN_WINDOW_STARTS = (
     (Fraction(-3, 7), Fraction(5, 11)),
     (Fraction(0), Fraction(0)),
     (Fraction(1, 2**400), Fraction(0)),  # y leaves the window: the guard trips
+    (Fraction(2**400), Fraction(1)),  # on the window's edge
 )
 OUT_OF_WINDOW_STARTS = (
-    (Fraction(2**400), Fraction(1)),
     (Fraction(2**450), Fraction(-3 * 2**449)),
     (Fraction(1, 2**450), Fraction(-1, 3 * 2**440)),
     (Fraction(2**1100), Fraction(-3 * 2**1100)),
@@ -144,8 +144,18 @@ def test_step_backend_follows_start_window(monkeypatch):
         step(Scheme.RK3, OscillatorParams(), State(x, y, 0), Fraction("0.03"), PrecisionConfig(24))
         return len(calls)
 
-    assert [emulator_steps(x, y) for x, y in IN_WINDOW_STARTS] == [0, 0, 0, 1]
+    assert [emulator_steps(x, y) for x, y in IN_WINDOW_STARTS] == [0, 0, 0, 1, 0]
     assert [emulator_steps(x, y) for x, y in OUT_OF_WINDOW_STARTS] == [1] * len(OUT_OF_WINDOW_STARTS)
+
+
+def test_one_window_for_starts_and_steps():
+    # the start check on raw pairs and the per-step guard on floats agree,
+    # both ends included
+    after_top = math.nextafter(2.0**400, math.inf)
+    for v, inside in ((2.0**400, True), (-(2.0**400), True), (2.0**-400, True), (-(2.0**-400), True),
+                      (after_top, False), (-after_top, False), (2.0**-401, False), (0.0, True)):
+        assert schemes._raw_in_window(_float_to_raw(v, 53), schemes._STATE_EXP) is inside, v
+        assert schemes._in_window(v) is inside, v
 
 
 def veltkamp(v, p):

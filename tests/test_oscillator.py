@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import mpf_to_fraction
 from roundtrap import _wide
 from roundtrap.oscillator import (
     INITIAL_STATE,
@@ -92,7 +93,7 @@ class TestAnalyticSolution:
 
         # t = pi / sqrt(ab), built from the wide value of pi
         with mpmath.workprec(_wide.WIDE_PREC_BITS):
-            t = _wide.mpf_to_fraction(mpmath.pi) / PARAMS.angular_frequency()
+            t = mpf_to_fraction(mpmath.pi) / PARAMS.angular_frequency()
         s = analytic_solution(PARAMS, t)
         assert abs(s.x - (-1)) < TRIG_TOL
         assert abs(s.y) < TRIG_TOL
@@ -109,7 +110,7 @@ class TestAnalyticSolution:
         import mpmath
 
         with mpmath.workprec(_wide.WIDE_PREC_BITS):
-            period = 2 * _wide.mpf_to_fraction(mpmath.pi) / PARAMS.angular_frequency()
+            period = 2 * mpf_to_fraction(mpmath.pi) / PARAMS.angular_frequency()
         s1 = analytic_solution(PARAMS, Fraction(7, 2))
         s2 = analytic_solution(PARAMS, Fraction(7, 2) + period)
         assert abs(s1.x - s2.x) < TRIG_TOL

@@ -1,10 +1,13 @@
-"""The wide layer against its two earlier implementations.
+"""The wide layer against its earlier implementations and against a
+correctly rounded cosine and sine.
 
-The oracle functions below are the wide layer as it was written, first on
-mpmath's ``mpf`` objects inside ``workprec``, then on mpmath's raw ``libmp``
-kernels.  The implementation on fpcore's kernels must give the same
-Fraction, bit for bit, on every input: any difference would change the
-CLI's data columns.
+The square-root and norm oracles below are the wide layer as it was
+written, first on mpmath's ``mpf`` objects inside ``workprec``, then on
+mpmath's raw ``libmp`` kernels.  The implementation on fpcore's kernels
+must give the same Fraction, bit for bit, on every input: any difference
+would change the CLI's data columns.  The cosine and sine oracle evaluates
+mpmath at 1200 + log2|x| bits and rounds once to 240 bits, so it is
+correctly rounded; mpmath at 240 bits is not (see ``MISROUNDED_PHASES``).
 """
 
 import math
@@ -15,8 +18,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_sqrt
+from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin, mpf_div, mpf_sqrt
 
+from conftest import mpf_to_fraction
 from roundtrap import _wide, fpcore
 from roundtrap.analysis import ErrorVec, error_separation
 from roundtrap.oscillator import INITIAL_STATE, OscillatorParams, State, analytic_solution
@@ -40,7 +44,7 @@ def oracle_sqrt(x: Fraction) -> Fraction:
     if n * n == x.numerator and d * d == x.denominator:
         return Fraction(n, d)
     with mpmath.workprec(_wide.WIDE_PREC_BITS):
-        return _wide.mpf_to_fraction(mpmath.sqrt(oracle_to_mpf(x)))
+        return mpf_to_fraction(mpmath.sqrt(oracle_to_mpf(x)))
 
 
 def oracle_norm2(x: Fraction, y: Fraction) -> Fraction:
@@ -48,9 +52,14 @@ def oracle_norm2(x: Fraction, y: Fraction) -> Fraction:
 
 
 def oracle_cos_sin(x: Fraction) -> tuple[Fraction, Fraction]:
-    with mpmath.workprec(_wide.WIDE_PREC_BITS):
-        mx = oracle_to_mpf(x)
-        return _wide.mpf_to_fraction(mpmath.cos(mx)), _wide.mpf_to_fraction(mpmath.sin(mx))
+    """cos and sin of x's wide value, correctly rounded at 240 bits: mpmath
+    at 1200 + log2|x| bits, rounded once."""
+    m, e = _wide._to_raw(x.numerator, x.denominator)
+    prec = 1200 + max(e + abs(m).bit_length(), 0)
+    c, s = ((-int(man) if sign else int(man), exp)
+            for sign, man, exp, _ in mpf_cos_sin(from_man_exp(m, e), prec, "n"))
+    return (fpcore._raw_to_fraction(*fpcore._round_raw(*c, _wide.WIDE_PREC_BITS)),
+            fpcore._raw_to_fraction(*fpcore._round_raw(*s, _wide.WIDE_PREC_BITS)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +328,26 @@ class TestSqrt:
             _wide.wide_sqrt(Fraction(-1, 3))
 
 
+def pi_multiple(k: int) -> Fraction:
+    """k pi/2 rounded to 240 bits: its cosine or sine is about 2**-240 k."""
+    with mpmath.workprec(1500):
+        _, man, exp, _ = (mpmath.pi * k / 2)._mpf_
+    return fpcore._raw_to_fraction(*fpcore._round_raw(int(man), exp, _wide.WIDE_PREC_BITS))
+
+
+# longrun phases w t, w = sqrt(1/50) as the wide layer holds it, whose sine
+# mpmath at 240 bits rounds to the wrong neighbour (found among the 10**4
+# distinct phases of the golden argvs and the longrun-dense workload)
+OMEGA = OscillatorParams(Fraction("0.1"), Fraction("0.2")).angular_frequency()
+MISROUNDED_PHASES = tuple(OMEGA * Fraction(t) for t in ("2", "3.96", "6.54", "6.56"))
+HARD_ARGUMENTS = (
+    Fraction(1, 1 << 1000), Fraction(3, 1 << 5000),  # sin x = x and cos x = 1 after rounding
+    Fraction((1 << 1000) + 1), Fraction(10**4000),  # reduced by pi/2 at over 1000 bits
+    *(pi_multiple(k) for k in (1, 2, 3, 1001, 10**6 + 1, 10**12 + 3)),  # a result near 0
+    *MISROUNDED_PHASES,
+)
+
+
 class TestCosSin:
     @given(x=rationals)
     @settings(max_examples=300)
@@ -330,17 +359,41 @@ class TestCosSin:
     def test_edge_arguments(self, x):
         assert _wide.wide_cos_sin(x) == oracle_cos_sin(x)
 
+    @pytest.mark.parametrize("x", HARD_ARGUMENTS)
+    def test_hard_arguments(self, x):
+        c, s = oracle_cos_sin(x)
+        assert _wide.wide_cos_sin(x) == (c, s)
+        assert _wide.wide_cos_sin(-x) == (c, -s)
+
+    def test_retry(self, monkeypatch):
+        # with 2 guard bits the first attempt cannot decide the rounding, so
+        # the kernel reruns with 4, 8, ... guard bits, asking for a wider pi
+        widths = []
+        pi = _wide._pi
+
+        def counted(bits):
+            widths.append(bits)
+            return pi(bits)
+
+        monkeypatch.setattr(_wide, "_GUARD_BITS", 2)
+        monkeypatch.setattr(_wide, "_pi", counted)
+        rng = random.Random(12)
+        xs = [*HARD_ARGUMENTS, *(Fraction(random_bits(rng.getrandbits(32), 240, 1), 1 << 238) for _ in range(50))]
+        for x in xs:
+            assert _wide.wide_cos_sin(x) == oracle_cos_sin(x)
+        assert len(widths) > 2 * len(xs)
+
 
 class TestMpfToFraction:
     @pytest.mark.parametrize("x", [mpmath.inf, -mpmath.inf, mpmath.nan])
     def test_non_finite_rejected(self, x):
         with pytest.raises(ValueError):
-            _wide.mpf_to_fraction(x)
+            mpf_to_fraction(x)
 
     def test_finite_values(self):
-        assert _wide.mpf_to_fraction(mpmath.mpf(0)) == 0
-        assert _wide.mpf_to_fraction(mpmath.mpf(-0.375)) == Fraction(-3, 8)
-        assert _wide.mpf_to_fraction(mpmath.mpf(3) * 2**70) == 3 << 70
+        assert mpf_to_fraction(mpmath.mpf(0)) == 0
+        assert mpf_to_fraction(mpmath.mpf(-0.375)) == Fraction(-3, 8)
+        assert mpf_to_fraction(mpmath.mpf(3) * 2**70) == 3 << 70
 
 
 # ---------------------------------------------------------------------------
