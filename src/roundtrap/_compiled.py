@@ -20,7 +20,7 @@ import zlib
 from fractions import Fraction
 from typing import Optional
 
-from .fpcore import _raw_to_fraction
+from .fpcore import _fraction, _raw_to_fraction
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 CC = "gcc"
@@ -105,7 +105,7 @@ class Kernels:
 
         def advance(k):
             done = fn(st_p, c_p, k if k < _MAX_K else _MAX_K, C)
-            return done, Fraction(*st[0].as_integer_ratio()), Fraction(*st[1].as_integer_ratio())
+            return done, _fraction(*st[0].as_integer_ratio()), _fraction(*st[1].as_integer_ratio())
 
         advance.buffers = st, consts  # kept alive with the function
         return advance

@@ -66,14 +66,9 @@ def wide_sqrt(x: Fraction) -> Fraction:
 
 
 def align(*xs: Fraction) -> tuple[list[int], int]:
-    """Numerators of the rationals ``xs`` over one common denominator, and
-    that denominator: the largest one when all are powers of two (the
-    numerators are shifted), their lcm otherwise."""
+    """Numerators of the rationals ``xs`` over their denominators' lcm, and
+    that lcm (the largest denominator when all are powers of two)."""
     dens = [x.denominator for x in xs]
-    if not any(d & (d - 1) for d in dens):
-        q = max(dens)
-        k = q.bit_length()
-        return [x.numerator << (k - d.bit_length()) for x, d in zip(xs, dens)], q
     q = math.lcm(*dens)
     return [x.numerator * (q // d) for x, d in zip(xs, dens)], q
 
@@ -85,7 +80,8 @@ def wide_norm2(u, v, den: int = 1) -> Fraction:
 
     With n = u**2 + v**2 the sum is n/den**2.  den**2 is a square, so the
     sum is a rational square exactly when n is one; otherwise n/den**2 goes
-    to the wide format in lowest terms (a dyadic sum is rounded once)."""
+    to the wide format in lowest terms: a dyadic sum n * 2**-2k is rounded
+    once, by ``_round_raw``."""
     if type(u) is not int or type(v) is not int:
         (u, v), q = align(u, v)
         den *= q
@@ -93,11 +89,12 @@ def wide_norm2(u, v, den: int = 1) -> Fraction:
     r = math.isqrt(n)
     if r * r == n:
         return Fraction(r, den)
-    d = den * den
     if den & (den - 1):  # not a power of two: reduce before the conversion
+        d = den * den
         g = math.gcd(n, d)
-        n, d = n // g, d // g
-    return _sqrt_ratio(n, d)
+        return _sqrt_ratio(n // g, d // g)
+    raw = _round_raw(n, 2 - 2 * den.bit_length(), WIDE_PREC_BITS)
+    return _raw_to_fraction(*_sqrt_raw(*raw, WIDE_PREC_BITS))
 
 
 def _pi(bits: int) -> int:

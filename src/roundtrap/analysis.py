@@ -55,8 +55,17 @@ class ErrorVec:
     def norm(self) -> Fraction:
         if self._norm is None:
             a, b = self._a, self._b
-            (ax, ay, bx, by), den = _wide.align(a.x, a.y, b.x, b.y)
-            self._norm = _wide.wide_norm2(ax - bx, ay - by, den)
+            ax, ay, bx, by = a.x, a.y, b.x, b.y
+            dax, day, dbx, dby = ax.denominator, ay.denominator, bx.denominator, by.denominator
+            if (dax & (dax - 1)) | (day & (day - 1)) | (dbx & (dbx - 1)) | (dby & (dby - 1)):
+                (nax, nay, nbx, nby), den = _wide.align(ax, ay, bx, by)
+                u, v = nax - nbx, nay - nby
+            else:  # all powers of two: shift each numerator to the largest one
+                k = max(dax, day, dbx, dby).bit_length()
+                u = (ax.numerator << (k - dax.bit_length())) - (bx.numerator << (k - dbx.bit_length()))
+                v = (ay.numerator << (k - day.bit_length())) - (by.numerator << (k - dby.bit_length()))
+                den = 1 << (k - 1)
+            self._norm = _wide.wide_norm2(u, v, den)
         return self._norm
 
     def __eq__(self, other):

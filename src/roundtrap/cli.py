@@ -83,9 +83,11 @@ def format_wide(x: Optional[Fraction], digits: int = 25) -> str:
     Decimal conversions take quadratic time)."""
     if x is None:
         return "nan"
-    if x == 0:
+    num, den = x.numerator, x.denominator
+    if not num:
         return "0"
-    num, den = abs(x.numerator), x.denominator
+    sign = "-" if num < 0 else ""
+    num = abs(num)
     low, high = 10 ** (digits - 1), 10**digits
     # q = num/den / 10**e in [low, high), from an estimate of e; then round
     # q half to even, and drop an exact result's trailing zeros down to units
@@ -103,10 +105,11 @@ def format_wide(x: Optional[Fraction], digits: int = 25) -> str:
         q += 1
         if q == high:
             q, e = low, e + 1
-    elif not r:
-        while e < 0 and q % 10 == 0:
-            q, e = q // 10, e + 1
-    return str(decimal.Decimal(f"{'-' if x < 0 else ''}{q}E{e}"))  # decimal's layout
+    text = str(q)
+    if not r and e < 0:
+        kept = max(len(text.rstrip("0")), len(text) + e)
+        text, e = text[:kept], e + len(text) - kept
+    return str(decimal.Decimal(f"{sign}{text}E{e}"))  # decimal's layout
 
 
 def parse_wide(text: str) -> Optional[Fraction]:

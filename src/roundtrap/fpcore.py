@@ -195,8 +195,25 @@ def _float_to_raw(v: float, p: int) -> tuple[int, int]:
     return _round_raw(num, 1 - den.bit_length(), p)
 
 
-def _raw_to_fraction(m: int, e: int) -> Fraction:
-    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+_new = object.__new__
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """n/d as a Fraction, for coprime n and d > 0: the object Fraction(n, d)
+    makes, without its type checks and gcd (Python 3.12's
+    Fraction._from_coprime_ints, which 3.10 and 3.11 lack)."""
+    f = _new(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
+
+
+def _raw_to_fraction(m: int, e: int, d: int = 1) -> Fraction:
+    """m/d * 2**e as a Fraction, for an odd d > 0 coprime to m: m's
+    trailing zeros cancel against 2**-e, so no gcd is needed."""
+    if e >= 0:
+        return _fraction(m << e, d)
+    z = min((m & -m).bit_length() - 1, -e) if m else -e
+    return _fraction(m >> z, d << (-e - z))
 
 
 def _canonical(m: int, e: int) -> RValue:

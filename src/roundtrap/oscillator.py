@@ -12,12 +12,13 @@ exact, while float inputs are taken at their exact binary value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import _wide
-from .fpcore import ParameterError
+from .fpcore import ParameterError, _raw_to_fraction
 
 ANALYTIC_PREC_BITS = _wide.WIDE_PREC_BITS
 
@@ -67,9 +68,10 @@ class State:
     t: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _as_fraction(self.x))
-        object.__setattr__(self, "y", _as_fraction(self.y))
-        object.__setattr__(self, "t", _as_fraction(self.t))
+        if not type(self.x) is type(self.y) is type(self.t) is Fraction:
+            object.__setattr__(self, "x", _as_fraction(self.x))
+            object.__setattr__(self, "y", _as_fraction(self.y))
+            object.__setattr__(self, "t", _as_fraction(self.t))
 
 
 INITIAL_STATE = State(Fraction(1), Fraction(0), Fraction(0))
@@ -80,20 +82,47 @@ def rhs(params: OscillatorParams, s: State) -> tuple[Fraction, Fraction]:
     return -params.a * s.y, params.b * s.x
 
 
+def _odd_parts(q: Fraction) -> tuple[int, int, int]:
+    """(n, d, e) with q = n/d * 2**e and n, d odd, for q != 0."""
+    n, d = q.numerator, q.denominator
+    zn, zd = (n & -n).bit_length() - 1, (d & -d).bit_length() - 1
+    return n >> zn, d >> zd, zn - zd
+
+
+def _times(n1: int, d1: int, e1: int, n2: int, d2: int, e2: int) -> Fraction:
+    """The product of two rationals given by ``_odd_parts``: only their odd
+    parts can share factors, and those gcds are cheap when one side is
+    small, as a time's and a dyadic value's odd denominators are."""
+    g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+    return _raw_to_fraction((n1 // g1) * (n2 // g2), e1 + e2, (d1 // g2) * (d2 // g1))
+
+
+# (params, the odd parts of its orbit constants): a one-entry cache of a pure
+# function of the params, held with a reference so the identity stays theirs
+_analytic_memo = (None, ())
+
+
 def analytic_solution(params: OscillatorParams, t) -> State:
     """Closed-form solution x = cos(w*t), y = sqrt(b/a)*sin(w*t), w = sqrt(a*b).
 
     Evaluated at ANALYTIC_PREC_BITS (240) so its own trig error stays below
     2**-230 relative, regardless of any run precision it is compared against.
+    The products w*t and sqrt(b/a)*sin are formed on integers; the last
+    params' constants are kept by identity, so a run does not hash its
+    params once per sample.
     """
+    global _analytic_memo
     t = _as_fraction(t)
-    if t < 0:
-        raise ParameterError("analytic solution is defined for t >= 0")
-    if t == 0:
+    if t.numerator <= 0:
+        if t.numerator:
+            raise ParameterError("analytic solution is defined for t >= 0")
         return INITIAL_STATE
-    omega, amp = _orbit_constants(params)
-    c, s = _wide.wide_cos_sin(omega * t)
-    return State(c, amp * s, t)
+    memo = _analytic_memo
+    if memo[0] is not params:
+        memo = _analytic_memo = params, tuple(map(_odd_parts, _orbit_constants(params)))
+    omega, amp = memo[1]
+    c, s = _wide.wide_cos_sin(_times(*omega, *_odd_parts(t)))
+    return State(c, _times(*amp, *_odd_parts(s)), t)  # s != 0: a nonzero rational phase
 
 
 def invariant_value(params: OscillatorParams, s: State) -> Fraction:

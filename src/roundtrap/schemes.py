@@ -86,6 +86,7 @@ from .fpcore import (
     _HALF,
     _add_raw,
     _div_raw,
+    _fraction,
     _fraction_to_raw,
     _mul_raw,
     _raw_to_fraction,
@@ -541,8 +542,8 @@ def _python_native(kernel, xy, c, C):
     def advance(k):
         nonlocal x, y
         done, x, y = kernel(x, y, k, c, C)
-        # from the exact ratio: Fraction(float) takes a slower path to it
-        return done, Fraction(*x.as_integer_ratio()), Fraction(*y.as_integer_ratio())
+        # from the exact ratio, which is in lowest terms
+        return done, _fraction(*x.as_integer_ratio()), _fraction(*y.as_integer_ratio())
 
     return advance
 
@@ -757,6 +758,12 @@ def _channel(scheme: Scheme, params: OscillatorParams, dt: Fraction, cfg, x0, y0
     the start to p bits, then steps on a native kernel while the range
     guard holds and on the fused emulator kernel otherwise.  Kernels run the
     steps between two samples in their own loops."""
+    gcd, dn, dd = math.gcd, dt.numerator, dt.denominator
+
+    def sample(i, x, y):  # (i, State at i*dt), the time in lowest terms without a Fraction product
+        g = gcd(i, dd)
+        return i, State(x, y, _fraction(dn * (i // g), dd // g))
+
     native = None
     if cfg is None:
         fused, consts, p = _exact_fused, update_matrix(scheme, params, dt), None
@@ -773,7 +780,7 @@ def _channel(scheme: Scheme, params: OscillatorParams, dt: Fraction, cfg, x0, y0
             done, x, y = native(target - i)
             if done == target - i:
                 i = target  # the caller's int: a long run keeps no int per sample of its own
-                samples.append((i, State(x, y, i * dt)))
+                samples.append(sample(i, x, y))
                 continue
             i += done
             # the guard tripped: the emulator takes over from the last
@@ -783,7 +790,7 @@ def _channel(scheme: Scheme, params: OscillatorParams, dt: Fraction, cfg, x0, y0
         st = fused(st, consts, p, target - i)
         i = target
         x, y = st if cfg is None else (_raw_to_fraction(st[0], st[1]), _raw_to_fraction(st[2], st[3]))
-        samples.append((i, State(x, y, i * dt)))
+        samples.append(sample(i, x, y))
     return samples
 
 

@@ -170,6 +170,32 @@ class TestLongtimeRun:
         )
         assert recs[-1].e_trunc > recs[0].e_trunc
 
+    def test_per_sample_calls_by_module_name(self, monkeypatch):
+        # bench/layers.py times these four functions by wrapping them at the
+        # names below and replaying the captured calls; longtime_run must call
+        # each through that name, looked up at call time, once per sample
+        # (wide_norm2 twice, for E_r and E_t)
+        from roundtrap import _wide, experiments
+
+        calls = dict.fromkeys(("analytic", "separation", "norm2", "cos_sin"), 0)
+
+        def counted(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(experiments, "analytic_solution", counted("analytic", experiments.analytic_solution))
+        monkeypatch.setattr(experiments, "error_separation", counted("separation", experiments.error_separation))
+        monkeypatch.setattr(_wide, "wide_norm2", counted("norm2", _wide.wide_norm2))
+        monkeypatch.setattr(_wide, "wide_cos_sin", counted("cos_sin", _wide.wide_cos_sin))
+        k = 20
+        recs = experiments.longtime_run(
+            Scheme.MIDPOINT_IMPLICIT, PARAMS, Fraction(1, 100), 2, SINGLE, QUAD, k, spacing="linear"
+        )
+        assert len(recs) == k
+        assert calls == {"analytic": k, "separation": k, "norm2": 2 * k, "cos_sin": k}
+
 
 def sample_steps_by_count(n: int, count: int, spacing: str) -> tuple[int, ...]:
     """The sample placement as first written: every one of the count

@@ -25,6 +25,7 @@ from roundtrap.fpcore import (
     op_sub,
     _add_raw,
     _div_raw,
+    _fraction,
     _fraction_to_raw,
     _raw_to_fraction,
     _round_raw,
@@ -248,6 +249,26 @@ def significands(draw, max_bits):
     if draw(st.booleans()):
         m |= 1 << (bits - 1)
     return draw(signs) * m
+
+
+class TestFractionBuilders:
+    """The gcd-free Fraction constructors against Fraction's own."""
+
+    @given(st.integers(-(1 << 400), 1 << 400), st.integers(1, 1 << 400))
+    def test_fraction_of_coprime_terms(self, n, d):
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        got, want = _fraction(n, d), Fraction(n, d)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator, hash(got)) == (want.numerator, want.denominator, hash(want))
+        assert (got + Fraction(1, 3), got * got, got < 1) == (want + Fraction(1, 3), want * want, want < 1)
+
+    @given(significands(500), st.integers(-600, 300), st.sampled_from((1, 3, 5, 7, 15, 10**9 + 7)))
+    def test_raw_to_fraction_in_lowest_terms(self, m, e, d):
+        if math.gcd(m, d) != 1:
+            d = 1
+        got, want = _raw_to_fraction(m, e, d), Fraction(m, d) * Fraction(2) ** e
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 class TestRoundingPrimitives:

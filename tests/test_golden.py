@@ -53,6 +53,13 @@ GOLDEN = {
          "--p-run", "24", "--p-ref", "113"],
         "timeseries.csv",
     ),
+    # omega = 3/10 and amp = 1/3: exact orbit constants that are not dyadic;
+    # both channels emulated, log spacing
+    "timeseries_exact_constants.csv": (
+        ["longrun", "--scheme", "rk3", "--a", "0.9", "--b", "0.1", "--dt", "1e-2", "--t-end", "20",
+         "--samples", "50", "--spacing", "log", "--p-run", "30", "--p-ref", "113"],
+        "timeseries.csv",
+    ),
     "diagnostics_residual.csv": (
         ["diagnose", "residual", "--scheme", "rk3", "--a", "0.8", "--b", "0.025",
          "--dt", "1e-3", "--t-end", "0.5", "--p-run", "24"],

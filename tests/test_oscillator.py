@@ -14,6 +14,8 @@ from roundtrap.oscillator import (
     analytic_solution,
     invariant_value,
     rhs,
+    _odd_parts,
+    _times,
 )
 
 PARAMS = OscillatorParams()  # a=0.1, b=0.2
@@ -116,6 +118,12 @@ class TestAnalyticSolution:
         assert abs(s1.x - s2.x) < TRIG_TOL
         assert abs(s1.y - s2.y) < TRIG_TOL
 
+    @given(st.fractions().filter(bool), st.fractions().filter(bool))
+    def test_integer_product_is_fraction_product(self, p, q):
+        # the phase and the y coordinate are formed by _times, in lowest terms
+        got, want = _times(*_odd_parts(p), *_odd_parts(q)), p * q
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
     @pytest.mark.parametrize("t", [Fraction(1, 7), 1, 10, 100, 10000])
     def test_conservation_along_orbit(self, t):
         s = analytic_solution(PARAMS, t)
@@ -141,6 +149,13 @@ class TestState:
         assert s.x == Fraction(1, 10)
         assert s.y == Fraction(1, 3)
         assert s.t == 2
+
+    @pytest.mark.parametrize("coords", [(1, Fraction(1, 3), Fraction(2)), (Fraction(1), "0.5", Fraction(2)),
+                                        (Fraction(1), Fraction(1, 3), 2.5)])
+    def test_each_coordinate_converted(self, coords):
+        s = State(*coords)
+        assert all(type(v) is Fraction for v in (s.x, s.y, s.t))
+        assert (s.x, s.y, s.t) == tuple(Fraction(v) for v in coords)
 
     def test_float_taken_at_binary_value(self):
         s = State(0.1, 0, 0)

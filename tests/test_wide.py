@@ -400,9 +400,12 @@ class TestMpfToFraction:
 # The analytic solution and its memoised orbit constants
 # ---------------------------------------------------------------------------
 
-# the benchmark's seed pairs (a*b = 1/50) plus one pair with another frequency
+# the benchmark's seed pairs (a*b = 1/50), a pair with another frequency, and
+# pairs whose orbit constants are exact and not dyadic: omega = 3/10, 1/10,
+# 1/5 and amp = 1/3, 1, 2
 PARAM_PAIRS = [("0.1", "0.2"), ("0.2", "0.1"), ("0.05", "0.4"), ("0.4", "0.05"),
-               ("0.025", "0.8"), ("0.8", "0.025"), ("3", "7")]
+               ("0.025", "0.8"), ("0.8", "0.025"), ("3", "7"),
+               ("0.9", "0.1"), ("0.1", "0.1"), ("0.1", "0.4")]
 TIMES = [Fraction(1, 100), Fraction(7, 2), Fraction(200), Fraction(123456789, 1000)]
 
 
