@@ -12,11 +12,14 @@ evaluated when first read, the norm from integer numerators over one
 common denominator.
 
 The consistency residual (B u1 - C u0)/delta is formed exactly over integers
-from the scheme's pencil (B, C), the definition exact steps also use.
+from the scheme's pencil (B, C), the definition exact steps also use.  Its
+median and max are selected on the exact squared norms, with a wide norm
+only for the pairs that can decide them.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -111,19 +114,17 @@ def error_separation(actual: State, reference: State, analytic: State) -> ErrorT
 # ---------------------------------------------------------------------------
 
 
-def consistency_residual(
-    trajectory: Trajectory, params: OscillatorParams
-) -> list[tuple[int, Fraction]]:
-    """Norm of (B u1 - C u0)/delta for each consecutive sampled step pair,
-    with (B, C) the scheme's exact pencil at the machine step size delta.
+def _step_pairs(samples):
+    """The consecutive sampled step pairs ((i, u0), (i + 1, u1)), in order."""
+    return ((s0, s1) for s0, s1 in zip(samples, samples[1:]) if s1[0] == s0[0] + 1)
 
-    For an exact-arithmetic trajectory this is identically zero; under
-    rounding it measures the injected per-step error divided by dt: the
-    quantity whose failure to vanish breaks consistency.  Keyed by the index
-    of the earlier step of each pair.  Each component is one integer linear
+
+def _residual_forms(trajectory: Trajectory, params: OscillatorParams, pairs):
+    """(i, rx, ry, d) for each step pair of ``pairs``: the residual
+    (B u1 - C u0)/delta is (rx, ry)/d, with (B, C) the scheme's exact pencil
+    at the machine step size delta.  Each component is one integer linear
     form over the pair's common denominator (a power of two for a rounded
-    run) and the pencil's; the norm is taken from the two forms directly.
-    """
+    run) and the pencil's."""
     delta = trajectory.machine_dt
     b, c = _pencil(trajectory.scheme, params, delta)
     entries = (*b[0], *b[1], *c[0], *c[1])
@@ -134,11 +135,7 @@ def consistency_residual(
     )
     scale = den * delta.numerator
     lcm = math.lcm
-    samples = trajectory.samples
-    out = []
-    for (i, u0), (j, u1) in zip(samples, samples[1:]):
-        if j != i + 1:
-            continue
+    for (i, u0), (_, u1) in pairs:
         x0, y0, x1, y1 = u0.x, u0.y, u1.x, u1.y
         dx0, dy0, dx1, dy1 = x0.denominator, y0.denominator, x1.denominator, y1.denominator
         q = lcm(dx0, dy0, dx1, dy1)
@@ -146,13 +143,82 @@ def consistency_residual(
         ny0 = y0.numerator * (q // dy0)
         nx1 = x1.numerator * (q // dx1)
         ny1 = y1.numerator * (q // dy1)
-        d = scale * q
-        rx = b00 * nx1 + b01 * ny1 - c00 * nx0 - c01 * ny0
-        ry = b10 * nx1 + b11 * ny1 - c10 * nx0 - c11 * ny0
-        out.append((i, _wide.wide_norm2(rx, ry, d)))
+        yield (i, b00 * nx1 + b01 * ny1 - c00 * nx0 - c01 * ny0,
+               b10 * nx1 + b11 * ny1 - c10 * nx0 - c11 * ny0, scale * q)
+
+
+_NO_PAIRS = "trajectory has no consecutive step pairs; sample with stride 1"
+
+
+def consistency_residual(
+    trajectory: Trajectory, params: OscillatorParams
+) -> list[tuple[int, Fraction]]:
+    """Norm of (B u1 - C u0)/delta for each consecutive sampled step pair,
+    with (B, C) the scheme's exact pencil at the machine step size delta.
+
+    For an exact-arithmetic trajectory this is identically zero; under
+    rounding it measures the injected per-step error divided by dt: the
+    quantity whose failure to vanish breaks consistency.  Keyed by the index
+    of the earlier step of each pair.  The norm is taken from the two
+    components' integer forms directly.
+    """
+    out = [
+        (i, _wide.wide_norm2(rx, ry, d))
+        for i, rx, ry, d in _residual_forms(trajectory, params, _step_pairs(trajectory.samples))
+    ]
     if not out:
-        raise ParameterError("trajectory has no consecutive step pairs; sample with stride 1")
+        raise ParameterError(_NO_PAIRS)
     return out
+
+
+def residual_summary(
+    trajectory: Trajectory, params: OscillatorParams
+) -> tuple[int, Fraction, Fraction]:
+    """(count, median, max) of ``consistency_residual``'s norms, the median
+    being element count // 2 of the sorted norms, with ``wide_norm2``
+    evaluated only for the pairs that can decide the two.
+
+    Each pair's exact squared norm s = (rx**2 + ry**2)/d**2 is first rounded
+    to a float key (int/int true division rounds correctly, so the key is
+    monotone in s; inf when s is beyond the float range).  Before its
+    correctly rounded square root, ``wide_norm2``'s wide value is s times
+    (1 + e1)(1 + e2) with |ei| <= 2**-240: the rounding of the numerator and
+    the division by the denominator's odd part, in ``_wide._to_raw``.  So
+    the 240-bit norms of two pairs can be out of order only when their
+    exact squared norms are within 2**-238 of each other, relatively.  Keys
+    two or more float steps apart imply a much larger gap, also at 0.0,
+    among subnormals and at inf; equal exact values give equal norms.  For
+    a rank, the band is every pair whose key lies within one
+    ``math.nextafter`` step of the ranked key.  A pair keyed below the band
+    is two or more steps below the ranked key, so its norm exceeds no norm
+    keyed at or above it, and it sorts below the rank; a pair keyed above
+    the band mirrors this.  So the element at the rank is the band's sorted
+    norm at the rank minus the number of pairs keyed below the band.
+    """
+    samples = trajectory.samples
+    keys = []
+    for _, rx, ry, d in _residual_forms(trajectory, params, _step_pairs(samples)):
+        try:
+            keys.append((rx * rx + ry * ry) / (d * d))
+        except OverflowError:
+            keys.append(math.inf)
+    if not keys:
+        raise ParameterError(_NO_PAIRS)
+    ranked = sorted(keys)
+    bands = []  # (rank, number of keys below the band, the band's pair ordinals)
+    for rank in (len(keys) // 2, len(keys) - 1):
+        lo = math.nextafter(ranked[rank], -math.inf)
+        hi = math.nextafter(ranked[rank], math.inf)
+        band = [k for k, key in enumerate(keys) if lo <= key <= hi]
+        bands.append((rank, bisect.bisect_left(ranked, lo), band))
+    wanted = {k for _, _, band in bands for k in band}
+    pairs = (pair for k, pair in enumerate(_step_pairs(samples)) if k in wanted)
+    norms = dict(zip(
+        sorted(wanted),
+        (_wide.wide_norm2(rx, ry, d) for _, rx, ry, d in _residual_forms(trajectory, params, pairs)),
+    ))
+    median, top = (sorted(norms[k] for k in band)[rank - below] for rank, below, band in bands)
+    return len(keys), median, top
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,11 @@ from . import __version__
 from .analysis import (
     BoundMode,
     ErrorBoundModel,
-    consistency_residual,
     conservation_drift,
     effective_computation_time,
     optimal_step_size,
     predict_error_bound,
+    residual_summary,
     spectral_analysis,
 )
 from .fpcore import ParameterError, PrecisionConfig
@@ -428,16 +428,6 @@ def cmd_longrun(resolved: dict) -> tuple[str, list[str], list, dict]:
     return "timeseries.csv", ["t", "E_r", "E_t"], rows, _channels(scheme, run=p_run, reference=p_ref)
 
 
-def _float_first(x: Fraction) -> tuple[float, Fraction]:
-    """Sort key ordering Fractions exactly: rounding to float is monotone,
-    so the float decides every comparison but those between values with
-    the same float, which the Fraction then decides."""
-    try:
-        return x.numerator / x.denominator, x
-    except OverflowError:
-        return (math.inf if x > 0 else -math.inf), x
-
-
 def _diagnose_rows(resolved: dict) -> tuple[list[tuple[str, str, str]], dict]:
     mode = resolved["mode"]
     if mode == "ect":
@@ -513,14 +503,11 @@ def _diagnose_rows(resolved: dict) -> tuple[list[tuple[str, str, str]], dict]:
     if n > 200_000:
         raise ParameterError("residual diagnostics sample every step; keep t-end/dt <= 200000")
     traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(1))
-    norms = [r for _, r in consistency_residual(traj, params)]
-    del traj  # the sort keys reuse the trajectory's memory
-    norms.sort(key=_float_first)
-    median = norms[len(norms) // 2]
+    count, median, top = residual_summary(traj, params)
     return [
-        ("residual", "count", str(len(norms))),
+        ("residual", "count", str(count)),
         ("residual", "median", format_wide(median)),
-        ("residual", "max", format_wide(norms[-1])),
+        ("residual", "max", format_wide(top)),
     ], channels
 
 

@@ -17,10 +17,12 @@ from roundtrap.analysis import (
     error_separation,
     optimal_step_size,
     predict_error_bound,
+    residual_summary,
     spectral_analysis,
 )
+from roundtrap import analysis
 from roundtrap.experiments import SweepRecord, longtime_run
-from roundtrap.fpcore import QUAD, SINGLE, PrecisionConfig
+from roundtrap.fpcore import QUAD, SINGLE, ParameterError, PrecisionConfig
 from roundtrap.oscillator import OscillatorParams, State, analytic_solution
 from roundtrap.schemes import SamplingPlan, Scheme, UpdateMatrix, integrate, update_matrix
 from conftest import decimal_sqrt, rel_diff
@@ -199,6 +201,153 @@ class TestResidualMatchesStencilOracle:
         got = consistency_residual(traj, params)
         assert [i for i, _ in got] == [0, 1, 5, 12]
         assert got == oracle_residual(traj, params)
+
+
+def sorted_summary(norms):
+    """(count, median, max) by sorting every norm: the oracle of
+    residual_summary."""
+    norms = sorted(norms)
+    return len(norms), norms[len(norms) // 2], norms[-1]
+
+
+class SyntheticRun:
+    """A stand-in trajectory whose step pair at index i has the residual
+    forms[i] = (rx, ry, d); only the indices of its samples are real."""
+
+    def __init__(self, forms, indices=None):
+        self.forms = forms
+        self.samples = tuple((i, None) for i in (range(len(forms) + 1) if indices is None else indices))
+
+    def summary(self, monkeypatch):
+        def forms(trajectory, params, pairs):
+            for (i, _), _ in pairs:
+                yield (i, *trajectory.forms[i])
+
+        monkeypatch.setattr(analysis, "_residual_forms", forms)
+        return residual_summary(self, PARAMS)
+
+    def oracle(self):
+        consecutive = [i for (i, _), (j, _) in zip(self.samples, self.samples[1:]) if j == i + 1]
+        return sorted_summary(_wide.wide_norm2(*self.forms[i]) for i in consecutive)
+
+
+def float_key(rx, ry, d):
+    try:
+        return (rx * rx + ry * ry) / (d * d)
+    except OverflowError:
+        return math.inf
+
+
+def near_ties(rx, ry, d, spread):
+    """Forms of distinct residuals around (rx, ry)/d, 2**-spread apart
+    relatively: too close for their float keys to order them."""
+    return [(((rx << spread) + k * rx), (ry << spread) + k * ry, d << spread) for k in range(-6, 7)]
+
+
+class TestResidualSummary:
+    @pytest.mark.parametrize("p", [2, 4, 10, 24, 53, 113])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_equals_sorting_every_norm(self, scheme, p):
+        for a, b in PARAM_PAIRS:
+            params = OscillatorParams(Fraction(a), Fraction(b))
+            traj = integrate(scheme, params, Fraction(1, 100), 1, PrecisionConfig(p), SamplingPlan.every(1))
+            expected = sorted_summary(r for _, r in consistency_residual(traj, params))
+            assert residual_summary(traj, params) == expected
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_exact_run_against_another_pencil(self, scheme):
+        # non-dyadic denominators: the wide value takes two roundings
+        params = OscillatorParams(Fraction(3), Fraction(7))
+        traj = integrate(scheme, params, Fraction(3, 7), Fraction(18, 7), None, SamplingPlan.every(1))
+        for other in Scheme:
+            measured = dataclasses.replace(traj, scheme=other)
+            expected = sorted_summary(r for _, r in consistency_residual(measured, params))
+            assert residual_summary(measured, params) == expected
+
+    def test_gapped_sampling(self):
+        params = OscillatorParams(Fraction(3), Fraction(7))
+        plan = SamplingPlan.at([0, 1, 2, 5, 6, 9, 12, 13])
+        traj = integrate(Scheme.RK3, params, Fraction(1, 100), Fraction(1, 5), SINGLE, plan)
+        expected = sorted_summary(r for _, r in consistency_residual(traj, params))
+        assert residual_summary(traj, params) == expected
+        assert expected[0] == 4
+
+    def test_no_consecutive_pairs(self):
+        traj = integrate(Scheme.FORWARD_EULER, PARAMS, Fraction(1, 10), 1, SINGLE, SamplingPlan.every(2))
+        with pytest.raises(ParameterError) as summary_error:
+            residual_summary(traj, PARAMS)
+        with pytest.raises(ParameterError) as residual_error:
+            consistency_residual(traj, PARAMS)
+        assert str(summary_error.value) == str(residual_error.value)
+
+    def test_wide_norms_only_for_the_bands(self, monkeypatch):
+        # distinct residuals: each rank's band is its own pair, so two
+        # wide_norm2 calls, looked up by module name at call time
+        params = OscillatorParams(Fraction(1, 10), Fraction(1, 5))
+        traj = integrate(Scheme.RK3, params, Fraction(1, 10000), Fraction(1, 5), SINGLE, SamplingPlan.every(1))
+        expected = sorted_summary(r for _, r in consistency_residual(traj, params))
+        calls = []
+        wide_norm2 = _wide.wide_norm2
+        monkeypatch.setattr(_wide, "wide_norm2", lambda *args: calls.append(args) or wide_norm2(*args))
+        assert residual_summary(traj, params) == expected
+        assert len(calls) == 2
+
+
+class TestResidualSummarySynthetic:
+    """Forms chosen to stress the float keys; each case is checked in every
+    order of its pairs, so that no tie-break of the key sort can pass it."""
+
+    @staticmethod
+    def check(forms, monkeypatch, rng, rounds=20):
+        for _ in range(rounds):
+            rng.shuffle(forms)
+            run = SyntheticRun(forms)
+            assert run.summary(monkeypatch) == run.oracle()
+
+    def test_distinct_values_sharing_a_float(self, monkeypatch):
+        # thirteen residuals 2**-100 apart under each of three keys: the
+        # 240-bit norms decide both the median and the max
+        forms = [*near_ties(1, 2, 3, 100), *near_ties(5, 7, 11, 100), *near_ties(3, 4, 1 << 40, 100)]
+        assert len({float_key(*f) for f in forms}) < 10
+        assert len({_wide.wide_norm2(*f) for f in forms}) == len(forms)
+        self.check(forms, monkeypatch, random.Random(1))
+        # the median alone in a cluster, the max alone in another
+        forms = [*near_ties(1, 2, 3, 100)[:7], *near_ties(5, 7, 11, 100)[:6]]
+        self.check(forms, monkeypatch, random.Random(2))
+
+    def test_all_zero(self, monkeypatch):
+        forms = [(0, 0, d) for d in (1, 3, 1 << 30, 7 << 9)]
+        run = SyntheticRun(forms)
+        assert run.summary(monkeypatch) == (4, 0, 0)
+
+    def test_beyond_the_float_range(self, monkeypatch):
+        # sums above the largest float (key inf) and below the smallest
+        # subnormal (key 0.0), distinct and sharing their key
+        huge = near_ties(3 << 600, 1 << 599, 1, 60)
+        tiny = near_ties(3, 1, 1 << 600, 60)
+        assert {float_key(*f) for f in huge} == {math.inf}
+        assert {float_key(*f) for f in tiny} == {0.0}
+        self.check(huge, monkeypatch, random.Random(3))
+        self.check(tiny, monkeypatch, random.Random(4))
+        self.check([*tiny, *huge[:12]], monkeypatch, random.Random(5))
+        # the median among subnormal keys, one step from zero
+        sub = [(rx, 0, 1 << 537) for rx in range(1, 9)] + [(0, 0, 1)] * 3
+        assert {float_key(*f) for f in sub} & {0.0, 5e-324}
+        self.check(sub, monkeypatch, random.Random(6))
+
+    def test_gapped_sampling(self, monkeypatch):
+        forms = near_ties(1, 2, 3, 100) + near_ties(5, 7, 11, 100)
+        rng = random.Random(7)
+        for _ in range(10):
+            rng.shuffle(forms)
+            indices = sorted(rng.sample(range(len(forms) + 1), 18))
+            run = SyntheticRun(forms, indices)
+            assert run.summary(monkeypatch) == run.oracle()
+
+    def test_no_consecutive_pairs(self, monkeypatch):
+        run = SyntheticRun([(1, 0, 1)] * 8, [0, 2, 4, 6])
+        with pytest.raises(ParameterError, match="no consecutive step pairs"):
+            run.summary(monkeypatch)
 
 
 class TestErrorBound:

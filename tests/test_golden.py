@@ -75,6 +75,12 @@ GOLDEN = {
          "--dt", "1e-3", "--t-end", "0.5", "--p-run", "53"],
         "diagnostics.csv",
     ),
+    # p_run 4: the median and the max both fall in a run of 483 equal residuals
+    "diagnostics_residual_ties.csv": (
+        ["diagnose", "residual", "--scheme", "euler", "--a", "0.8", "--b", "0.025",
+         "--dt", "1e-3", "--t-end", "0.5", "--p-run", "4"],
+        "diagnostics.csv",
+    ),
     "diagnostics_spectral.csv": (
         ["diagnose", "spectral", "--scheme", "rk3", "--a", "0.4", "--b", "0.05", "--dt", "0.3"],
         "diagnostics.csv",
