@@ -1,4 +1,6 @@
-"""Build and load the compiled midpoint kernels of ``_kernels.c``.
+"""Build and load the compiled kernels of ``_kernels.c``: the binary64
+twins of every scheme's Python kernel and the midpoint scheme's binary128
+kernel.
 
 The library is built on first use, never at import: ``gcc`` compiles the
 package's own C source into ``${XDG_CACHE_HOME:-~/.cache}/roundtrap/``,
@@ -17,10 +19,7 @@ from __future__ import annotations
 import ctypes
 import os
 import zlib
-from fractions import Fraction
 from typing import Optional
-
-from .fpcore import _fraction, _raw_to_fraction
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 CC = "gcc"
@@ -74,38 +73,52 @@ def _to_bits(m: int, e: int) -> int:
     return sign | (e + n - 1 + _B128_BIAS) << 112 | (abs(m) << (113 - n)) & _B128_FRACTION
 
 
-def _from_bits(lo: int, hi: int) -> Fraction:
-    """The value of binary128 bits that encode zero or a normal number."""
+def _from_bits(lo: int, hi: int) -> tuple[int, int]:
+    """The raw pair of binary128 bits that encode zero or a normal number,
+    with an odd significand (zero is (0, 0))."""
     biased = hi >> 48 & 0x7FFF
     if not biased:
-        return Fraction(0)
+        return 0, 0
     m = (hi << 64 | lo) & _B128_FRACTION | 1 << 112
-    return _raw_to_fraction(-m if hi >> 63 else m, biased - _B128_BIAS - 112)
+    z = (m & -m).bit_length() - 1
+    return (-m if hi >> 63 else m) >> z, biased - _B128_BIAS - 112 + z
 
 
 class Kernels:
-    """The loaded library.  Each method returns a channel's kernel: a
-    function k -> (steps done, x, y) that advances the channel's state up to
-    k steps, x and y being the last in-range state as Fractions.  The
-    state and constant buffers are allocated once per channel."""
+    """The loaded library.  ``binary64`` and ``midpoint_b128`` return a
+    channel's kernel: a function advance(k, out=None) -> (steps done,
+    state) that advances the channel's state up to k steps, the state being
+    the last in-range one, as floats (x, y) or as the raw pairs (mx, ex, my,
+    ey).  The state and constant buffers are allocated once per channel."""
 
     def __init__(self, path: str):
         lib = ctypes.CDLL(path)
         i64, ptr = ctypes.c_int64, ctypes.c_void_p  # buffers pass as addresses, the fastest way
-        self._b64 = lib.rt_midpoint_b64
-        self._b64.argtypes, self._b64.restype = (ptr, ptr, i64, ctypes.c_double), i64
+        self._b64 = {}
+        for name in ("euler", "midpoint", "rk3"):
+            fn = getattr(lib, f"rt_{name}_b64")
+            fn.argtypes, fn.restype = (ptr, ptr, i64, ctypes.c_double, ptr), i64
+            self._b64[name] = fn
         self._b128 = lib.rt_midpoint_b128
         self._b128.argtypes, self._b128.restype = (ptr, ptr, i64), i64
 
-    def midpoint_b64(self, xy, c, C: float):
-        """The binary64 kernel from the float state xy with float constants c."""
-        fn = self._b64
-        st, consts = (ctypes.c_double * 2)(*xy), (ctypes.c_double * 4)(*c)
+    def binary64(self, name: str, xy, c, C: float):
+        """The binary64 kernel of the scheme called name, from the float
+        state xy with float constants c.  Given out, an ``array('d')``, it
+        appends the state after each step it does, x then y."""
+        fn = self._b64[name]
+        st, consts = (ctypes.c_double * 2)(*xy), (ctypes.c_double * len(c))(*c)
         st_p, c_p = ctypes.addressof(st), ctypes.addressof(consts)
 
-        def advance(k):
-            done = fn(st_p, c_p, k if k < _MAX_K else _MAX_K, C)
-            return done, _fraction(*st[0].as_integer_ratio()), _fraction(*st[1].as_integer_ratio())
+        def advance(k, out=None):
+            if out is None:
+                done = fn(st_p, c_p, k if k < _MAX_K else _MAX_K, C, None)
+            else:  # the kernel writes into room made at the end of out
+                start = len(out)
+                out.frombytes(bytes(16 * k))
+                done = fn(st_p, c_p, k, C, out.buffer_info()[0] + 8 * start)
+                del out[start + 2 * done:]
+            return done, (st[0], st[1])
 
         advance.buffers = st, consts  # kept alive with the function
         return advance
@@ -123,7 +136,7 @@ class Kernels:
         def advance(k):
             done = fn(st_p, c_p, k if k < _MAX_K else _MAX_K)
             w = state[:]
-            return done, _from_bits(w[0], w[1]), _from_bits(w[2], w[3])
+            return done, (*_from_bits(w[0], w[1]), *_from_bits(w[2], w[3]))
 
         advance.buffers = state, consts
         return advance

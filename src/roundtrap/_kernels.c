@@ -1,15 +1,18 @@
-/* Compiled twins of roundtrap.schemes' midpoint kernels.
+/* Compiled twins of roundtrap.schemes' kernels.
  *
- * rt_midpoint_b64 is _midpoint_native: the same binary64 operations in the
+ * rt_euler_b64, rt_midpoint_b64 and rt_rk3_b64 are _euler_native,
+ * _midpoint_native and _rk3_native: the same binary64 operations in the
  * same order, each followed by its rounding to p bits by a Veltkamp split,
  * and the same range guard.  rt_midpoint_b128 is _midpoint_fused at
  * p = 113: IEEE binary128 has a 113-bit significand and rounds every
  * operation once, to nearest with ties to even, as the emulator does, for
  * as long as no value leaves the normal range, which the same guard keeps.
  *
- * Both advance the state in st up to k steps and return the steps done;
- * they stop before the first step whose result leaves the state window,
- * leaving the last in-range state in st.  The library is built with
+ * Each advances the state in st up to k steps and returns the steps done;
+ * it stops before the first step whose result leaves the state window,
+ * leaving the last in-range state in st.  A binary64 kernel given an
+ * output buffer out (room for 2k doubles) also writes the state after
+ * each step it does there, x then y.  The library is built with
  * -ffp-contract=off (a*b + c must not become one fused multiply-add) and
  * without -ffast-math (u - (u - v) must not be simplified).  The Python
  * loader runs known-answer steps against the Python kernels before using
@@ -41,8 +44,41 @@ static double split(double v, double C)
     return u - (u - v);
 }
 
+/* the state after step j, to out when given */
+static void record(double *out, int64_t j, double x, double y)
+{
+    if (out) {
+        out[2 * j] = x;
+        out[2 * j + 1] = y;
+    }
+}
+
+/* st = {x, y}; c = {-a, b, dt}; C = 2**(53-p) + 1 */
+int64_t rt_euler_b64(double *st, const double *c, int64_t k, double C, double *out)
+{
+    double x = st[0], y = st[1];
+    const double na = c[0], b = c[1], d = c[2];
+    int64_t j;
+    for (j = 0; j < k; j++) {
+        double t1 = split(na * y, C);
+        double t2 = split(d * t1, C);
+        double nx = split(x + t2, C);
+        double u1 = split(b * x, C);
+        double u2 = split(d * u1, C);
+        double ny = split(y + u2, C);
+        if (!(in_window(nx) && in_window(ny)))
+            break;
+        x = nx;
+        y = ny;
+        record(out, j, x, y);
+    }
+    st[0] = x;
+    st[1] = y;
+    return j;
+}
+
 /* st = {x, y}; c = {1-k, 1+k, a*dt, b*dt}; C = 2**(53-p) + 1 */
-int64_t rt_midpoint_b64(double *st, const double *c, int64_t k, double C)
+int64_t rt_midpoint_b64(double *st, const double *c, int64_t k, double C, double *out)
 {
     double x = st[0], y = st[1];
     const double om = c[0], op = c[1], ad = c[2], bd = c[3];
@@ -60,6 +96,42 @@ int64_t rt_midpoint_b64(double *st, const double *c, int64_t k, double C)
             break;
         x = qx;
         y = qy;
+        record(out, j, x, y);
+    }
+    st[0] = x;
+    st[1] = y;
+    return j;
+}
+
+/* st = {x, y}; c = {-a, b, dt, dt/2, 2*dt, dt/6}; C = 2**(53-p) + 1 */
+int64_t rt_rk3_b64(double *st, const double *c, int64_t k, double C, double *out)
+{
+    double x = st[0], y = st[1];
+    const double na = c[0], b = c[1], d = c[2], h = c[3], d2 = c[4], d6 = c[5];
+    int64_t j;
+    for (j = 0; j < k; j++) {
+        double k1x = split(na * y, C);
+        double k1y = split(b * x, C);
+        double x2 = split(x + split(h * k1x, C), C);
+        double y2 = split(y + split(h * k1y, C), C);
+        double k2x = split(na * y2, C);
+        double k2y = split(b * x2, C);
+        double x3 = split(x - split(d * k1x, C), C);
+        x3 = split(x3 + split(d2 * k2x, C), C);
+        double y3 = split(y - split(d * k1y, C), C);
+        y3 = split(y3 + split(d2 * k2y, C), C);
+        double k3x = split(na * y3, C);
+        double k3y = split(b * x3, C);
+        /* x + dt/6 * ((k1 + 4 k2) + k3); 4*k2 is an exact scaling */
+        double s = split(split(k1x + 4.0 * k2x, C) + k3x, C);
+        double nx = split(x + split(d6 * s, C), C);
+        s = split(split(k1y + 4.0 * k2y, C) + k3y, C);
+        double ny = split(y + split(d6 * s, C), C);
+        if (!(in_window(nx) && in_window(ny)))
+            break;
+        x = nx;
+        y = ny;
+        record(out, j, x, y);
     }
     st[0] = x;
     st[1] = y;

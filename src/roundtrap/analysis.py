@@ -114,17 +114,14 @@ def error_separation(actual: State, reference: State, analytic: State) -> ErrorT
 # ---------------------------------------------------------------------------
 
 
-def _step_pairs(samples):
-    """The consecutive sampled step pairs ((i, u0), (i + 1, u1)), in order."""
-    return ((s0, s1) for s0, s1 in zip(samples, samples[1:]) if s1[0] == s0[0] + 1)
-
-
-def _residual_forms(trajectory: Trajectory, params: OscillatorParams, pairs):
-    """(i, rx, ry, d) for each step pair of ``pairs``: the residual
-    (B u1 - C u0)/delta is (rx, ry)/d, with (B, C) the scheme's exact pencil
-    at the machine step size delta.  Each component is one integer linear
-    form over the pair's common denominator (a power of two for a rounded
-    run) and the pencil's."""
+def _residual_forms(trajectory: Trajectory, params: OscillatorParams, ordinals):
+    """(i, rx, ry, d) for each step pair (i, i + 1) among the samples at the
+    ascending ordinals: the residual (B u1 - C u0)/delta is (rx, ry)/d, with
+    (B, C) the scheme's exact pencil at the machine step size delta.  Each
+    component is one integer linear form over the pair's common denominator
+    (a power of two for a rounded run) and the pencil's.  Each state is read
+    from the trajectory's record as integers once, and a pair's second
+    state is the next pair's first."""
     delta = trajectory.machine_dt
     b, c = _pencil(trajectory.scheme, params, delta)
     entries = (*b[0], *b[1], *c[0], *c[1])
@@ -134,17 +131,17 @@ def _residual_forms(trajectory: Trajectory, params: OscillatorParams, pairs):
         e.numerator * (den // e.denominator) * delta.denominator for e in entries
     )
     scale = den * delta.numerator
-    lcm = math.lcm
-    for (i, u0), (_, u1) in pairs:
-        x0, y0, x1, y1 = u0.x, u0.y, u1.x, u1.y
-        dx0, dy0, dx1, dy1 = x0.denominator, y0.denominator, x1.denominator, y1.denominator
-        q = lcm(dx0, dy0, dx1, dy1)
-        nx0 = x0.numerator * (q // dx0)
-        ny0 = y0.numerator * (q // dy0)
-        nx1 = x1.numerator * (q // dx1)
-        ny1 = y1.numerator * (q // dy1)
-        yield (i, b00 * nx1 + b01 * ny1 - c00 * nx0 - c01 * ny0,
-               b10 * nx1 + b11 * ny1 - c10 * nx0 - c11 * ny0, scale * q)
+    lcm, steps = math.lcm, trajectory.steps
+    o0 = i0 = -2
+    for o, i, (nx1, ny1, q1) in zip(ordinals, map(steps.__getitem__, ordinals),
+                                    trajectory.record.integers(ordinals)):
+        if o == o0 + 1 and i == i0 + 1:
+            q = lcm(q0, q1)
+            a0, a1 = q // q0, q // q1
+            x0, y0, x1, y1 = nx0 * a0, ny0 * a0, nx1 * a1, ny1 * a1
+            yield (i0, b00 * x1 + b01 * y1 - c00 * x0 - c01 * y0,
+                   b10 * x1 + b11 * y1 - c10 * x0 - c11 * y0, scale * q)
+        o0, i0, nx0, ny0, q0 = o, i, nx1, ny1, q1
 
 
 _NO_PAIRS = "trajectory has no consecutive step pairs; sample with stride 1"
@@ -164,7 +161,7 @@ def consistency_residual(
     """
     out = [
         (i, _wide.wide_norm2(rx, ry, d))
-        for i, rx, ry, d in _residual_forms(trajectory, params, _step_pairs(trajectory.samples))
+        for i, rx, ry, d in _residual_forms(trajectory, params, range(len(trajectory.steps)))
     ]
     if not out:
         raise ParameterError(_NO_PAIRS)
@@ -195,9 +192,9 @@ def residual_summary(
     the band mirrors this.  So the element at the rank is the band's sorted
     norm at the rank minus the number of pairs keyed below the band.
     """
-    samples = trajectory.samples
-    keys = []
-    for _, rx, ry, d in _residual_forms(trajectory, params, _step_pairs(samples)):
+    firsts, keys = [], []  # each pair's first step and key
+    for i, rx, ry, d in _residual_forms(trajectory, params, range(len(trajectory.steps))):
+        firsts.append(i)
         try:
             keys.append((rx * rx + ry * ry) / (d * d))
         except OverflowError:
@@ -205,19 +202,20 @@ def residual_summary(
     if not keys:
         raise ParameterError(_NO_PAIRS)
     ranked = sorted(keys)
-    bands = []  # (rank, number of keys below the band, the band's pair ordinals)
+    bands = []  # (rank, number of keys below the band, the band's first steps)
     for rank in (len(keys) // 2, len(keys) - 1):
         lo = math.nextafter(ranked[rank], -math.inf)
         hi = math.nextafter(ranked[rank], math.inf)
-        band = [k for k, key in enumerate(keys) if lo <= key <= hi]
+        band = [firsts[k] for k, key in enumerate(keys) if lo <= key <= hi]
         bands.append((rank, bisect.bisect_left(ranked, lo), band))
-    wanted = {k for _, _, band in bands for k in band}
-    pairs = (pair for k, pair in enumerate(_step_pairs(samples)) if k in wanted)
-    norms = dict(zip(
-        sorted(wanted),
-        (_wide.wide_norm2(rx, ry, d) for _, rx, ry, d in _residual_forms(trajectory, params, pairs)),
-    ))
-    median, top = (sorted(norms[k] for k in band)[rank - below] for rank, below, band in bands)
+    wanted = {i for _, _, band in bands for i in band}
+    steps = trajectory.steps
+    ordinals = sorted({bisect.bisect_left(steps, i) + t for i in wanted for t in (0, 1)})
+    norms = {
+        i: _wide.wide_norm2(rx, ry, d)
+        for i, rx, ry, d in _residual_forms(trajectory, params, ordinals) if i in wanted
+    }
+    median, top = (sorted(norms[i] for i in band)[rank - below] for rank, below, band in bands)
     return len(keys), median, top
 
 

@@ -3,7 +3,7 @@
 Three subcommands drive the experiments and diagnostics and emit plot-ready
 CSV files plus a manifest.json recording the fully resolved configuration,
 the backend (binary64 or emulated) of each integrated channel and, in its
-environment block, whether the compiled midpoint kernels stepped:
+environment block, whether the compiled kernels stepped:
 
     roundtrap sweep    [flags]          -> sweep.csv, manifest.json
     roundtrap longrun  [flags]          -> timeseries.csv, manifest.json
@@ -54,9 +54,9 @@ from .schemes import (
     Scheme,
     StepLimitError,
     channel_backend,
-    compiled_kernels,
     integrate,
     num_steps,
+    starts_compiled,
     update_matrix,
 )
 from .experiments import (
@@ -357,15 +357,16 @@ def manifest_argv(manifest: dict, out_dir: Optional[str] = None) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _channels(scheme: Optional[Scheme] = None, **channels: PrecisionConfig) -> dict:
+def _channels(scheme: Optional[Scheme] = None, params: Optional[OscillatorParams] = None, dts=(),
+              **channels: PrecisionConfig) -> dict:
     """The manifest's backends block, the backend each channel's precision
-    selects, and its environment block: whether the compiled midpoint
-    kernels step any of the channels.  Finding that out loads the kernels,
-    so a sweep's pool workers inherit them."""
+    selects, and its environment block: whether the compiled kernels step
+    any of the channels at any of the step sizes dts that run.  Finding
+    that out loads the kernels, so a sweep's pool workers inherit them."""
     ps = [cfg.significand_bits for cfg in channels.values()]
     return {
         "backends": {name: channel_backend(p) for name, p in zip(channels, ps)},
-        "environment": {"compiled_kernels": any(compiled_kernels(scheme, p) for p in ps)},
+        "environment": {"compiled_kernels": any(starts_compiled(scheme, params, dt, p) for dt in dts for p in ps)},
     }
 
 
@@ -395,7 +396,8 @@ def _sweep_config(resolved: dict) -> SweepConfig:
 def cmd_sweep(resolved: dict) -> tuple[str, list[str], list, dict]:
     """error vs. step size at fixed final time"""
     cfg = _sweep_config(resolved)
-    channels = _channels(cfg.scheme, run=cfg.run_precision, reference=cfg.ref_precision)
+    legs = [dt for dt in cfg.dt_list if 1 <= num_steps(cfg.t_end, dt) <= cfg.max_steps]
+    channels = _channels(cfg.scheme, cfg.params, legs, run=cfg.run_precision, reference=cfg.ref_precision)
     records = stepsize_sweep(cfg, jobs=_get(resolved, "jobs"))
     for r in records:
         if r.status == STATUS_OK:
@@ -425,7 +427,8 @@ def cmd_longrun(resolved: dict) -> tuple[str, list[str], list, dict]:
                            max_steps=_get(resolved, "max_steps"))
     _warn_off_grid(dt, t_end, num_steps(t_end, dt))
     rows = [[format_wide(r.t), format_wide(r.e_round), format_wide(r.e_trunc)] for r in records]
-    return "timeseries.csv", ["t", "E_r", "E_t"], rows, _channels(scheme, run=p_run, reference=p_ref)
+    return "timeseries.csv", ["t", "E_r", "E_t"], rows, _channels(scheme, _params(resolved), (dt,),
+                                                              run=p_run, reference=p_ref)
 
 
 def _diagnose_rows(resolved: dict) -> tuple[list[tuple[str, str, str]], dict]:
@@ -491,7 +494,7 @@ def _diagnose_rows(resolved: dict) -> tuple[list[tuple[str, str, str]], dict]:
             ("bound", "n_steps", str(n)),
             ("bound", "value", text),
         ], _channels()
-    channels = _channels(scheme, run=p_run)  # drift and residual integrate the run channel
+    channels = _channels(scheme, params, (dt,), run=p_run)  # drift and residual integrate the run channel
     if mode == "drift":
         stride = max(1, n // 16)
         traj = integrate(scheme, params, dt, t_end, p_run, SamplingPlan.every(stride))

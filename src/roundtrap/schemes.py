@@ -43,9 +43,9 @@ channel whose start state or scheme constants lie outside their windows
 runs in the emulator throughout, as does every other p.  Both backends give
 bit-identical trajectories.
 
-Compiled kernels.  The midpoint scheme, the paper's conservative scheme,
-also has a C twin of its binary64 kernel and a binary128 kernel for
-p = 113 (``_kernels.c``, loaded through ctypes by ``_compiled``).  IEEE
+Compiled kernels.  Each scheme's binary64 kernel has a C twin, and the
+midpoint scheme, the paper's conservative scheme, also a binary128 kernel
+for p = 113 (``_kernels.c``, loaded through ctypes by ``_compiled``).  IEEE
 binary128 has exactly a 113-bit significand, and GCC's ``_Float128`` rounds
 each +, -, * and / once, correctly, to nearest with ties to even: the
 emulator's single rounding, as long as no value leaves the normal range,
@@ -62,6 +62,15 @@ the emulator are the same, so ``channel_backend``, the manifest's backends
 and every output bit stay the same; the manifest's environment block
 records whether the compiled kernels stepped.
 
+Records.  A trajectory keeps its sampled states as the kernels produced
+them (``_Record``): floats from the binary64 kernels, raw pairs from the
+emulator and the binary128 kernel, Fractions from exact steps.  A
+compiled binary64 kernel runs a stretch of consecutive sampled steps
+(every-step sampling) in one call that writes each step's state into the
+record; the other kernels run it as single steps.  ``Trajectory.samples``
+builds the (i, State) pairs when first read, and the residual stencil of
+``analysis`` reads the record as integers without them.
+
 The emulator runs one fused kernel per scheme (``_FUSED_FN``): each
 advances the raw state k steps in its own loop, rounding with
 ``fpcore._round_raw`` (the midpoint kernel inlines it).  The native kernels
@@ -75,7 +84,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -86,6 +97,7 @@ from .fpcore import (
     _HALF,
     _add_raw,
     _div_raw,
+    _float_to_raw,
     _fraction,
     _fraction_to_raw,
     _mul_raw,
@@ -170,18 +182,122 @@ class SamplingPlan:
         return tuple(sorted(idx))
 
 
+# the forms of a record's parts: floats (x, y), raw pairs (mx, ex, my, ey)
+# and Fractions (x, y), each part one flat sequence of them
+_FLOAT, _RAW, _EXACT = "float", "raw", "exact"
+
+
+class _Record:
+    """A channel's states at its sampled steps, as its kernels produced
+    them: one part per kernel the channel stepped on, in order (a guard trip
+    hands a native channel's rest to the emulator).  Two records are equal
+    when their steps and the values of their states are."""
+
+    __slots__ = ("steps", "_parts")
+
+    def __init__(self, steps: tuple[int, ...]):
+        self.steps = steps  # the sampled step indices, ascending
+        self._parts = []  # (ordinal of the part's first sample, form, flat values)
+
+    def part(self, form: str, start: int):
+        """The values of a new part from sample ordinal ``start`` on, to extend."""
+        values = array("d") if form is _FLOAT else []
+        self._parts.append((start, form, values))
+        return values
+
+    def _spans(self, ordinals):
+        """(form, values, start, the ordinals in the part) for each part that
+        holds some of the ascending sample ordinals."""
+        ends = [start for start, _, _ in self._parts[1:]] + [len(self.steps)]
+        for (start, form, values), end in zip(self._parts, ends):
+            lo, hi = bisect_left(ordinals, start), bisect_left(ordinals, end)
+            if lo < hi:
+                yield form, values, start, ordinals[lo:hi]
+
+    def fractions(self, ordinals):
+        """(x, y) as Fractions for each of the ascending sample ordinals."""
+        for form, v, start, part in self._spans(ordinals):
+            if form is _RAW:
+                for o in part:
+                    k = 4 * (o - start)
+                    yield _raw_to_fraction(v[k], v[k + 1]), _raw_to_fraction(v[k + 2], v[k + 3])
+            elif form is _FLOAT:  # from the exact ratio, which is in lowest terms
+                for o in part:
+                    k = 2 * (o - start)
+                    yield _fraction(*v[k].as_integer_ratio()), _fraction(*v[k + 1].as_integer_ratio())
+            else:
+                for o in part:
+                    k = 2 * (o - start)
+                    yield v[k], v[k + 1]
+
+    def integers(self, ordinals):
+        """(nx, ny, q) for each of the ascending sample ordinals: the state
+        is (nx/q, ny/q), q > 0 (a power of two for a rounded run)."""
+        lcm = math.lcm
+        for form, v, start, part in self._spans(ordinals):
+            if form is _RAW:
+                for o in part:
+                    k = 4 * (o - start)
+                    mx, ex, my, ey = v[k:k + 4]
+                    e = min(ex, ey, 0)
+                    yield mx << (ex - e), my << (ey - e), 1 << -e
+            else:  # floats and Fractions
+                for o in part:
+                    k = 2 * (o - start)
+                    nx, dx = v[k].as_integer_ratio()
+                    ny, dy = v[k + 1].as_integer_ratio()
+                    q = lcm(dx, dy)
+                    yield nx * (q // dx), ny * (q // dy), q
+
+    def _values(self):
+        return self.steps, tuple(self.fractions(range(len(self.steps))))
+
+    def __eq__(self, other):
+        if not isinstance(other, _Record):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"_Record(steps={len(self.steps)}, parts={[form for _, form, _ in self._parts]})"
+
+
 @dataclass(frozen=True, slots=True)
 class Trajectory:
     """Recorded integration output.  ``dt`` is the exact requested step size;
     sample times are step_index * dt.  ``precision`` is None for exact
-    arithmetic runs."""
+    arithmetic runs.  ``record`` holds the sampled states as the kernels
+    produced them, and ``samples`` is built from it when first read."""
 
     params: OscillatorParams
     scheme: Scheme
     dt: Fraction
     precision: Optional[PrecisionConfig]
     n_steps: int
-    samples: tuple[tuple[int, State], ...]
+    record: _Record
+    _samples: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def steps(self) -> tuple[int, ...]:
+        """The sampled step indices, ascending."""
+        return self.record.steps
+
+    @property
+    def samples(self) -> tuple[tuple[int, State], ...]:
+        """The (i, State at time i*dt) samples."""
+        if self._samples is None:
+            steps, time = self.record.steps, self._time
+            states = self.record.fractions(range(len(steps)))
+            object.__setattr__(self, "_samples", tuple((i, State(x, y, time(i))) for i, (x, y) in zip(steps, states)))
+        return self._samples
+
+    def _time(self, i: int) -> Fraction:
+        """i*dt in lowest terms, without a Fraction product."""
+        dn, dd = self.dt.numerator, self.dt.denominator
+        g = math.gcd(i, dd)
+        return _fraction(dn * (i // g), dd // g)
 
     @property
     def machine_dt(self) -> Fraction:
@@ -194,7 +310,9 @@ class Trajectory:
 
     @property
     def final_state(self) -> State:
-        return self.samples[-1][1]
+        steps = self.record.steps
+        [(x, y)] = self.record.fractions(range(len(steps) - 1, len(steps)))
+        return State(x, y, self._time(steps[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -542,44 +660,74 @@ def _python_native(kernel, xy, c, C):
     def advance(k):
         nonlocal x, y
         done, x, y = kernel(x, y, k, c, C)
-        # from the exact ratio, which is in lowest terms
-        return done, _fraction(*x.as_integer_ratio()), _fraction(*y.as_integer_ratio())
+        return done, (x, y)
 
-    return advance
+    return _stepwise(advance)
+
+
+def _stepwise(advance):
+    """A kernel k -> (steps done, state) in the calling convention of
+    ``_native_kernel``: it records a stretch of k steps as k single steps."""
+
+    def recording(k, out=None):
+        if out is None:
+            return advance(k)
+        for j in range(k):
+            done, st = advance(1)
+            if not done:
+                return j, st
+            out.extend(st)
+        return k, st
+
+    return recording
 
 
 def _native_kernel(scheme: Scheme, p: int, st, consts):
-    """The native kernel of a rounded channel from the raw start st: a
-    function k -> (steps done, x, y) that advances the channel up to k steps
-    and returns its last in-range state as Fractions.  None when the channel
-    runs on the emulator throughout: a precision without a native kernel,
-    or a start or constants outside their windows."""
-    compiled = _load_kernels() if _compiled_precision(scheme, p) else None
+    """The native kernel of a rounded channel from the raw start st, as
+    (form, advance): advance(k, out=None) -> (steps done, state) advances
+    the channel up to k steps and returns its last in-range state in the
+    record form ``form``; given ``out``, a record part's values, it appends
+    the state after each step it does.  None when the channel runs on the
+    emulator throughout: a precision without a native kernel, or a start or
+    constants outside their windows."""
     binary64 = channel_backend(p) == BINARY64
-    if not (binary64 or compiled):
+    if _compiled_start(scheme, p, st, consts):
+        kernels = _load_kernels()
+        if not binary64:
+            return _RAW, _stepwise(kernels.midpoint_b128(st, consts))
+        kernel = functools.partial(kernels.binary64, scheme.value)
+    elif binary64 and _in_windows(st, consts):
+        kernel = functools.partial(_python_native, _NATIVE_FN[scheme])
+    else:
         return None
-    if not (_raw_in_window(st, _STATE_EXP) and _raw_in_window(consts, _CONST_EXP)):
-        return None
-    if not binary64:
-        return compiled.midpoint_b128(st, consts)
-    xy, c, C = _native_floats(st, _STATE_EXP), _native_floats(consts, _CONST_EXP), _split_factor(p)
-    if compiled is not None:
-        return compiled.midpoint_b64(xy, c, C)
-    return _python_native(_NATIVE_FN[scheme], xy, c, C)
+    return _FLOAT, kernel(_native_floats(st, _STATE_EXP), _native_floats(consts, _CONST_EXP), _split_factor(p))
+
+
+def _in_windows(st, consts) -> bool:
+    """Whether the raw start st and the raw constants lie in their windows."""
+    return _raw_in_window(st, _STATE_EXP) and _raw_in_window(consts, _CONST_EXP)
+
+
+def _compiled_start(scheme: Scheme, p: int, st, consts) -> bool:
+    """Whether a rounded channel from the raw start st with the constants
+    consts steps on the compiled kernels: they cover the scheme at p bits,
+    st and consts lie in their windows, and the kernels loaded.
+    ``_native_kernel`` and ``starts_compiled`` both decide by it."""
+    return _compiled_precision(scheme, p) and _in_windows(st, consts) and _load_kernels() is not None
 
 
 def _compiled_precision(scheme: Scheme, p: int) -> bool:
-    """Whether the compiled kernels cover the scheme at p bits: the
-    midpoint scheme in binary64 where channel_backend says so, and in
-    binary128 at p = 113."""
-    return scheme is Scheme.MIDPOINT_IMPLICIT and (channel_backend(p) == BINARY64 or p == _BINARY128_BITS)
+    """Whether the compiled kernels cover the scheme at p bits: every
+    scheme in binary64 where channel_backend says so, and the midpoint
+    scheme in binary128 at p = 113."""
+    return channel_backend(p) == BINARY64 or (scheme is Scheme.MIDPOINT_IMPLICIT and p == _BINARY128_BITS)
 
 
 @functools.cache
 def _load_kernels():
-    """The compiled midpoint kernels (a ``_compiled.Kernels``), or None when
-    they cannot be built or loaded or disagree with the Python kernels;
-    looked up once per process, on first use."""
+    """The compiled kernels (a ``_compiled.Kernels``), or None when they
+    cannot be built or loaded or disagree with the Python kernels; looked
+    up once per process, on first use."""
     from . import _compiled
 
     kernels = _compiled.load()
@@ -592,27 +740,39 @@ def compiled_kernels(scheme: Scheme, p: int) -> bool:
     return _compiled_precision(scheme, p) and _load_kernels() is not None
 
 
+_ONE_ZERO = (1, 0, 0, 0)  # the raw start (1, 0) of integrate, at every p
+
+
+def starts_compiled(scheme: Scheme, params: OscillatorParams, dt, p: int) -> bool:
+    """Whether a rounded channel of the scheme at p bits, integrated from
+    (1, 0) with step size dt, steps on the compiled kernels: the same test
+    as the channel's own, on the constants rounded for this dt."""
+    return _compiled_start(scheme, p, _ONE_ZERO, _consts(scheme, params, _as_fraction(dt), p))
+
+
 def _known_answers(kernels) -> bool:
-    """Whether 40 compiled midpoint steps from (1, 0) give the Python
-    kernels' results at p = 10, 24, 53 and 113."""
+    """Whether 40 compiled steps from (1, 0) give the Python kernels'
+    results: each scheme's binary64 kernel at p = 10, 24 and 53, in one call
+    and in one recorded stretch, and the binary128 midpoint kernel at
+    p = 113."""
     params, dt, k = OscillatorParams(Fraction(1, 10), Fraction(1, 5)), Fraction(3, 100), 40
-    start = (1, 0, 0, 0)
     try:
-        for p in (10, 24, 53, _BINARY128_BITS):
-            c = _consts(Scheme.MIDPOINT_IMPLICIT, params, dt, p)
-            if p == _BINARY128_BITS:
-                mx, ex, my, ey = _midpoint_fused(start, c, p, k)
-                want = (k, _raw_to_fraction(mx, ex), _raw_to_fraction(my, ey))
-                got = kernels.midpoint_b128(start, c)(k)
-            else:
-                xy, cf, C = (1.0, 0.0), _native_floats(c, _CONST_EXP), _split_factor(p)
-                want = _python_native(_midpoint_native, xy, cf, C)(k)
-                got = kernels.midpoint_b64(xy, cf, C)(k)
-            if got != want:
-                return False
+        for scheme in Scheme:
+            for p in (10, 24, 53):
+                args = (1.0, 0.0), _native_floats(_consts(scheme, params, dt, p), _CONST_EXP), _split_factor(p)
+                want, got = array("d"), array("d")
+                answer = _python_native(_NATIVE_FN[scheme], *args)(k, want)
+                if (kernels.binary64(scheme.value, *args)(k, got) != answer or got != want
+                        or kernels.binary64(scheme.value, *args)(k) != answer):
+                    return False
+        p = _BINARY128_BITS
+        c = _consts(Scheme.MIDPOINT_IMPLICIT, params, dt, p)
+        mx, ex, my, ey = _midpoint_fused(_ONE_ZERO, c, p, k)
+        done, (gmx, gex, gmy, gey) = kernels.midpoint_b128(_ONE_ZERO, c)(k)
+        return (done, _raw_to_fraction(gmx, gex), _raw_to_fraction(gmy, gey)) == (
+            k, _raw_to_fraction(mx, ex), _raw_to_fraction(my, ey))
     except Exception:  # a library that misbehaves is not used
         return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -720,8 +880,8 @@ def integrate(
     """
     dt = _as_fraction(dt)
     n = _check_steps(_as_fraction(t_end), dt, max_steps)
-    samples = _channel(scheme, params, dt, cfg, Fraction(1), Fraction(0), sampling.resolve(n))
-    return Trajectory(params, scheme, dt, cfg, n, tuple(samples))
+    record = _channel(scheme, params, dt, cfg, Fraction(1), Fraction(0), sampling.resolve(n))
+    return Trajectory(params, scheme, dt, cfg, n, record)
 
 
 def step(
@@ -736,8 +896,8 @@ def step(
     dt = _as_fraction(dt)
     if dt <= 0:
         raise ParameterError("dt must be positive")
-    [(_, s)] = _channel(scheme, params, dt, cfg, state.x, state.y, (1,))
-    return State(s.x, s.y, state.t + dt)
+    [(x, y)] = _channel(scheme, params, dt, cfg, state.x, state.y, (1,)).fractions((0,))
+    return State(x, y, state.t + dt)
 
 
 def _exact_fused(st, m: UpdateMatrix, p, k):
@@ -750,48 +910,73 @@ def _exact_fused(st, m: UpdateMatrix, p, k):
     return x, y
 
 
-def _channel(scheme: Scheme, params: OscillatorParams, dt: Fraction, cfg, x0, y0, wanted):
+def _channel(scheme: Scheme, params: OscillatorParams, dt: Fraction, cfg, x0, y0, wanted) -> _Record:
     """Advance one channel from (x0, y0) at step 0 through the ascending
-    step indices ``wanted``; returns the (i, State at time i*dt) samples.
+    step indices ``wanted``; returns the record of its states there.
 
     cfg=None steps exactly with ``update_matrix``.  A rounded channel rounds
     the start to p bits, then steps on a native kernel while the range
     guard holds and on the fused emulator kernel otherwise.  Kernels run the
     steps between two samples in their own loops."""
-    gcd, dn, dd = math.gcd, dt.numerator, dt.denominator
-
-    def sample(i, x, y):  # (i, State at i*dt), the time in lowest terms without a Fraction product
-        g = gcd(i, dd)
-        return i, State(x, y, _fraction(dn * (i // g), dd // g))
-
-    native = None
+    record = _Record(wanted)
+    i = j = 0
     if cfg is None:
-        fused, consts, p = _exact_fused, update_matrix(scheme, params, dt), None
+        fused, consts, p, form = _exact_fused, update_matrix(scheme, params, dt), None, _EXACT
         st = (x0, y0)
     else:
         p = cfg.significand_bits
-        fused, consts = _FUSED_FN[scheme], _consts(scheme, params, dt, p)
+        fused, consts, form = _FUSED_FN[scheme], _consts(scheme, params, dt, p), _RAW
         st = (*_fraction_to_raw(x0, p), *_fraction_to_raw(y0, p))
         native = _native_kernel(scheme, p, st, consts)
-    samples = []
-    i = 0
-    for target in wanted:
         if native is not None:
-            done, x, y = native(target - i)
-            if done == target - i:
-                i = target  # the caller's int: a long run keeps no int per sample of its own
-                samples.append(sample(i, x, y))
-                continue
-            i += done
-            # the guard tripped: the emulator takes over from the last
-            # in-range state for the rest of the channel
-            st = (*_fraction_to_raw(x, p), *_fraction_to_raw(y, p))
-            native = None
-        st = fused(st, consts, p, target - i)
-        i = target
-        x, y = st if cfg is None else (_raw_to_fraction(st[0], st[1]), _raw_to_fraction(st[2], st[3]))
-        samples.append(sample(i, x, y))
-    return samples
+            i, j, st = _native_run(*native, wanted, record, p)
+    if j < len(wanted):
+        out = record.part(form, j)
+        for j in range(j, len(wanted)):
+            st = fused(st, consts, p, wanted[j] - i)
+            i = wanted[j]
+            out.extend(st)
+    return record
+
+
+def _native_run(form, advance, wanted, record: _Record, p: int):
+    """Step through ``wanted`` on a native kernel (``_native_kernel``),
+    recording each sampled state, until the end or until the range guard
+    trips.  A stretch of consecutive sampled steps is one recorded call.
+    Returns (i, j, st): the step reached, the ordinal of the first sample
+    not recorded and the raw state there, from which the emulator takes
+    over."""
+    out = record.part(form, 0)
+    i = j = 0
+    while j < len(wanted):
+        if wanted[j] == i + 1:
+            k = _stretch(wanted, j, i)
+            done, st = advance(k, out)
+            j += done
+        else:
+            k = wanted[j] - i
+            done, st = advance(k)
+            if done == k:
+                out.extend(st)
+                j += 1
+        i += done
+        if done < k:  # the guard tripped at the last in-range state st
+            return i, j, st if form is _RAW else (*_float_to_raw(st[0], p), *_float_to_raw(st[1], p))
+    return i, j, None
+
+
+def _stretch(wanted, j: int, i: int) -> int:
+    """The number of sampled steps from wanted[j] = i + 1 on that follow one
+    another: the largest m with wanted[j + m - 1] == i + m.  The indices
+    ascend, so that holds for every smaller m too."""
+    lo, hi = 1, len(wanted) - j
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if wanted[j + mid - 1] == i + mid:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def integrate_pair(

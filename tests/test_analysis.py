@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
@@ -20,12 +21,13 @@ from roundtrap.analysis import (
     residual_summary,
     spectral_analysis,
 )
-from roundtrap import analysis
+from roundtrap import analysis, schemes
 from roundtrap.experiments import SweepRecord, longtime_run
-from roundtrap.fpcore import QUAD, SINGLE, ParameterError, PrecisionConfig
+from roundtrap.fpcore import QUAD, SINGLE, ParameterError, PrecisionConfig, _raw_to_fraction
 from roundtrap.oscillator import OscillatorParams, State, analytic_solution
 from roundtrap.schemes import SamplingPlan, Scheme, UpdateMatrix, integrate, update_matrix
 from conftest import decimal_sqrt, rel_diff
+from test_native import emulated, python_kernels
 
 PARAMS = OscillatorParams()
 
@@ -212,22 +214,24 @@ def sorted_summary(norms):
 
 class SyntheticRun:
     """A stand-in trajectory whose step pair at index i has the residual
-    forms[i] = (rx, ry, d); only the indices of its samples are real."""
+    forms[i] = (rx, ry, d); only its sampled steps are real."""
 
     def __init__(self, forms, indices=None):
         self.forms = forms
-        self.samples = tuple((i, None) for i in (range(len(forms) + 1) if indices is None else indices))
+        self.steps = tuple(range(len(forms) + 1) if indices is None else indices)
 
     def summary(self, monkeypatch):
-        def forms(trajectory, params, pairs):
-            for (i, _), _ in pairs:
-                yield (i, *trajectory.forms[i])
+        def forms(trajectory, params, ordinals):
+            steps = trajectory.steps
+            for o, o1 in zip(ordinals, ordinals[1:]):
+                if o1 == o + 1 and steps[o1] == steps[o] + 1:
+                    yield (steps[o], *trajectory.forms[steps[o]])
 
         monkeypatch.setattr(analysis, "_residual_forms", forms)
         return residual_summary(self, PARAMS)
 
     def oracle(self):
-        consecutive = [i for (i, _), (j, _) in zip(self.samples, self.samples[1:]) if j == i + 1]
+        consecutive = [i for i, j in zip(self.steps, self.steps[1:]) if j == i + 1]
         return sorted_summary(_wide.wide_norm2(*self.forms[i]) for i in consecutive)
 
 
@@ -291,6 +295,66 @@ class TestResidualSummary:
         monkeypatch.setattr(_wide, "wide_norm2", lambda *args: calls.append(args) or wide_norm2(*args))
         assert residual_summary(traj, params) == expected
         assert len(calls) == 2
+
+
+def eager_samples(scheme, params, dt, n, cfg):
+    """The (i, State) of every step 0..n from (1, 0), each State built as
+    its step is taken: exact steps with the update matrix for cfg=None,
+    else one emulator step at a time."""
+    x, y = Fraction(1), Fraction(0)
+    out = [(0, State(x, y, 0))]
+    if cfg is None:
+        m = update_matrix(scheme, params, dt)
+        for i in range(1, n + 1):
+            x, y = m.apply(x, y)
+            out.append((i, State(x, y, i * dt)))
+        return tuple(out)
+    p = cfg.significand_bits
+    c, st = schemes._consts(scheme, params, dt, p), (1, 0, 0, 0)
+    for i in range(1, n + 1):
+        st = schemes._FUSED_FN[scheme](st, c, p, 1)
+        out.append((i, State(_raw_to_fraction(st[0], st[1]), _raw_to_fraction(st[2], st[3]), i * dt)))
+    return tuple(out)
+
+
+# (scheme, params, dt, steps, p, the kernels in charge, the record's parts)
+RECORDS = {
+    "exact": (Scheme.RK3, PARAMS, Fraction(1, 10), 60, None, None, ["exact"]),
+    "binary64 python": (Scheme.RK3, PARAMS, Fraction(1, 100), 300, 24, "python", ["float"]),
+    "binary64 compiled": (Scheme.RK3, PARAMS, Fraction(1, 100), 300, 24, "compiled", ["float"]),
+    "emulated": (Scheme.RK3, PARAMS, Fraction(1, 100), 300, 30, None, ["raw"]),
+    "binary128": (Scheme.MIDPOINT_IMPLICIT, PARAMS, Fraction(1, 100), 300, 113, "compiled", ["raw"]),
+    # the state passes 2**400 about 250 steps in: the emulator takes over
+    # inside the stride-1 stretch
+    "hand-off python": (Scheme.FORWARD_EULER, OscillatorParams(1, 1), Fraction(3), 300, 24, "python",
+                        ["float", "raw"]),
+    "hand-off compiled": (Scheme.FORWARD_EULER, OscillatorParams(1, 1), Fraction(3), 300, 24, "compiled",
+                          ["float", "raw"]),
+}
+
+
+@pytest.mark.parametrize("backend", RECORDS)
+def test_record_reads_as_eager_states(backend, request):
+    scheme, params, dt, n, p, kernels, parts = RECORDS[backend]
+    if kernels == "compiled":
+        request.getfixturevalue("compiled")  # skips where the kernels do not load
+    cfg = None if p is None else PrecisionConfig(p)
+    args = (scheme, params, dt, n * dt, cfg, SamplingPlan.every(1))
+    run = functools.partial(python_kernels, integrate) if kernels == "python" else integrate
+    traj = run(*args)
+    assert [form for _, form, _ in traj.record._parts] == parts
+    eager = eager_samples(scheme, params, dt, n, cfg)
+    assert traj.samples == eager
+    assert traj.final_state == eager[-1][1]
+    assert traj == run(*args)
+    assert traj == emulated(integrate, *args)  # equal values in another form
+    like = dataclasses.replace(traj)
+    assert like == traj and like.samples == eager
+    # the stencil reads the record; its oracle reads the eager States
+    eager_run = type("EagerRun", (), {"scheme": scheme, "machine_dt": traj.machine_dt, "samples": eager})
+    expected = oracle_residual(eager_run, params)
+    assert consistency_residual(traj, params) == expected
+    assert residual_summary(traj, params) == sorted_summary(r for _, r in expected)
 
 
 class TestResidualSummarySynthetic:

@@ -1,4 +1,4 @@
-"""Building and loading the compiled midpoint kernels, and falling back to
+"""Building and loading the compiled kernels, and falling back to
 the Python kernels when that fails: the output stays the same, the exit code
 stays 0 and nothing is printed to stderr."""
 
@@ -84,18 +84,34 @@ def test_cache_key_follows_the_flags(tmp_path, monkeypatch, compiled):
     assert _compiled._build() != first
 
 
-def test_environment_block(tmp_path, compiled):
-    assert compiled_kernels(Scheme.MIDPOINT_IMPLICIT, 24) and compiled_kernels(Scheme.MIDPOINT_IMPLICIT, 113)
-    assert not compiled_kernels(Scheme.MIDPOINT_IMPLICIT, 30)
-    assert not compiled_kernels(Scheme.RK3, 24)
+def test_environment_block(tmp_path, compiled, monkeypatch):
+    assert all(compiled_kernels(scheme, p) for scheme in Scheme for p in (10, 24, 53))
+    assert compiled_kernels(Scheme.MIDPOINT_IMPLICIT, 113)
+    assert not any(compiled_kernels(scheme, 30) for scheme in Scheme)
+    assert not compiled_kernels(Scheme.RK3, 113) and not compiled_kernels(Scheme.FORWARD_EULER, 113)
+    calls = []  # the flag must say whether a compiled kernel stepped
+    for method in ("binary64", "midpoint_b128"):
+        right = getattr(type(compiled), method)
+        monkeypatch.setattr(type(compiled), method, lambda *args, right=right: calls.append(args) or right(*args))
+    drift = ["diagnose", "drift", "--scheme", "midpoint", "--dt", "1e-2", "--t-end", "1", "--p-run", "24"]
     for argv, used in (
         (["sweep", "--t-end", "1", "--dt-list", "1e-1", "--p-run", "30", "--p-ref", "113"], True),
         (["sweep", "--t-end", "1", "--dt-list", "1e-1", "--p-run", "30", "--p-ref", "64"], False),
-        (["sweep", "--scheme", "rk3", "--t-end", "1", "--dt-list", "1e-1"], False),
+        (["sweep", "--scheme", "rk3", "--t-end", "1", "--dt-list", "1e-1"], True),
+        (["sweep", "--scheme", "rk3", "--t-end", "1", "--dt-list", "1e-1", "--p-run", "30", "--p-ref", "64"], False),
+        # every leg skipped by the step-count guard: nothing steps
+        (["sweep", "--t-end", "1", "--dt-list", "1e-1", "--max-steps", "5"], False),
+        (["longrun", "--scheme", "euler", "--dt", "1e-2", "--t-end", "1", "--samples", "4"], True),
         (["diagnose", "spectral"], False),
+        (drift, True),
+        # scheme constants outside their window: the emulator steps throughout
+        ([*drift, "--a", "1e-30", "--b", "1e30"], False),
     ):
-        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        calls.clear()
+        assert main([*argv, "--jobs", "1", "--out-dir", str(tmp_path)] if argv[0] == "sweep"
+                    else [*argv, "--out-dir", str(tmp_path)]) == 0, argv
         assert environment(tmp_path) == {"compiled_kernels": used}, argv
+        assert bool(calls) is used, argv
 
 
 def test_import_builds_and_loads_nothing(tmp_path):

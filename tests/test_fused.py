@@ -72,10 +72,14 @@ def test_compiled_b128_equals_op_by_op(compiled):
                         break
                     oracle.append(nxt)
                 for k in KS:
-                    done, gx, gy = compiled.midpoint_b128(st, c)(k)
+                    done, (gmx, gex, gmy, gey) = compiled.midpoint_b128(st, c)(k)
                     assert done == min(k, len(oracle) - 1), (a, b, dt, x, y, k)
                     mx, ex, my, ey = oracle[done]
-                    assert (gx, gy) == (_raw_to_fraction(mx, ex), _raw_to_fraction(my, ey))
+                    got = _raw_to_fraction(gmx, gex), _raw_to_fraction(gmy, gey)
+                    assert got == (_raw_to_fraction(mx, ex), _raw_to_fraction(my, ey))
+                    # odd significands of at most p bits, or zero as (0, 0)
+                    for m, e in ((gmx, gex), (gmy, gey)):
+                        assert m % 2 and abs(m).bit_length() <= p or (m, e) == (0, 0)
                     checked += done
     assert checked > 10000
 

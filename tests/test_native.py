@@ -1,9 +1,9 @@
 """The native backends against the emulator, which stays the oracle: every
 native trajectory must equal the emulated one bit for bit, including runs
 that leave the guarded range and hand off to the emulator.  The native
-kernels are the Python binary64 kernels and, for the midpoint scheme, the
-compiled binary64 and binary128 kernels, which must also equal the Python
-kernels."""
+kernels are the Python binary64 kernels, their compiled twins and, for the
+midpoint scheme, the compiled binary128 kernel; the compiled kernels must
+also equal the Python kernels."""
 
 import csv
 import math
@@ -245,18 +245,24 @@ class TestGuardAndHandOff:
             assert abs(m).bit_length() <= p and math.ldexp(m, e) == v
 
 
-class TestCompiledMidpoint:
-    """The compiled midpoint kernels against the emulator and the Python
-    kernels.  At p = 113 the emulator is the only other path."""
+class CompiledKernels:
+    """A scheme's compiled kernels against the emulator and the Python
+    kernels; one subclass per scheme.  At p = 113 the midpoint scheme's
+    binary128 kernel has only the emulator to agree with, and the other
+    schemes are emulated."""
 
-    M = Scheme.MIDPOINT_IMPLICIT
+    S: Scheme
+
+    def native(self, p):
+        """Whether a channel of the scheme at p bits has a compiled kernel."""
+        return schemes._compiled_precision(self.S, p)
 
     @pytest.mark.parametrize("sampling", SAMPLINGS)
     @pytest.mark.parametrize("p", COMPILED_PS)
     def test_bit_identical(self, compiled, p, sampling):
         for a, b in PAIRS:
             params = OscillatorParams(Fraction(a), Fraction(b))
-            args = (self.M, params, Fraction("0.03"), Fraction("4.5"), PrecisionConfig(p), SAMPLINGS[sampling])
+            args = (self.S, params, Fraction("0.03"), Fraction("4.5"), PrecisionConfig(p), SAMPLINGS[sampling])
             got = integrate(*args).samples
             assert got == emulated(integrate, *args).samples, (a, b)
             assert got == python_kernels(integrate, *args).samples, (a, b)
@@ -267,9 +273,9 @@ class TestCompiledMidpoint:
         for a, b in PAIRS:
             params = OscillatorParams(Fraction(a), Fraction(b))
             for x, y in IN_WINDOW_STARTS + OUT_OF_WINDOW_STARTS:
-                got = step(self.M, params, State(x, y, t), dt, cfg)
-                assert got == emulated(step, self.M, params, State(x, y, t), dt, cfg), (a, b, x, y)
-                assert got == python_kernels(step, self.M, params, State(x, y, t), dt, cfg), (a, b, x, y)
+                got = step(self.S, params, State(x, y, t), dt, cfg)
+                assert got == emulated(step, self.S, params, State(x, y, t), dt, cfg), (a, b, x, y)
+                assert got == python_kernels(step, self.S, params, State(x, y, t), dt, cfg), (a, b, x, y)
 
     # Starts whose orbit leaves the state window about a quarter period
     # (370 steps) in: y's amplitude is sqrt(b/a) = 5.66 times x's, so from
@@ -279,38 +285,42 @@ class TestCompiledMidpoint:
         (("0.025", "0.8"), Fraction(2**398), Fraction(0)),
         (("0.8", "0.025"), Fraction(1, 2**395), Fraction(1, 2**397)),
     )
+    # sparse samples, and every step: the guard trips inside a recorded stretch
+    HAND_OFF_SAMPLES = ((0, 1, 7, 40, 200, 300, 350, 400, 600), tuple(range(601)))
 
     @pytest.mark.parametrize("p", (10, 24, 53, 113))  # p=2 distorts the orbits too much
     def test_guard_trips_mid_run_and_hands_off(self, compiled, monkeypatch, p):
         emulator_steps = []
+        fused = schemes._FUSED_FN[self.S]
 
         def counted(st, c, q, k):
             emulator_steps.append(k)
-            return schemes._midpoint_fused(st, c, q, k)
+            return fused(st, c, q, k)
 
-        wanted = (0, 1, 7, 40, 200, 300, 350, 400, 600)
-        for (a, b), x0, y0 in self.HAND_OFFS:
-            params = OscillatorParams(Fraction(a), Fraction(b))
-            args = (self.M, params, Fraction("0.03"), PrecisionConfig(p), x0, y0, wanted)
-            emulator_steps.clear()
-            with monkeypatch.context() as mp:
-                mp.setattr(schemes, "_FUSED_FN", {self.M: counted})
-                got = schemes._channel(*args)
-            assert 0 < sum(emulator_steps) < wanted[-1], (a, b)  # both backends stepped
-            assert got == emulated(schemes._channel, *args), (a, b)
-            if p != 113:
-                assert got == python_kernels(schemes._channel, *args), (a, b)
+        for wanted in self.HAND_OFF_SAMPLES:
+            for (a, b), x0, y0 in self.HAND_OFFS:
+                params = OscillatorParams(Fraction(a), Fraction(b))
+                args = (self.S, params, Fraction("0.03"), PrecisionConfig(p), x0, y0, wanted)
+                emulator_steps.clear()
+                with monkeypatch.context() as mp:
+                    mp.setattr(schemes, "_FUSED_FN", {self.S: counted})
+                    got = schemes._channel(*args)
+                # both backends stepped, where the scheme has a compiled kernel at p
+                assert (0 < sum(emulator_steps) < wanted[-1]) is self.native(p), (a, b)
+                assert got == emulated(schemes._channel, *args), (a, b)
+                if p != 113:
+                    assert got == python_kernels(schemes._channel, *args), (a, b)
 
     @pytest.mark.parametrize("p", (24, 113))
     def test_out_of_range_constants(self, compiled, monkeypatch, p):
         def forbidden(*args):
             raise AssertionError("compiled kernel called")
 
-        monkeypatch.setattr(type(compiled), "midpoint_b64", forbidden)
+        monkeypatch.setattr(type(compiled), "binary64", forbidden)
         monkeypatch.setattr(type(compiled), "midpoint_b128", forbidden)
         params = OscillatorParams(Fraction(1, 2**300), Fraction(2**290))
         assert_same_as_emulator(
-            self.M, params, Fraction("0.01"), 1, PrecisionConfig(p), SamplingPlan.every(9)
+            self.S, params, Fraction("0.01"), 1, PrecisionConfig(p), SamplingPlan.every(9)
         )
 
     def test_native_paths_skip_emulator(self, compiled, monkeypatch):
@@ -318,24 +328,56 @@ class TestCompiledMidpoint:
             raise AssertionError("emulator kernel called")
 
         monkeypatch.setattr(schemes, "_FUSED_FN", dict.fromkeys(Scheme, forbidden))
-        args = (self.M, OscillatorParams(), Fraction("0.01"), 1)
-        for p in COMPILED_PS:
-            integrate(*args, PrecisionConfig(p))
+        args = (self.S, OscillatorParams(), Fraction("0.01"), 1)
+        for p in filter(self.native, COMPILED_PS):
+            integrate(*args, PrecisionConfig(p), SamplingPlan.every(1))
         for p in NATIVE_PS:
-            python_kernels(integrate, *args, PrecisionConfig(p))
+            python_kernels(integrate, *args, PrecisionConfig(p), SamplingPlan.every(1))
         with pytest.raises(AssertionError, match="emulator kernel"):
             python_kernels(integrate, *args, PrecisionConfig(113))
 
+    def wrong_kernels(self, compiled):
+        """(method of Kernels, a wrong version of it) pairs: the scheme's
+        binary64 kernel one step ahead, and recording nothing."""
+        right, name = type(compiled).binary64, self.S.value
+
+        def off_by_one_step(kernels, scheme, *args):
+            advance = right(kernels, scheme, *args)
+            return (lambda k, out=None: advance(k + 1, out)) if scheme == name else advance
+
+        def records_nothing(kernels, scheme, *args):
+            advance = right(kernels, scheme, *args)
+            return (lambda k, out=None: advance(k)) if scheme == name else advance
+
+        return [("binary64", off_by_one_step), ("binary64", records_nothing)]
+
     def test_known_answers_refuse_a_wrong_kernel(self, compiled, monkeypatch):
+        assert schemes._known_answers(compiled)
+        for method, wrong in self.wrong_kernels(compiled):
+            with monkeypatch.context() as mp:
+                mp.setattr(type(compiled), method, wrong)
+                assert not schemes._known_answers(compiled), wrong.__name__
+
+
+class TestCompiledEuler(CompiledKernels):
+    S = Scheme.FORWARD_EULER
+
+
+class TestCompiledMidpoint(CompiledKernels):
+    S = Scheme.MIDPOINT_IMPLICIT
+
+    def wrong_kernels(self, compiled):
         right = type(compiled).midpoint_b128
 
-        def off_by_one_step(self, st, c):
-            advance = right(self, st, c)
+        def off_by_one_step(kernels, st, c):
+            advance = right(kernels, st, c)
             return lambda k: advance(k + 1)
 
-        assert schemes._known_answers(compiled)
-        monkeypatch.setattr(type(compiled), "midpoint_b128", off_by_one_step)
-        assert not schemes._known_answers(compiled)
+        return [*super().wrong_kernels(compiled), ("midpoint_b128", off_by_one_step)]
+
+
+class TestCompiledRK3(CompiledKernels):
+    S = Scheme.RK3
 
 
 def _data_columns(path):
