@@ -206,7 +206,7 @@ def longtime_run(
         SamplingPlan.at(steps), max_steps,
     )
     out = []
-    for (i, s_run), (j, s_ref) in zip(run.samples, ref.samples):
+    for (i, s_run), (j, s_ref) in zip(run._each_sample(), ref._each_sample()):
         assert i == j
         triple = error_separation(s_run, s_ref, analytic_solution(params, s_run.t))
         out.append(TimeSeriesRecord(s_run.t, triple.roundoff.norm, triple.truncation.norm))

@@ -68,8 +68,9 @@ emulator and the binary128 kernel, Fractions from exact steps.  A
 compiled binary64 kernel runs a stretch of consecutive sampled steps
 (every-step sampling) in one call that writes each step's state into the
 record; the other kernels run it as single steps.  ``Trajectory.samples``
-builds the (i, State) pairs when first read, and the residual stencil of
-``analysis`` reads the record as integers without them.
+builds the (i, State) pairs when first read; a long run's error split takes
+them one at a time and keeps none, and the residual stencil of ``analysis``
+reads the record as integers without them.
 
 The emulator runs one fused kernel per scheme (``_FUSED_FN``): each
 advances the raw state k steps in its own loop, rounding with
@@ -288,10 +289,14 @@ class Trajectory:
     def samples(self) -> tuple[tuple[int, State], ...]:
         """The (i, State at time i*dt) samples."""
         if self._samples is None:
-            steps, time = self.record.steps, self._time
-            states = self.record.fractions(range(len(steps)))
-            object.__setattr__(self, "_samples", tuple((i, State(x, y, time(i))) for i, (x, y) in zip(steps, states)))
+            object.__setattr__(self, "_samples", tuple(self._each_sample()))
         return self._samples
+
+    def _each_sample(self):
+        """The samples one at a time, for a caller that keeps none of them."""
+        steps, time = self.record.steps, self._time
+        for i, (x, y) in zip(steps, self.record.fractions(range(len(steps)))):
+            yield i, State(x, y, time(i))
 
     def _time(self, i: int) -> Fraction:
         """i*dt in lowest terms, without a Fraction product."""

@@ -196,6 +196,21 @@ class TestLongtimeRun:
         assert len(recs) == k
         assert calls == {"analytic": k, "separation": k, "norm2": 2 * k, "cos_sin": k}
 
+    def test_keeps_no_samples(self, monkeypatch):
+        # the run reads each channel's samples once, one at a time, so its
+        # peak memory holds the two records but not their States
+        from roundtrap import experiments
+
+        made = []
+        monkeypatch.setattr(experiments, "integrate_pair",
+                            lambda *args: made.extend(integrate_pair(*args)) or tuple(made))
+        recs = experiments.longtime_run(
+            Scheme.MIDPOINT_IMPLICIT, PARAMS, Fraction(1, 100), 2, SINGLE, QUAD, 20, spacing="linear"
+        )
+        run, ref = made
+        assert run._samples is None and ref._samples is None
+        assert [r.t for r in recs] == [s.t for _, s in run.samples]
+
 
 def sample_steps_by_count(n: int, count: int, spacing: str) -> tuple[int, ...]:
     """The sample placement as first written: every one of the count
