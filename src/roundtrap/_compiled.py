@@ -86,10 +86,10 @@ def _from_bits(lo: int, hi: int) -> tuple[int, int]:
 
 class Kernels:
     """The loaded library.  ``binary64`` and ``midpoint_b128`` return a
-    channel's kernel: a function advance(k, out=None) -> (steps done,
-    state) that advances the channel's state up to k steps, the state being
-    the last in-range one, as floats (x, y) or as the raw pairs (mx, ex, my,
-    ey).  The state and constant buffers are allocated once per channel."""
+    channel's kernel: a function advance(k) -> (steps done, state) that
+    advances the channel's state up to k steps, the state being the last
+    in-range one, as floats (x, y) or as the raw pairs (mx, ex, my, ey).
+    The state and constant buffers are allocated once per channel."""
 
     def __init__(self, path: str):
         lib = ctypes.CDLL(path)

@@ -63,7 +63,7 @@ def p113():
 
 @pytest.fixture
 def compiled():
-    """The compiled midpoint kernels; the test is skipped where they do not
+    """The compiled kernels; the test is skipped where they do not
     build or load (CI fails on ubuntu when they do not)."""
     kernels = schemes._load_kernels()
     if kernels is None:
