@@ -65,6 +65,7 @@ from .experiments import (
     SweepConfig,
     SweepRecord,
     longtime_run,
+    running_legs,
     stepsize_sweep,
 )
 
@@ -396,8 +397,7 @@ def _sweep_config(resolved: dict) -> SweepConfig:
 def cmd_sweep(resolved: dict) -> tuple[str, list[str], list, dict]:
     """error vs. step size at fixed final time"""
     cfg = _sweep_config(resolved)
-    legs = [dt for dt in cfg.dt_list if 1 <= num_steps(cfg.t_end, dt) <= cfg.max_steps]
-    channels = _channels(cfg.scheme, cfg.params, legs, run=cfg.run_precision, reference=cfg.ref_precision)
+    channels = _channels(cfg.scheme, cfg.params, running_legs(cfg), run=cfg.run_precision, reference=cfg.ref_precision)
     records = stepsize_sweep(cfg, jobs=_get(resolved, "jobs"))
     for r in records:
         if r.status == STATUS_OK:

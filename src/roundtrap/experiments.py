@@ -92,12 +92,25 @@ class TimeSeriesRecord:
     e_trunc: Fraction
 
 
+def _skip_status(cfg: SweepConfig, n: int) -> Optional[str]:
+    """The status of a sweep leg of n steps that is skipped, or None when it runs."""
+    if n < 1:
+        return STATUS_SKIPPED_ZERO_STEPS
+    if n > cfg.max_steps:
+        return STATUS_SKIPPED_GUARD
+    return None
+
+
+def running_legs(cfg: SweepConfig) -> list[Fraction]:
+    """The step sizes of the sweep's legs that run rather than being skipped."""
+    return [dt for dt in cfg.dt_list if _skip_status(cfg, num_steps(cfg.t_end, dt)) is None]
+
+
 def _sweep_leg(cfg: SweepConfig, dt: Fraction) -> SweepRecord:
     n = num_steps(cfg.t_end, dt)
-    if n < 1:
-        return SweepRecord(dt, n, None, None, None, 0.0, STATUS_SKIPPED_ZERO_STEPS)
-    if n > cfg.max_steps:
-        return SweepRecord(dt, n, None, None, None, 0.0, STATUS_SKIPPED_GUARD)
+    skipped = _skip_status(cfg, n)
+    if skipped is not None:
+        return SweepRecord(dt, n, None, None, None, 0.0, skipped)
     started = time.perf_counter()
     run, ref = integrate_pair(
         cfg.scheme, cfg.params, dt, cfg.t_end,

@@ -739,12 +739,6 @@ def _load_kernels():
     return kernels if kernels is not None and _known_answers(kernels) else None
 
 
-def compiled_kernels(scheme: Scheme, p: int) -> bool:
-    """Whether a rounded channel of the scheme at p bits steps on the
-    compiled kernels (while its values stay inside the windows)."""
-    return _compiled_precision(scheme, p) and _load_kernels() is not None
-
-
 _ONE_ZERO = (1, 0, 0, 0)  # the raw start (1, 0) of integrate, at every p
 
 

@@ -12,7 +12,8 @@ import pytest
 
 from roundtrap import _compiled, schemes
 from roundtrap.cli import main
-from roundtrap.schemes import Scheme, compiled_kernels
+from roundtrap.oscillator import OscillatorParams
+from roundtrap.schemes import Scheme, starts_compiled
 from test_native import _data_columns
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -85,6 +86,9 @@ def test_cache_key_follows_the_flags(tmp_path, monkeypatch, compiled):
 
 
 def test_environment_block(tmp_path, compiled, monkeypatch):
+    def compiled_kernels(scheme, p):
+        return starts_compiled(scheme, OscillatorParams(), "0.01", p)
+
     assert all(compiled_kernels(scheme, p) for scheme in Scheme for p in (10, 24, 53))
     assert compiled_kernels(Scheme.MIDPOINT_IMPLICIT, 113)
     assert not any(compiled_kernels(scheme, 30) for scheme in Scheme)

@@ -329,10 +329,12 @@ class CompiledKernels:
 
         monkeypatch.setattr(schemes, "_FUSED_FN", dict.fromkeys(Scheme, forbidden))
         args = (self.S, OscillatorParams(), Fraction("0.01"), 1)
-        for p in filter(self.native, COMPILED_PS):
-            integrate(*args, PrecisionConfig(p), SamplingPlan.every(1))
-        for p in NATIVE_PS:
-            python_kernels(integrate, *args, PrecisionConfig(p), SamplingPlan.every(1))
+        # final-only: one long advance(k); every step: one recorded stretch
+        for sampling in (SamplingPlan.final_only(), SamplingPlan.every(1)):
+            for p in filter(self.native, COMPILED_PS):
+                integrate(*args, PrecisionConfig(p), sampling)
+            for p in NATIVE_PS:
+                python_kernels(integrate, *args, PrecisionConfig(p), sampling)
         with pytest.raises(AssertionError, match="emulator kernel"):
             python_kernels(integrate, *args, PrecisionConfig(113))
 
