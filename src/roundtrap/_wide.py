@@ -17,6 +17,14 @@ on Python integers and are correctly rounded at 240 bits, for any argument
 (Ziv's retry makes the working precision grow until each rounding is
 decided).  Every error is far under the 2**-100 relative budget the
 reference side must honor.
+
+A long run's phase at step k is k theta.  ``cos_sin_steps`` carries
+(C, S) = (cos, sin)(k theta) 2**W, W = 304, from sample to sample by integer
+rotations, with a bound E on the Euclidean error.  ``wide_cos_sin`` turns a
+hint to the wide phase x + delta by c = C - S delta, s = S + C delta; E
+grows by 3 for the floors and by a power of two >= 2**W delta**2 for the
+second-order terms.  It rounds c and s only when Ziv's test decides on that
+bound, and else runs the kernel, so a hint changes the cost, never a bit.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .fpcore import _div_raw, _raw_to_fraction, _round_raw, _sqrt_raw
 WIDE_PREC_BITS = 240
 _GUARD_BITS = 20  # the cosine and sine kernel's first guard width
 _HALVINGS = 6
+_HINT_BITS = WIDE_PREC_BITS + 64  # W: a hint holds cos and sin times 2**W
 _PI = [0, 0]  # bits, pi * 2**bits: the widest pi computed so far
 
 
@@ -117,9 +126,9 @@ def _pi(bits: int) -> int:
     return pi >> (have - bits)
 
 
-def _cos_sin_raw(m: int, e: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """cos x and sin x for x = m * 2**e, m != 0 of at most n bits, each
-    correctly rounded to n bits as a raw pair.
+def _cos_sin_fixed(m: int, e: int, w: int) -> tuple[int, int, int, int]:
+    """(c, s, u, err): cos x and sin x for x = m * 2**e in units of 2**-u,
+    each within err, with the reduced argument held at w bits (e + w >= -2).
 
     x is reduced by q pi/2 to r, |r| < 0.79, held as R = r 2**w; R is read
     as y = r / 2**k in units of 2**-u, u = w + k, so the k halvings cost
@@ -135,44 +144,101 @@ def _cos_sin_raw(m: int, e: int, n: int) -> tuple[tuple[int, int], tuple[int, in
     - Each doubling at angle a maps an error E to at most 2 (1 + |a|) E + 1,
       and the angles sum to less than 0.79, so after k >= 1 doublings the
       error is below e**0.79 2**k (1.4 J + 3.9) < 2**(k + 2) (J + 3) = err.
-    Ziv's test: when v - err and v + err round alike, so does the value
-    between them (cos and sin of a nonzero rational are transcendental,
-    never a tie); otherwise the guard width doubles and the kernel reruns.
     """
     ex = e + abs(m).bit_length() - 1  # 2**ex <= |x| < 2**(ex + 1)
-    g, k = _GUARD_BITS, _HALVINGS
-    while True:
-        w = n + g - min(ex, 0)  # a tiny x keeps n + g significant bits
-        W = w + max(ex, 0) + 2  # a huge x is reduced at log2|x| more bits
-        h = _pi(W - 1)  # pi/2 2**W
-        X = m << (e + W)
-        q = (X + (h >> 1)) // h
-        s = t = (X - q * h) >> (W - w)
-        u = w + k
-        minus_y2 = -(s * s >> u)
-        j = 1
-        while t:
-            t = (t * minus_y2 >> u) // ((j + 1) * (j + 2))
-            s += t
-            j += 2
-        one = 1 << u
-        c = math.isqrt(one * one - s * s)
-        for _ in range(k):  # sin 2a = 2 sin a cos a, cos 2a = 1 - 2 sin(a)**2
-            s, c = s * c >> (u - 1), one - (s * s >> (u - 1))
-        if q & 1:
-            c, s = -s, c
-        if q & 2:
-            c, s = -c, -s
-        err = (j // 2 + 3) << (k + 2)
-        lo = _round_raw(c - err, -u, n), _round_raw(s - err, -u, n)
-        if lo == (_round_raw(c + err, -u, n), _round_raw(s + err, -u, n)):
-            return lo
+    k = _HALVINGS
+    W = w + max(ex, 0) + 2  # a huge x is reduced at log2|x| more bits
+    h = _pi(W - 1)  # pi/2 2**W
+    X = m << (e + W)
+    q = (X + (h >> 1)) // h
+    s = t = (X - q * h) >> (W - w)
+    u = w + k
+    minus_y2 = -(s * s >> u)
+    j = 1
+    while t:
+        t = (t * minus_y2 >> u) // ((j + 1) * (j + 2))
+        s += t
+        j += 2
+    one = 1 << u
+    c = math.isqrt(one * one - s * s)
+    for _ in range(k):  # sin 2a = 2 sin a cos a, cos 2a = 1 - 2 sin(a)**2
+        s, c = s * c >> (u - 1), one - (s * s >> (u - 1))
+    if q & 1:
+        c, s = -s, c
+    if q & 2:
+        c, s = -c, -s
+    return c, s, u, (j // 2 + 3) << (k + 2)
+
+
+def _decided(c: int, s: int, u: int, err: int, n: int):
+    """Ziv's test: c and s (units of 2**-u) rounded to n bits as raw pairs
+    when every value within err of each rounds alike, else None."""
+    lo = _round_raw(c - err, -u, n), _round_raw(s - err, -u, n)
+    return lo if lo == (_round_raw(c + err, -u, n), _round_raw(s + err, -u, n)) else None
+
+
+def _cos_sin_raw(m: int, e: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """cos x and sin x for x = m * 2**e, m != 0 of at most n bits, each
+    correctly rounded to n bits as a raw pair; an undecided rounding
+    doubles the guard width g, and a tiny x keeps n + g significant bits."""
+    ex = e + abs(m).bit_length() - 1
+    g = _GUARD_BITS
+    while (got := _decided(*_cos_sin_fixed(m, e, n + g - min(ex, 0)), n)) is None:
         g *= 2
+    return got
 
 
-def wide_cos_sin(x: Fraction) -> tuple[Fraction, Fraction]:
-    """(cos x, sin x) of x's wide value, each correctly rounded at 240 bits."""
+def _anchor(num: int, den: int) -> tuple[int, int, int]:
+    """The hint of the phase num/den >= 0 from the kernel at 2**-(W + 8):
+    the phase errs by 2**-9 units, each component by (err >> d) + 2."""
+    bits = _HINT_BITS + 8
+    c, s, u, err = _cos_sin_fixed(((num << (bits + 1)) // den + 1) >> 1, -bits, bits)
+    d = u - _HINT_BITS
+    return c >> d, s >> d, 2 * (err >> d) + 3
+
+
+def cos_sin_steps(theta: Fraction, steps):
+    """A hint (C, S, E) for each phase k theta, theta > 0, k in the
+    ascending steps (k >= 0), or None from a phase of 2**120 on, where the
+    second-order term alone can reach 2**64 units.  Each hint is the last
+    one rotated by the cached rotations by 2**j theta for the set bits j of
+    the gap: a product adds the factor's bound and 3, a squaring doubles
+    the bound and adds 3.  Past a bound of 2**40 the kernel anchors anew."""
+    num, den, W = theta.numerator, theta.denominator, _HINT_BITS
+    powers = [_anchor(num, den)]  # (C, S, E) of the rotation by 2**j theta
+    C, S, E, k0 = 1 << W, 0, 0, 0
+    for k in steps:
+        if k * num >= den << 120:
+            yield None
+            continue
+        gap, k0 = k - k0, k
+        while len(powers) < gap.bit_length():
+            c, s, err = powers[-1]
+            powers.append(((c * c - s * s) >> W, c * s >> (W - 1), 2 * err + 3))
+        bits = [powers[j] for j in range(gap.bit_length()) if gap >> j & 1]
+        E += sum(err + 3 for _, _, err in bits)
+        if E > 1 << 40:
+            C, S, E = _anchor(k * num, den)
+        else:
+            for c, s, _ in bits:
+                C, S = (C * c - S * s) >> W, (C * s + S * c) >> W
+        yield C, S, E
+
+
+def wide_cos_sin(x: Fraction, near=None) -> tuple[Fraction, Fraction]:
+    """(cos x, sin x) of x's wide value, each correctly rounded at 240 bits.
+    ``near`` is an optional hint from ``cos_sin_steps`` for the phase x:
+    when it decides the rounding, the kernel does not run."""
     if not x:
         return Fraction(1), Fraction(0)
-    c, s = _cos_sin_raw(*_to_raw(x.numerator, x.denominator), WIDE_PREC_BITS)
+    num, den = x.numerator, x.denominator
+    m, e = _to_raw(num, den)
+    got = None
+    if near is not None:  # delta = m 2**e - x = dn/dd exactly, D = delta 2**(W + 2)
+        (C, S, E), W = near, _HINT_BITS
+        dn, dd = ((m * den << e) - num, den) if e >= 0 else (m * den - (num << -e), den << -e)
+        D = (dn << W + 2) // dd
+        err = E + 3 + (1 << max(2 * (dn.bit_length() - dd.bit_length() + 1) + W, 0))
+        got = _decided(C - (S * D >> W + 2), S + (C * D >> W + 2), W, err, WIDE_PREC_BITS)
+    c, s = got or _cos_sin_raw(m, e, WIDE_PREC_BITS)
     return _raw_to_fraction(*c), _raw_to_fraction(*s)

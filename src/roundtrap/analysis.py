@@ -99,7 +99,7 @@ def error_separation(actual: State, reference: State, analytic: State) -> ErrorT
     truncation part (carried by ``reference``) and the round-off part
     (actual minus reference).  All three states must share the same t.
     Nothing is computed until a component or norm is read."""
-    if not (actual.t == reference.t == analytic.t):
+    if not (actual.t is reference.t is analytic.t or actual.t == reference.t == analytic.t):
         raise ParameterError(
             f"states are at different times: {actual.t}, {reference.t}, {analytic.t}"
         )

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._wide import cos_sin_steps
 from .analysis import error_separation
 from .fpcore import ParameterError, PrecisionConfig, QUAD, SINGLE
-from .oscillator import OscillatorParams, analytic_solution, _as_fraction
+from .oscillator import OscillatorParams, State, analytic_solution, _as_fraction
 from .schemes import SamplingPlan, Scheme, _check_steps, integrate_pair, num_steps
 
 STATUS_OK = "ok"
@@ -218,9 +219,14 @@ def longtime_run(
         scheme, params, dt, t_end, run_precision, ref_precision,
         SamplingPlan.at(steps), max_steps,
     )
+    # one time per sample for the three States; the phase w t is k (w dt)
+    ordinals, time = range(len(steps)), run._time
+    assert run.steps == ref.steps == steps
+    hints = cos_sin_steps(params.angular_frequency() * dt, steps)
     out = []
-    for (i, s_run), (j, s_ref) in zip(run._each_sample(), ref._each_sample()):
-        assert i == j
-        triple = error_separation(s_run, s_ref, analytic_solution(params, s_run.t))
-        out.append(TimeSeriesRecord(s_run.t, triple.roundoff.norm, triple.truncation.norm))
+    for i, (x, y), (xr, yr), near in zip(steps, run.record.fractions(ordinals),
+                                         ref.record.fractions(ordinals), hints):
+        t = time(i)
+        triple = error_separation(State(x, y, t), State(xr, yr, t), analytic_solution(params, t, near))
+        out.append(TimeSeriesRecord(t, triple.roundoff.norm, triple.truncation.norm))
     return out

@@ -102,14 +102,15 @@ def _times(n1: int, d1: int, e1: int, n2: int, d2: int, e2: int) -> Fraction:
 _analytic_memo = (None, ())
 
 
-def analytic_solution(params: OscillatorParams, t) -> State:
+def analytic_solution(params: OscillatorParams, t, near=None) -> State:
     """Closed-form solution x = cos(w*t), y = sqrt(b/a)*sin(w*t), w = sqrt(a*b).
 
     Evaluated at ANALYTIC_PREC_BITS (240) so its own trig error stays below
     2**-230 relative, regardless of any run precision it is compared against.
     The products w*t and sqrt(b/a)*sin are formed on integers; the last
     params' constants are kept by identity, so a run does not hash its
-    params once per sample.
+    params once per sample.  ``near`` is an optional hint for the phase w*t
+    (``_wide.cos_sin_steps``), which changes no bit of the result.
     """
     global _analytic_memo
     t = _as_fraction(t)
@@ -121,7 +122,7 @@ def analytic_solution(params: OscillatorParams, t) -> State:
     if memo[0] is not params:
         memo = _analytic_memo = params, tuple(map(_odd_parts, _orbit_constants(params)))
     omega, amp = memo[1]
-    c, s = _wide.wide_cos_sin(_times(*omega, *_odd_parts(t)))
+    c, s = _wide.wide_cos_sin(_times(*omega, *_odd_parts(t)), near)
     return State(c, _times(*amp, *_odd_parts(s)), t)  # s != 0: a nonzero rational phase
 
 

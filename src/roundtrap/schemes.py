@@ -176,11 +176,10 @@ class SamplingPlan:
 
     def resolve(self, n_steps: int) -> tuple[int, ...]:
         if self.stride is not None:
-            idx = set(range(0, n_steps + 1, self.stride))
-        else:
-            idx = {s for s in self.at_steps if 0 <= s <= n_steps}
-        idx.add(n_steps)
-        return tuple(sorted(idx))
+            idx = range(0, n_steps + 1, self.stride)
+        else:  # at_steps is sorted and distinct
+            idx = [s for s in self.at_steps if 0 <= s < n_steps]
+        return tuple(idx) if idx and idx[-1] == n_steps else (*idx, n_steps)
 
 
 # the forms of a record's parts: floats (x, y), raw pairs (mx, ex, my, ey)
@@ -233,7 +232,8 @@ class _Record:
 
     def integers(self, ordinals):
         """(nx, ny, q) for each of the ascending sample ordinals: the state
-        is (nx/q, ny/q), q > 0 (a power of two for a rounded run)."""
+        is (nx/q, ny/q), q > 0 (a power of two for a rounded run, one for
+        each float part)."""
         lcm = math.lcm
         for form, v, start, part in self._spans(ordinals):
             if form is _RAW:
@@ -242,13 +242,21 @@ class _Record:
                     mx, ex, my, ey = v[k:k + 4]
                     e = min(ex, ey, 0)
                     yield mx << (ex - e), my << (ey - e), 1 << -e
-            else:  # floats and Fractions
-                for o in part:
-                    k = 2 * (o - start)
-                    nx, dx = v[k].as_integer_ratio()
-                    ny, dy = v[k + 1].as_integer_ratio()
-                    q = lcm(dx, dy)
-                    yield nx * (q // dx), ny * (q // dy), q
+                continue
+            if form is _FLOAT:  # 2**z times each value is an integer, exact as a float
+                z = max(53 - math.frexp(min(filter(None, map(abs, v)), default=1.0))[1], 0)
+                if z + max(math.frexp(max(max(v), -min(v)))[1], 1) <= 1024:
+                    scale, q = 2.0 ** z, 1 << z
+                    for o in part:
+                        k = 2 * (o - start)
+                        yield int(v[k] * scale), int(v[k + 1] * scale), q
+                    continue
+            for o in part:  # Fractions, and floats too far apart for one scale
+                k = 2 * (o - start)
+                nx, dx = v[k].as_integer_ratio()
+                ny, dy = v[k + 1].as_integer_ratio()
+                q = lcm(dx, dy)
+                yield nx * (q // dx), ny * (q // dy), q
 
     def _values(self):
         return self.steps, tuple(self.fractions(range(len(self.steps))))
@@ -289,14 +297,11 @@ class Trajectory:
     def samples(self) -> tuple[tuple[int, State], ...]:
         """The (i, State at time i*dt) samples."""
         if self._samples is None:
-            object.__setattr__(self, "_samples", tuple(self._each_sample()))
+            steps, time = self.record.steps, self._time
+            pairs = self.record.fractions(range(len(steps)))
+            object.__setattr__(self, "_samples", tuple(
+                (i, State(x, y, time(i))) for i, (x, y) in zip(steps, pairs)))
         return self._samples
-
-    def _each_sample(self):
-        """The samples one at a time, for a caller that keeps none of them."""
-        steps, time = self.record.steps, self._time
-        for i, (x, y) in zip(steps, self.record.fractions(range(len(steps)))):
-            yield i, State(x, y, time(i))
 
     def _time(self, i: int) -> Fraction:
         """i*dt in lowest terms, without a Fraction product."""

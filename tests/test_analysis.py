@@ -346,6 +346,10 @@ def test_record_reads_as_eager_states(backend, request):
     eager = eager_samples(scheme, params, dt, n, cfg)
     assert traj.samples == eager
     assert traj.final_state == eager[-1][1]
+    # the integer form over each part's denominator, for every and for some samples
+    for ordinals in (range(n + 1), [0, 1, n // 2, n - 1, n]):
+        as_ints = [(Fraction(nx, q), Fraction(ny, q)) for nx, ny, q in traj.record.integers(ordinals)]
+        assert as_ints == [(eager[o][1].x, eager[o][1].y) for o in ordinals]
     assert traj == run(*args)
     assert traj == emulated(integrate, *args)  # equal values in another form
     like = dataclasses.replace(traj)
@@ -355,6 +359,30 @@ def test_record_reads_as_eager_states(backend, request):
     expected = oracle_residual(eager_run, params)
     assert consistency_residual(traj, params) == expected
     assert residual_summary(traj, params) == sorted_summary(r for _, r in expected)
+
+
+# float parts with one scale 2**z, z <= 1023, and two without: one that
+# spans too many binades, and one whose subnormals need z > 1023
+FLOAT_PARTS = {
+    "unit": [1.0, 0.0, -0.75, 0.1, 2.0**-60, -3.0],
+    "integers": [2.0**80, -3.0 * 2**60, 12.0, 0.0],
+    "too wide": [1e300, -1e-300, 0.5, 5e-324],
+    "subnormal": [5e-324, -2.0**-1060, 0.0, 2.0**-1023],
+}
+
+
+@pytest.mark.parametrize("part", FLOAT_PARTS)
+def test_integers_of_a_float_part(part):
+    values = FLOAT_PARTS[part]
+    record = schemes._Record(tuple(range(len(values) // 2)))
+    record.part(schemes._FLOAT, 0).extend(values)
+    got = list(record.integers(range(len(record.steps))))
+    pairs = list(zip(values[::2], values[1::2]))
+    assert [(Fraction(nx, q), Fraction(ny, q)) for nx, ny, q in got] == [
+        (Fraction(x), Fraction(y)) for x, y in pairs]
+    assert all(q & (q - 1) == 0 for _, _, q in got)
+    if part in ("unit", "integers"):  # one denominator for the part
+        assert len({q for _, _, q in got}) == 1
 
 
 class TestResidualSummarySynthetic:

@@ -211,6 +211,23 @@ class TestLongtimeRun:
         assert run._samples is None and ref._samples is None
         assert [r.t for r in recs] == [s.t for _, s in run.samples]
 
+    def test_one_time_per_sample(self, monkeypatch):
+        # the run, reference and analytic States of a sample share one time
+        from roundtrap import experiments
+
+        shared = []
+        separation = experiments.error_separation
+
+        def checked(actual, reference, analytic):
+            shared.append(actual.t is reference.t is analytic.t)
+            return separation(actual, reference, analytic)
+
+        monkeypatch.setattr(experiments, "error_separation", checked)
+        recs = experiments.longtime_run(
+            Scheme.MIDPOINT_IMPLICIT, PARAMS, Fraction(1, 100), 2, SINGLE, QUAD, 20, spacing="log"
+        )
+        assert shared == [True] * len(recs)
+
 
 def sample_steps_by_count(n: int, count: int, spacing: str) -> tuple[int, ...]:
     """The sample placement as first written: every one of the count

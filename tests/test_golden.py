@@ -60,6 +60,14 @@ GOLDEN = {
          "--samples", "50", "--spacing", "log", "--p-run", "30", "--p-ref", "113"],
         "timeseries.csv",
     ),
+    # a dyadic dt, log spacing with irregular gaps between samples, and a
+    # binary64 reference; written before the analytic phases were carried
+    # from sample to sample
+    "timeseries_dyadic_log.csv": (
+        ["longrun", "--scheme", "euler", "--dt", "0.0078125", "--t-end", "500", "--samples", "400",
+         "--spacing", "log", "--p-run", "24", "--p-ref", "53"],
+        "timeseries.csv",
+    ),
     "diagnostics_residual.csv": (
         ["diagnose", "residual", "--scheme", "rk3", "--a", "0.8", "--b", "0.025",
          "--dt", "1e-3", "--t-end", "0.5", "--p-run", "24"],

@@ -275,6 +275,24 @@ class TestSamplingPlan:
     def test_at_steps_clamped(self):
         assert SamplingPlan.at([2, 5, 99]).resolve(10) == (2, 5, 10)
 
+    def test_resolve_matches_set_construction(self):
+        # the plan as first resolved: a set of the indices plus n, sorted
+        def by_set(plan, n):
+            if plan.stride is not None:
+                idx = set(range(0, n + 1, plan.stride))
+            else:
+                idx = {s for s in plan.at_steps if 0 <= s <= n}
+            return tuple(sorted(idx | {n}))
+
+        for n in range(301):
+            for stride in range(1, n + 3):
+                plan = SamplingPlan.every(stride)
+                assert plan.resolve(n) == by_set(plan, n)
+        for steps in ((), (0,), (3,), (5, 0, 5, 2), (-4, 7, 300, 299), tuple(range(0, 400, 7))):
+            plan = SamplingPlan.at(steps)
+            for n in (0, 1, 3, 5, 7, 298, 299, 300, 301):
+                assert plan.resolve(n) == by_set(plan, n)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SamplingPlan()

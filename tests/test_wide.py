@@ -384,6 +384,142 @@ class TestCosSin:
         assert len(widths) > 2 * len(xs)
 
 
+# ---------------------------------------------------------------------------
+# Hints: cosine and sine carried from sample to sample
+# ---------------------------------------------------------------------------
+
+W = _wide._HINT_BITS
+
+
+@st.composite
+def hinted_runs(draw):
+    """(theta, ascending steps): theta = omega dt with omega a 240-bit dyadic
+    or an exact non-dyadic constant, dt dyadic or decimal, and the steps
+    linear, log-spaced or with gaps up to 2**40; a scale of omega puts the
+    phases anywhere up to about 2**200."""
+    omega = draw(st.one_of(
+        st.integers(1 << 239, (1 << 240) - 1).map(lambda m: Fraction(m, 1 << 239)),
+        st.sampled_from((Fraction(3, 10), Fraction(1, 3), Fraction(7, 5)))))
+    dt = draw(st.one_of(st.integers(0, 20).map(lambda k: Fraction(1, 1 << k)),
+                        st.integers(1, 10**4).map(lambda k: Fraction(k, 10**5))))
+    scale = Fraction(2) ** draw(st.integers(-10, 150))
+    kind = draw(st.sampled_from(("linear", "log", "gaps")))
+    if kind == "linear":
+        step, count = draw(st.integers(1, 5)), draw(st.integers(1, 30))
+        steps = [step * i for i in range(1, count + 1)]
+    elif kind == "log":
+        n, count = draw(st.integers(2, 10**7)), draw(st.integers(2, 30))
+        steps = sorted({round(n ** (i / count)) for i in range(1, count + 1)})
+    else:
+        gaps = draw(st.lists(st.integers(1, 1 << 40), min_size=1, max_size=6))
+        steps = [sum(gaps[:i + 1]) for i in range(len(gaps))]
+    return omega * dt * scale, steps
+
+
+def exact_cos_sin(x: Fraction, bits: int = 600):
+    """cos x and sin x times 2**W as mpmath values at ``bits`` + log2|x| bits."""
+    with mpmath.workprec(bits + max(x.numerator.bit_length() - x.denominator.bit_length(), 0)):
+        xm = mpmath.mpf(x.numerator) / x.denominator
+        return mpmath.cos(xm) * 2**W, mpmath.sin(xm) * 2**W
+
+
+def hinted_terms(x: Fraction, near, monkeypatch):
+    """(c, s, err): the hint turned to x's wide value, as wide_cos_sin hands
+    it to Ziv's test."""
+    seen = []
+    decided = _wide._decided
+    monkeypatch.setattr(_wide, "_decided", lambda *args: seen.append(args) or decided(*args))
+    _wide.wide_cos_sin(x, near)
+    monkeypatch.undo()
+    c, s, u, err, _ = seen[0]
+    assert u == W
+    return c, s, err
+
+
+# theta = omega dt for the benchmark's seed constants at dt = 1e-2, and
+# thetas whose phases reach 2**90 - 2**120, where the second-order term of
+# the turn to the wide phase outweighs the floors
+OMEGA_DT = OMEGA * Fraction(1, 100)
+BOUND_CASES = {
+    "dense": (OMEGA_DT, [2, 4, 6, 1000, 20000]),
+    "log": (OMEGA_DT, [1, 2, 3, 5, 9, 17, 100, 1234, 65536, (1 << 20) + 3]),
+    "exact constant": (Fraction(3, 10) * Fraction(1, 128), [1, 2, 3, 1 << 33, (1 << 40) + (1 << 39) + 7]),
+    "phase 2**90": (OMEGA_DT * 2**96, [1, 2, 3, 1000, 1 << 20]),
+    "phase 2**110": (OMEGA_DT * 2**116, [1, 7, 1 << 10, 3 << 10]),
+    "phase 2**119": (OMEGA_DT * 2**125, [1, 2, 3, 4]),
+}
+
+
+class TestHints:
+    @given(run=hinted_runs())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_hinted_equals_kernel(self, run):
+        theta, steps = run
+        for k, near in zip(steps, _wide.cos_sin_steps(theta, steps)):
+            assert _wide.wide_cos_sin(k * theta, near) == _wide.wide_cos_sin(k * theta)
+
+    @pytest.mark.parametrize("case", BOUND_CASES)
+    def test_bounds_hold(self, case, monkeypatch):
+        theta, steps = BOUND_CASES[case]
+        hints = list(_wide.cos_sin_steps(theta, steps))
+        assert None not in hints
+        second_order = False
+        for k, (C, S, E) in zip(steps, hints):
+            x = k * theta
+            cos_x, sin_x = exact_cos_sin(x)
+            assert mpmath.hypot(C - cos_x, S - sin_x) < E
+            wide = fpcore._raw_to_fraction(*_wide._to_raw(x.numerator, x.denominator))
+            c, s, err = hinted_terms(x, (C, S, E), monkeypatch)
+            cos_w, sin_w = exact_cos_sin(wide)
+            assert mpmath.hypot(c - cos_w, s - sin_w) < err
+            second_order |= err - E > 1 << 10
+        assert second_order == case.startswith("phase")
+
+    def test_no_hint_past_the_phase_cap(self):
+        # a = b = 1e300: omega = 1e300, every phase is past 2**120
+        params = OscillatorParams(Fraction(10**300), Fraction(10**300))
+        theta = params.angular_frequency() * Fraction(1, 100)
+        steps = [1, 2, 3, 50]
+        hints = list(_wide.cos_sin_steps(theta, steps))
+        assert hints == [None] * len(steps)
+        for k, near in zip(steps, hints):
+            assert _wide.wide_cos_sin(k * theta, near) == oracle_cos_sin(k * theta)
+            assert analytic_solution(params, k * Fraction(1, 100), near) == analytic_solution(params, k * Fraction(1, 100))
+        # a hint from below the cap, None from the first phase at it on
+        hints = _wide.cos_sin_steps(Fraction(1 << 118), [1, 2, 3, 4])
+        assert [near is None for near in hints] == [False, False, False, True]
+
+    def test_kernel_runs_only_when_undecided(self, monkeypatch):
+        calls = []
+        kernel = _wide._cos_sin_raw
+        monkeypatch.setattr(_wide, "_cos_sin_raw", lambda *args: calls.append(args) or kernel(*args))
+        steps = list(range(2, 20001, 2))  # the dense long run's phases
+        hints = list(_wide.cos_sin_steps(OMEGA_DT, steps))
+        for k in steps[::50]:
+            near = hints[k // 2 - 1]
+            x = k * OMEGA_DT
+            assert _wide.wide_cos_sin(x, near) == oracle_cos_sin(x)
+        assert calls == []
+        # a bound too wide to decide: the kernel runs, once, and agrees
+        C, S, _ = hints[0]
+        x = 2 * OMEGA_DT
+        assert _wide.wide_cos_sin(x, (C, S, 1 << 250)) == oracle_cos_sin(x)
+        assert len(calls) == 1
+
+    def test_reanchors(self, monkeypatch):
+        # gaps of 2**40 push the bound past 2**40: the kernel anchors the
+        # hint afresh and its bound falls back to a few units
+        anchors = []
+        anchor = _wide._anchor
+        monkeypatch.setattr(_wide, "_anchor", lambda *args: anchors.append(args) or anchor(*args))
+        steps = [1 << 40, 2 << 40, (2 << 40) + 1]
+        hints = list(_wide.cos_sin_steps(OMEGA_DT, steps))
+        assert len(anchors) == 3  # the first power and the two long gaps
+        assert max(E for _, _, E in hints) < 1 << 10
+        for k, near in zip(steps, hints):
+            assert _wide.wide_cos_sin(k * OMEGA_DT, near) == oracle_cos_sin(k * OMEGA_DT)
+
+
 class TestMpfToFraction:
     @pytest.mark.parametrize("x", [mpmath.inf, -mpmath.inf, mpmath.nan])
     def test_non_finite_rejected(self, x):
