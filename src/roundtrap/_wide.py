@@ -203,7 +203,8 @@ def cos_sin_steps(theta: Fraction, steps):
     second-order term alone can reach 2**64 units.  Each hint is the last
     one rotated by the cached rotations by 2**j theta for the set bits j of
     the gap: a product adds the factor's bound and 3, a squaring doubles
-    the bound and adds 3.  Past a bound of 2**40 the kernel anchors anew."""
+    the bound and adds 3 (both hold for bounds far below 2**150).  A hint
+    whose bound passes 2**40 is anchored anew by the kernel."""
     num, den, W = theta.numerator, theta.denominator, _HINT_BITS
     powers = [_anchor(num, den)]  # (C, S, E) of the rotation by 2**j theta
     C, S, E, k0 = 1 << W, 0, 0, 0
@@ -215,13 +216,12 @@ def cos_sin_steps(theta: Fraction, steps):
         while len(powers) < gap.bit_length():
             c, s, err = powers[-1]
             powers.append(((c * c - s * s) >> W, c * s >> (W - 1), 2 * err + 3))
-        bits = [powers[j] for j in range(gap.bit_length()) if gap >> j & 1]
-        E += sum(err + 3 for _, _, err in bits)
+        for j in range(gap.bit_length()):
+            if gap >> j & 1:
+                c, s, err = powers[j]
+                C, S, E = (C * c - S * s) >> W, (C * s + S * c) >> W, E + err + 3
         if E > 1 << 40:
             C, S, E = _anchor(k * num, den)
-        else:
-            for c, s, _ in bits:
-                C, S = (C * c - S * s) >> W, (C * s + S * c) >> W
         yield C, S, E
 
 

