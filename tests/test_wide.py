@@ -483,8 +483,9 @@ class TestHints:
         hints = list(_wide.cos_sin_steps(theta, steps))
         assert hints == [None] * len(steps)
         for k, near in zip(steps, hints):
+            t = k * Fraction(1, 100)
             assert _wide.wide_cos_sin(k * theta, near) == oracle_cos_sin(k * theta)
-            assert analytic_solution(params, k * Fraction(1, 100), near) == analytic_solution(params, k * Fraction(1, 100))
+            assert analytic_solution(params, t, near) == analytic_solution(params, t)
         # a hint from below the cap, None from the first phase at it on
         hints = _wide.cos_sin_steps(Fraction(1 << 118), [1, 2, 3, 4])
         assert [near is None for near in hints] == [False, False, False, True]
