@@ -19,6 +19,7 @@ from __future__ import annotations
 import ctypes
 import os
 import zlib
+from array import array
 from typing import Optional
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
@@ -29,7 +30,7 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-fPIC", "-shared")
 _B128_BIAS = 16383
 _B128_FRACTION = (1 << 112) - 1  # the stored significand bits
 _WORD = (1 << 64) - 1
-_MAX_K = (1 << 63) - 1  # a longer stretch stops early and the emulator finishes it
+_MAX_K = (1 << 63) - 1  # the largest index of a plan; the emulator steps beyond it
 
 
 def _build() -> str:
@@ -85,11 +86,14 @@ def _from_bits(lo: int, hi: int) -> tuple[int, int]:
 
 
 class Kernels:
-    """The loaded library.  ``binary64`` and ``midpoint_b128`` return a
-    channel's kernel: a function advance(k) -> (steps done, state) that
-    advances the channel's state up to k steps, the state being the last
-    in-range one, as floats (x, y) or as the raw pairs (mx, ex, my, ey).
-    The state and constant buffers are allocated once per channel."""
+    """The loaded library.  ``binary64`` and ``midpoint_b128`` run a
+    channel's kernel once, through its sampling plan: the ascending step
+    indices ``plan``, an ``array('q')`` of indices up to ``_MAX_K``.  Each
+    steps from the start state to each index in the kernel's own loop and
+    appends the state there to ``out``, as floats x, y to an ``array('d')``
+    or as the raw pairs mx, ex, my, ey to a list.  It returns (samples done,
+    steps done, the last in-range state); it stops early only when a step
+    leaves the state window."""
 
     def __init__(self, path: str):
         lib = ctypes.CDLL(path)
@@ -97,46 +101,34 @@ class Kernels:
         self._b64 = {}
         for name in ("euler", "midpoint", "rk3"):
             fn = getattr(lib, f"rt_{name}_b64")
-            fn.argtypes, fn.restype = (ptr, ptr, i64, ctypes.c_double, ptr), i64
+            fn.argtypes, fn.restype = (ptr, ptr, ctypes.c_double, ptr, i64, ptr, ptr), i64
             self._b64[name] = fn
         self._b128 = lib.rt_midpoint_b128
-        self._b128.argtypes, self._b128.restype = (ptr, ptr, i64), i64
+        self._b128.argtypes, self._b128.restype = (ptr, ptr, ptr, i64, ptr, ptr), i64
 
-    def binary64(self, name: str, xy, c, C: float):
+    def binary64(self, name: str, xy, c, C: float, plan, out):
         """The binary64 kernel of the scheme called name, from the float
-        state xy with float constants c.  Given out, an ``array('d')``, it
-        appends the state after each step it does, x then y."""
-        fn = self._b64[name]
-        st, consts = (ctypes.c_double * 2)(*xy), (ctypes.c_double * len(c))(*c)
-        st_p, c_p = ctypes.addressof(st), ctypes.addressof(consts)
+        state xy with float constants c; it writes into room made at the end
+        of out."""
+        st, consts, steps = (ctypes.c_double * 2)(*xy), (ctypes.c_double * len(c))(*c), ctypes.c_int64()
+        start = len(out)
+        out.frombytes(bytes(16 * len(plan)))
+        done = self._b64[name](ctypes.addressof(st), ctypes.addressof(consts), C, plan.buffer_info()[0],
+                               len(plan), out.buffer_info()[0] + 8 * start, ctypes.addressof(steps))
+        del out[start + 2 * done:]
+        return done, steps.value, (st[0], st[1])
 
-        def advance(k, out=None):
-            if out is None:
-                done = fn(st_p, c_p, k if k < _MAX_K else _MAX_K, C, None)
-            else:  # the kernel writes into room made at the end of out
-                start = len(out)
-                out.frombytes(bytes(16 * k))
-                done = fn(st_p, c_p, k, C, out.buffer_info()[0] + 8 * start)
-                del out[start + 2 * done:]
-            return done, (st[0], st[1])
-
-        advance.buffers = st, consts  # kept alive with the function
-        return advance
-
-    def midpoint_b128(self, st, c):
+    def midpoint_b128(self, st, c, plan, out):
         """The binary128 kernel from the raw state st with raw constants c."""
-        fn = self._b128
         words = []
         for m, e in zip(st[::2] + c[::2], st[1::2] + c[1::2]):
             bits = _to_bits(m, e)
             words += (bits & _WORD, bits >> 64)
         state, consts = (ctypes.c_uint64 * 4)(*words[:4]), (ctypes.c_uint64 * 8)(*words[4:])
-        st_p, c_p = ctypes.addressof(state), ctypes.addressof(consts)
-
-        def advance(k):
-            done = fn(st_p, c_p, k if k < _MAX_K else _MAX_K)
-            w = state[:]
-            return done, (*_from_bits(w[0], w[1]), *_from_bits(w[2], w[3]))
-
-        advance.buffers = state, consts
-        return advance
+        got, steps = array("Q", bytes(32 * len(plan))), ctypes.c_int64()
+        done = self._b128(ctypes.addressof(state), ctypes.addressof(consts), plan.buffer_info()[0], len(plan),
+                          got.buffer_info()[0], ctypes.addressof(steps))
+        for k in range(0, 4 * done, 2):
+            out += _from_bits(got[k], got[k + 1])
+        w = state[:]
+        return done, steps.value, (*_from_bits(w[0], w[1]), *_from_bits(w[2], w[3]))

@@ -82,22 +82,37 @@ def align(*xs: Fraction) -> tuple[list[int], int]:
     return [x.numerator * (q // d) for x, d in zip(xs, dens)], q
 
 
+def _square_residues(m: int) -> bytes:
+    """Whether each residue modulo m is the residue of a square."""
+    table = bytearray(m)
+    for k in range(m):
+        table[k * k % m] = 1
+    return bytes(table)
+
+
+# a square is one modulo each of these; all but about 1 in 120 non-squares
+# fail one of the four tests, which cost less than the square root
+_SQUARE_64, _SQUARE_63, _SQUARE_65, _SQUARE_11 = map(_square_residues, (64, 63, 65, 11))
+
+
 def wide_norm2(u, v, den: int = 1) -> Fraction:
     """Euclidean norm of (u, v)/den: the sum of squares is exact, one wide
     sqrt.  u and v are integers over the positive integer den, or two
     rationals (Fractions), which are first put over one denominator.
 
     With n = u**2 + v**2 the sum is n/den**2.  den**2 is a square, so the
-    sum is a rational square exactly when n is one; otherwise n/den**2 goes
+    sum is a rational square exactly when n is one (``math.isqrt`` decides,
+    for the n that pass the residue tests); otherwise n/den**2 goes
     to the wide format in lowest terms: a dyadic sum n * 2**-2k is rounded
     once, by ``_round_raw``."""
     if type(u) is not int or type(v) is not int:
         (u, v), q = align(u, v)
         den *= q
     n = u * u + v * v
-    r = math.isqrt(n)
-    if r * r == n:
-        return Fraction(r, den)
+    if _SQUARE_64[n & 63] and _SQUARE_63[n % 63] and _SQUARE_65[n % 65] and _SQUARE_11[n % 11]:
+        r = math.isqrt(n)
+        if r * r == n:
+            return Fraction(r, den)
     if den & (den - 1):  # not a power of two: reduce before the conversion
         d = den * den
         g = math.gcd(n, d)

@@ -94,6 +94,10 @@ class ErrorTriple:
     t: Fraction
 
 
+_SET_TOTAL, _SET_TRUNCATION, _SET_ROUNDOFF, _SET_T = (
+    ErrorTriple.total.__set__, ErrorTriple.truncation.__set__, ErrorTriple.roundoff.__set__, ErrorTriple.t.__set__)
+
+
 def error_separation(actual: State, reference: State, analytic: State) -> ErrorTriple:
     """Split the error of ``actual`` against ``analytic`` into the
     truncation part (carried by ``reference``) and the round-off part
@@ -103,10 +107,12 @@ def error_separation(actual: State, reference: State, analytic: State) -> ErrorT
         raise ParameterError(
             f"states are at different times: {actual.t}, {reference.t}, {analytic.t}"
         )
-    return ErrorTriple(
-        ErrorVec(actual, analytic), ErrorVec(reference, analytic), ErrorVec(actual, reference),
-        actual.t,
-    )
+    triple = object.__new__(ErrorTriple)  # set through the slots' descriptors, as ErrorTriple(...) would
+    _SET_TOTAL(triple, ErrorVec(actual, analytic))
+    _SET_TRUNCATION(triple, ErrorVec(reference, analytic))
+    _SET_ROUNDOFF(triple, ErrorVec(actual, reference))
+    _SET_T(triple, actual.t)
+    return triple
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import decimal
+import functools
 import json
 import math
 import os
@@ -76,6 +76,11 @@ MANIFEST_JSON = "manifest.json"
 _LOG10_2 = math.log10(2)
 
 
+@functools.lru_cache(maxsize=128)
+def _pow10(k: int) -> int:
+    return 10**k
+
+
 def format_wide(x: Optional[Fraction], digits: int = 25) -> str:
     """Deterministic decimal rendering with enough digits to round-trip the
     wide value; 'nan' for missing values.  The text is decimal's for
@@ -89,19 +94,22 @@ def format_wide(x: Optional[Fraction], digits: int = 25) -> str:
         return "0"
     sign = "-" if num < 0 else ""
     num = abs(num)
-    low, high = 10 ** (digits - 1), 10**digits
-    # q = num/den / 10**e in [low, high), from an estimate of e; then round
-    # q half to even, and drop an exact result's trailing zeros down to units
+    low, high = _pow10(digits - 1), _pow10(digits)
+    # num/den / 10**e = q + r/d with q in [low, high), from an estimate of e;
+    # then round q half to even, and drop an exact result's trailing zeros
+    # down to units
     e = math.floor((num.bit_length() - den.bit_length()) * _LOG10_2) - digits + 1
-    while True:
-        n, d = (num * 10**-e, den) if e < 0 else (num, den * 10**e)
+    n, d = (num * _pow10(-e), den) if e < 0 else (num, den * _pow10(e))
+    if d & (d - 1):
         q, r = divmod(n, d)
-        if q >= high:
-            e += 1
-        elif q < low:
-            e -= 1
-        else:
-            break
+    else:  # a power of two
+        q, r = n >> (d.bit_length() - 1), n & (d - 1)
+    while q >= high:  # a digit too many: the last one joins the remainder
+        q, last = divmod(q, 10)
+        r, d, e = last * d + r, 10 * d, e + 1
+    while q < low:  # a digit too few: the next one leaves the remainder
+        nxt, r = divmod(10 * r, d)
+        q, e = 10 * q + nxt, e - 1
     if 2 * r > d or (2 * r == d and q & 1):
         q += 1
         if q == high:
@@ -110,7 +118,14 @@ def format_wide(x: Optional[Fraction], digits: int = 25) -> str:
     if not r and e < 0:
         kept = max(len(text.rstrip("0")), len(text) + e)
         text, e = text[:kept], e + len(text) - kept
-    return str(decimal.Decimal(f"{sign}{text}E{e}"))  # decimal's layout
+    # decimal's layout: plain from 1e-6 up to the units, else one digit
+    # before the point and an exponent
+    point = len(text) + e  # the digits before the point
+    if e > 0 or point <= -6:
+        return f"{sign}{text[0]}{'.' if len(text) > 1 else ''}{text[1:]}E{point - 1:+d}"
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{text}"
+    return f"{sign}{text[:point]}.{text[point:]}" if e else sign + text
 
 
 def parse_wide(text: str) -> Optional[Fraction]:

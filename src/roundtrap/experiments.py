@@ -27,7 +27,7 @@ from typing import Optional
 from ._wide import cos_sin_steps
 from .analysis import error_separation
 from .fpcore import ParameterError, PrecisionConfig, QUAD, SINGLE
-from .oscillator import OscillatorParams, State, analytic_solution, _as_fraction
+from .oscillator import OscillatorParams, analytic_solution, _as_fraction, _state
 from .schemes import SamplingPlan, Scheme, _check_steps, integrate_pair, num_steps
 
 STATUS_OK = "ok"
@@ -91,6 +91,10 @@ class TimeSeriesRecord:
     t: Fraction
     e_round: Fraction
     e_trunc: Fraction
+
+
+_SET_T, _SET_E_ROUND, _SET_E_TRUNC = (
+    TimeSeriesRecord.t.__set__, TimeSeriesRecord.e_round.__set__, TimeSeriesRecord.e_trunc.__set__)
 
 
 def _skip_status(cfg: SweepConfig, n: int) -> Optional[str]:
@@ -227,6 +231,10 @@ def longtime_run(
     for i, (x, y), (xr, yr), near in zip(steps, run.record.fractions(ordinals),
                                          ref.record.fractions(ordinals), hints):
         t = time(i)
-        triple = error_separation(State(x, y, t), State(xr, yr, t), analytic_solution(params, t, near))
-        out.append(TimeSeriesRecord(t, triple.roundoff.norm, triple.truncation.norm))
+        triple = error_separation(_state(x, y, t), _state(xr, yr, t), analytic_solution(params, t, near))
+        row = object.__new__(TimeSeriesRecord)  # TimeSeriesRecord(...) through the slots' descriptors
+        _SET_T(row, t)
+        _SET_E_ROUND(row, triple.roundoff.norm)
+        _SET_E_TRUNC(row, triple.truncation.norm)
+        out.append(row)
     return out

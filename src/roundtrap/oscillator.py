@@ -74,6 +74,19 @@ class State:
             object.__setattr__(self, "t", _as_fraction(self.t))
 
 
+_SET_X, _SET_Y, _SET_T = State.x.__set__, State.y.__set__, State.t.__set__
+
+
+def _state(x: Fraction, y: Fraction, t: Fraction) -> State:
+    """State(x, y, t) from three Fractions, set through the slots'
+    descriptors without the constructor's frozen assignments and check."""
+    s = object.__new__(State)
+    _SET_X(s, x)
+    _SET_Y(s, y)
+    _SET_T(s, t)
+    return s
+
+
 INITIAL_STATE = State(Fraction(1), Fraction(0), Fraction(0))
 
 
@@ -123,7 +136,7 @@ def analytic_solution(params: OscillatorParams, t, near=None) -> State:
         memo = _analytic_memo = params, tuple(map(_odd_parts, _orbit_constants(params)))
     omega, amp = memo[1]
     c, s = _wide.wide_cos_sin(_times(*omega, *_odd_parts(t)), near)
-    return State(c, _times(*amp, *_odd_parts(s)), t)  # s != 0: a nonzero rational phase
+    return _state(c, _times(*amp, *_odd_parts(s)), t)  # s != 0: a nonzero rational phase
 
 
 def invariant_value(params: OscillatorParams, s: State) -> Fraction:

@@ -54,20 +54,21 @@ The library is built with ``-ffp-contract=off``, because GCC would
 otherwise fuse a multiplication and an addition into one FMA, which rounds
 once instead of twice, and without ``-ffast-math``, which would simplify
 the Veltkamp split away.  It is built on first use, not at import, into
-``${XDG_CACHE_HOME:-~/.cache}/roundtrap/``, and used only after 40 steps of
-each kernel reproduce the Python kernels.  When anything fails (no gcc, a
-compile error, an unwritable cache, no ``_Float128``, a wrong answer) the
-channel silently keeps the Python kernels.  The guard and the hand-off to
+``${XDG_CACHE_HOME:-~/.cache}/roundtrap/``, and used only after each kernel
+follows a 40-step plan of mixed gaps as the Python kernels do.  When
+anything fails (no gcc, a compile error, an unwritable cache, no
+``_Float128``, a wrong answer) the channel silently keeps the Python
+kernels.  The guard and the hand-off to
 the emulator are the same, so ``channel_backend``, the manifest's backends
 and every output bit stay the same; the manifest's environment block
 records whether the compiled kernels stepped.
 
 Records.  A trajectory keeps its sampled states as the kernels produced
 them (``_Record``): floats from the binary64 kernels, raw pairs from the
-emulator and the binary128 kernel, Fractions from exact steps.  A
-compiled binary64 kernel runs a stretch of consecutive sampled steps
-(every-step sampling) in one call that writes each step's state into the
-record; the other kernels run it as single steps.  ``Trajectory.samples``
+emulator and the binary128 kernel, Fractions from exact steps.  A native
+kernel runs the channel's whole sampling plan in one call, stepping between
+samples in its own loop and writing each sampled state into the record
+(binary128 states are converted after the call).  ``Trajectory.samples``
 builds the (i, State) pairs when first read; a long run's error split takes
 them one at a time and keeps none, and the residual stencil of ``analysis``
 reads the record as integers without them.
@@ -86,7 +87,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -513,9 +514,11 @@ _FUSED_FN = {
 # Native binary64 kernels.  Each follows its emulator kernel above line for
 # line, one line per rounded operation: the float operation, then its
 # rounding to p bits in place by a Veltkamp split, u = v*C; v = u - (u - v)
-# with C = 2**(53-p) + 1.  A kernel advances
-# up to k steps and returns (steps done, x, y): it stops before the first
-# step whose result fails the range guard, leaving the last in-range state.
+# with C = 2**(53-p) + 1.  A kernel follows a sampling plan, an array('q')
+# of ascending step indices: it steps from (x, y) at step 0 to each index in
+# its own loop and appends the state there to out.  It returns (samples
+# done, steps done, (x, y)): it stops before the first step whose result
+# fails the range guard, leaving the last in-range state.
 #
 # Windows.  Nonzero state components lie in [2**-400, 2**400] (checked on
 # the start state and after every step) and nonzero constants in
@@ -573,78 +576,93 @@ def _native_floats(raws, exp: int):
     return tuple(math.ldexp(m, e) for m, e in zip(raws[::2], raws[1::2]))  # exact
 
 
-def _euler_native(x, y, k, c, C):
+def _euler_native(xy, c, C, plan, out):
+    x, y = xy
     na, b, d = c
     lo, hi = _STATE_LO, _STATE_HI
-    for j in range(k):
-        t1 = na * y; u = t1 * C; t1 = u - (u - t1)
-        t2 = d * t1; u = t2 * C; t2 = u - (u - t2)
-        nx = x + t2; u = nx * C; nx = u - (u - nx)
-        u1 = b * x; u = u1 * C; u1 = u - (u - u1)
-        u2 = d * u1; u = u2 * C; u2 = u - (u - u2)
-        ny = y + u2; u = ny * C; ny = u - (u - ny)
-        if not (lo <= abs(nx) <= hi and lo <= abs(ny) <= hi):
-            if not (_in_window(nx) and _in_window(ny)):
-                return j, x, y
-        x, y = nx, ny
-    return k, x, y
+    i = 0
+    for j, stop in enumerate(plan):
+        for i in range(i, stop):
+            t1 = na * y; u = t1 * C; t1 = u - (u - t1)
+            t2 = d * t1; u = t2 * C; t2 = u - (u - t2)
+            nx = x + t2; u = nx * C; nx = u - (u - nx)
+            u1 = b * x; u = u1 * C; u1 = u - (u - u1)
+            u2 = d * u1; u = u2 * C; u2 = u - (u - u2)
+            ny = y + u2; u = ny * C; ny = u - (u - ny)
+            if not (lo <= abs(nx) <= hi and lo <= abs(ny) <= hi):
+                if not (_in_window(nx) and _in_window(ny)):
+                    return j, i, (x, y)
+            x, y = nx, ny
+        i = stop
+        out.extend((x, y))
+    return len(plan), i, (x, y)
 
 
-def _midpoint_native(x, y, k, c, C):
+def _midpoint_native(xy, c, C, plan, out):
+    x, y = xy
     om, op, ad, bd = c
     lo, hi = _STATE_LO, _STATE_HI
-    for j in range(k):
-        u1 = x * om; u = u1 * C; u1 = u - (u - u1)
-        u2 = ad * y; u = u2 * C; u2 = u - (u - u2)
-        nx = u1 - u2; u = nx * C; nx = u - (u - nx)
-        v1 = y * om; u = v1 * C; v1 = u - (u - v1)
-        v2 = bd * x; u = v2 * C; v2 = u - (u - v2)
-        ny = v1 + v2; u = ny * C; ny = u - (u - ny)
-        qx = nx / op; u = qx * C; qx = u - (u - qx)
-        qy = ny / op; u = qy * C; qy = u - (u - qy)
-        if not (lo <= abs(qx) <= hi and lo <= abs(qy) <= hi):
-            if not (_in_window(qx) and _in_window(qy)):
-                return j, x, y
-        x, y = qx, qy
-    return k, x, y
+    i = 0
+    for j, stop in enumerate(plan):
+        for i in range(i, stop):
+            u1 = x * om; u = u1 * C; u1 = u - (u - u1)
+            u2 = ad * y; u = u2 * C; u2 = u - (u - u2)
+            nx = u1 - u2; u = nx * C; nx = u - (u - nx)
+            v1 = y * om; u = v1 * C; v1 = u - (u - v1)
+            v2 = bd * x; u = v2 * C; v2 = u - (u - v2)
+            ny = v1 + v2; u = ny * C; ny = u - (u - ny)
+            qx = nx / op; u = qx * C; qx = u - (u - qx)
+            qy = ny / op; u = qy * C; qy = u - (u - qy)
+            if not (lo <= abs(qx) <= hi and lo <= abs(qy) <= hi):
+                if not (_in_window(qx) and _in_window(qy)):
+                    return j, i, (x, y)
+            x, y = qx, qy
+        i = stop
+        out.extend((x, y))
+    return len(plan), i, (x, y)
 
 
-def _rk3_native(x, y, k, c, C):
+def _rk3_native(xy, c, C, plan, out):
+    x, y = xy
     na, b, d, h, d2, d6 = c
     lo, hi = _STATE_LO, _STATE_HI
-    for j in range(k):
-        k1x = na * y; u = k1x * C; k1x = u - (u - k1x)
-        k1y = b * x; u = k1y * C; k1y = u - (u - k1y)
-        t = h * k1x; u = t * C; t = u - (u - t)
-        x2 = x + t; u = x2 * C; x2 = u - (u - x2)
-        t = h * k1y; u = t * C; t = u - (u - t)
-        y2 = y + t; u = y2 * C; y2 = u - (u - y2)
-        k2x = na * y2; u = k2x * C; k2x = u - (u - k2x)
-        k2y = b * x2; u = k2y * C; k2y = u - (u - k2y)
-        t = d * k1x; u = t * C; t = u - (u - t)
-        x3 = x - t; u = x3 * C; x3 = u - (u - x3)
-        t = d2 * k2x; u = t * C; t = u - (u - t)
-        x3 = x3 + t; u = x3 * C; x3 = u - (u - x3)
-        t = d * k1y; u = t * C; t = u - (u - t)
-        y3 = y - t; u = y3 * C; y3 = u - (u - y3)
-        t = d2 * k2y; u = t * C; t = u - (u - t)
-        y3 = y3 + t; u = y3 * C; y3 = u - (u - y3)
-        k3x = na * y3; u = k3x * C; k3x = u - (u - k3x)
-        k3y = b * x3; u = k3y * C; k3y = u - (u - k3y)
-        # x + dt/6 * ((k1 + 4 k2) + k3); 4*k2 is an exact scaling
-        s = k1x + 4.0 * k2x; u = s * C; s = u - (u - s)
-        s = s + k3x; u = s * C; s = u - (u - s)
-        t = d6 * s; u = t * C; t = u - (u - t)
-        nx = x + t; u = nx * C; nx = u - (u - nx)
-        s = k1y + 4.0 * k2y; u = s * C; s = u - (u - s)
-        s = s + k3y; u = s * C; s = u - (u - s)
-        t = d6 * s; u = t * C; t = u - (u - t)
-        ny = y + t; u = ny * C; ny = u - (u - ny)
-        if not (lo <= abs(nx) <= hi and lo <= abs(ny) <= hi):
-            if not (_in_window(nx) and _in_window(ny)):
-                return j, x, y
-        x, y = nx, ny
-    return k, x, y
+    i = 0
+    for j, stop in enumerate(plan):
+        for i in range(i, stop):
+            k1x = na * y; u = k1x * C; k1x = u - (u - k1x)
+            k1y = b * x; u = k1y * C; k1y = u - (u - k1y)
+            t = h * k1x; u = t * C; t = u - (u - t)
+            x2 = x + t; u = x2 * C; x2 = u - (u - x2)
+            t = h * k1y; u = t * C; t = u - (u - t)
+            y2 = y + t; u = y2 * C; y2 = u - (u - y2)
+            k2x = na * y2; u = k2x * C; k2x = u - (u - k2x)
+            k2y = b * x2; u = k2y * C; k2y = u - (u - k2y)
+            t = d * k1x; u = t * C; t = u - (u - t)
+            x3 = x - t; u = x3 * C; x3 = u - (u - x3)
+            t = d2 * k2x; u = t * C; t = u - (u - t)
+            x3 = x3 + t; u = x3 * C; x3 = u - (u - x3)
+            t = d * k1y; u = t * C; t = u - (u - t)
+            y3 = y - t; u = y3 * C; y3 = u - (u - y3)
+            t = d2 * k2y; u = t * C; t = u - (u - t)
+            y3 = y3 + t; u = y3 * C; y3 = u - (u - y3)
+            k3x = na * y3; u = k3x * C; k3x = u - (u - k3x)
+            k3y = b * x3; u = k3y * C; k3y = u - (u - k3y)
+            # x + dt/6 * ((k1 + 4 k2) + k3); 4*k2 is an exact scaling
+            s = k1x + 4.0 * k2x; u = s * C; s = u - (u - s)
+            s = s + k3x; u = s * C; s = u - (u - s)
+            t = d6 * s; u = t * C; t = u - (u - t)
+            nx = x + t; u = nx * C; nx = u - (u - nx)
+            s = k1y + 4.0 * k2y; u = s * C; s = u - (u - s)
+            s = s + k3y; u = s * C; s = u - (u - s)
+            t = d6 * s; u = t * C; t = u - (u - t)
+            ny = y + t; u = ny * C; ny = u - (u - ny)
+            if not (lo <= abs(nx) <= hi and lo <= abs(ny) <= hi):
+                if not (_in_window(nx) and _in_window(ny)):
+                    return j, i, (x, y)
+            x, y = nx, ny
+        i = stop
+        out.extend((x, y))
+    return len(plan), i, (x, y)
 
 
 _NATIVE_FN = {
@@ -654,54 +672,26 @@ _NATIVE_FN = {
 }
 
 
-def _python_native(kernel, xy, c, C):
-    """A Python kernel above in the calling convention of ``_native_kernel``."""
-    x, y = xy
-
-    def advance(k):
-        nonlocal x, y
-        done, x, y = kernel(x, y, k, c, C)
-        return done, (x, y)
-
-    return _stepwise(advance)
-
-
-def _stepwise(advance):
-    """A kernel k -> (steps done, state) in the calling convention of
-    ``_native_kernel``: it records a stretch of k steps as k single steps."""
-
-    def recording(k, out=None):
-        if out is None:
-            return advance(k)
-        for j in range(k):
-            done, st = advance(1)
-            if not done:
-                return j, st
-            out.extend(st)
-        return k, st
-
-    return recording
-
-
 def _native_kernel(scheme: Scheme, p: int, st, consts):
     """The native kernel of a rounded channel from the raw start st, as
-    (form, advance): advance(k, out=None) -> (steps done, state) advances
-    the channel up to k steps and returns its last in-range state in the
-    record form ``form``; given ``out``, a record part's values, it appends
-    the state after each step it does.  None when the channel runs on the
-    emulator throughout: a precision without a native kernel, or a start or
+    (form, run): run(plan, out) follows the sampling plan as the kernels
+    above do, appending each sampled state to ``out``, a record part's
+    values in the form ``form``, and returns (samples done, steps done, the
+    last in-range state).  None when the channel runs on the emulator
+    throughout: a precision without a native kernel, or a start or
     constants outside their windows."""
     binary64 = channel_backend(p) == BINARY64
     if _compiled_start(scheme, p, st, consts):
         kernels = _load_kernels()
         if not binary64:
-            return _RAW, _stepwise(kernels.midpoint_b128(st, consts))
+            return _RAW, functools.partial(kernels.midpoint_b128, st, consts)
         kernel = functools.partial(kernels.binary64, scheme.value)
     elif binary64 and _in_windows(st, consts):
-        kernel = functools.partial(_python_native, _NATIVE_FN[scheme])
+        kernel = _NATIVE_FN[scheme]
     else:
         return None
-    return _FLOAT, kernel(_native_floats(st, _STATE_EXP), _native_floats(consts, _CONST_EXP), _split_factor(p))
+    return _FLOAT, functools.partial(kernel, _native_floats(st, _STATE_EXP), _native_floats(consts, _CONST_EXP),
+                                     _split_factor(p))
 
 
 def _in_windows(st, consts) -> bool:
@@ -745,27 +735,33 @@ def starts_compiled(scheme: Scheme, params: OscillatorParams, dt, p: int) -> boo
     return _compiled_start(scheme, p, _ONE_ZERO, _consts(scheme, params, _as_fraction(dt), p))
 
 
+def _raw_values(raws) -> list[Fraction]:
+    """The values of flattened raw pairs."""
+    return [_raw_to_fraction(m, e) for m, e in zip(raws[::2], raws[1::2])]
+
+
 def _known_answers(kernels) -> bool:
-    """Whether 40 compiled steps from (1, 0) give the Python kernels'
-    results: each scheme's binary64 kernel at p = 10, 24 and 53, in one call
-    and in one recorded stretch, and the binary128 midpoint kernel at
-    p = 113."""
-    params, dt, k = OscillatorParams(Fraction(1, 10), Fraction(1, 5)), Fraction(3, 100), 40
+    """Whether the compiled kernels follow a plan of mixed gaps from (1, 0)
+    as the Python kernels do: each scheme's binary64 kernel at p = 10, 24
+    and 53 against its Python twin, and the binary128 midpoint kernel at
+    p = 113 against the emulator."""
+    params, dt = OscillatorParams(Fraction(1, 10), Fraction(1, 5)), Fraction(3, 100)
+    plan = array("q", (0, 1, 2, 5, 6, 13, 40))  # a sample at the start, gaps of 1, 3, 7 and 27 steps
     try:
         for scheme in Scheme:
             for p in (10, 24, 53):
-                args = (1.0, 0.0), _native_floats(_consts(scheme, params, dt, p), _CONST_EXP), _split_factor(p)
+                args = (1.0, 0.0), _native_floats(_consts(scheme, params, dt, p), _CONST_EXP), _split_factor(p), plan
                 want, got = array("d"), array("d")
-                answer = _python_native(_NATIVE_FN[scheme], *args)(k, want)
-                if (kernels.binary64(scheme.value, *args)(k, got) != answer or got != want
-                        or kernels.binary64(scheme.value, *args)(k) != answer):
+                if kernels.binary64(scheme.value, *args, got) != _NATIVE_FN[scheme](*args, want) or got != want:
                     return False
         p = _BINARY128_BITS
         c = _consts(Scheme.MIDPOINT_IMPLICIT, params, dt, p)
-        mx, ex, my, ey = _midpoint_fused(_ONE_ZERO, c, p, k)
-        done, (gmx, gex, gmy, gey) = kernels.midpoint_b128(_ONE_ZERO, c)(k)
-        return (done, _raw_to_fraction(gmx, gex), _raw_to_fraction(gmy, gey)) == (
-            k, _raw_to_fraction(mx, ex), _raw_to_fraction(my, ey))
+        want, got, st, i = [], [], _ONE_ZERO, 0
+        for k in plan:
+            st, i = _midpoint_fused(st, c, p, k - i), k
+            want += st
+        done, steps, last = kernels.midpoint_b128(_ONE_ZERO, c, plan, got)
+        return (done, steps, _raw_values([*got, *last])) == (len(plan), i, _raw_values([*want, *st]))
     except Exception:  # a library that misbehaves is not used
         return False
 
@@ -934,44 +930,19 @@ def _channel(scheme: Scheme, params: OscillatorParams, dt: Fraction, cfg, x0, y0
     return record
 
 
-def _native_run(form, advance, wanted, record: _Record, p: int):
-    """Step through ``wanted`` on a native kernel (``_native_kernel``),
-    recording each sampled state, until the end or until the range guard
-    trips.  A stretch of consecutive sampled steps is one recorded call.
+def _native_run(form, run, wanted, record: _Record, p: int):
+    """Step through ``wanted`` on a native kernel (``_native_kernel``) in one
+    call, recording each sampled state, until the end or until the range
+    guard trips; the emulator steps to indices beyond ``_compiled._MAX_K``.
     Returns (i, j, st): the step reached, the ordinal of the first sample
     not recorded and the raw state there, from which the emulator takes
     over."""
-    out = record.part(form, 0)
-    i = j = 0
-    while j < len(wanted):
-        if wanted[j] == i + 1:
-            k = _stretch(wanted, j, i)
-            done, st = advance(k, out)
-            j += done
-        else:
-            k = wanted[j] - i
-            done, st = advance(k)
-            if done == k:
-                out.extend(st)
-                j += 1
-        i += done
-        if done < k:  # the guard tripped at the last in-range state st
-            return i, j, st if form is _RAW else (*_float_to_raw(st[0], p), *_float_to_raw(st[1], p))
-    return i, j, None
+    from ._compiled import _MAX_K  # an array('q') holds no larger index
 
-
-def _stretch(wanted, j: int, i: int) -> int:
-    """The number of sampled steps from wanted[j] = i + 1 on that follow one
-    another: the largest m with wanted[j + m - 1] == i + m.  The indices
-    ascend, so that holds for every smaller m too."""
-    lo, hi = 1, len(wanted) - j
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if wanted[j + mid - 1] == i + mid:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    j, i, st = run(array("q", wanted[:bisect_right(wanted, _MAX_K)]), record.part(form, 0))
+    if j == len(wanted):
+        return i, j, None
+    return i, j, st if form is _RAW else (*_float_to_raw(st[0], p), *_float_to_raw(st[1], p))
 
 
 def integrate_pair(

@@ -3,6 +3,7 @@ import csv
 import decimal
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -90,7 +91,63 @@ def wide_fractions(draw):
     return Fraction(num, den)
 
 
+def decimal_layout_format(x: Fraction, digits: int = 25) -> str:
+    """format_wide as it was written before it laid out its digits itself:
+    the same digits by integer scaling, then decimal's layout of them."""
+    num, den = x.numerator, x.denominator
+    if not num:
+        return "0"
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    low, high = 10 ** (digits - 1), 10**digits
+    e = math.floor((num.bit_length() - den.bit_length()) * math.log10(2)) - digits + 1
+    while True:
+        n, d = (num * 10**-e, den) if e < 0 else (num, den * 10**e)
+        q, r = divmod(n, d)
+        if q >= high:
+            e += 1
+        elif q < low:
+            e -= 1
+        else:
+            break
+    if 2 * r > d or (2 * r == d and q & 1):
+        q += 1
+        if q == high:
+            q, e = low, e + 1
+    text = str(q)
+    if not r and e < 0:
+        kept = max(len(text.rstrip("0")), len(text) + e)
+        text, e = text[:kept], e + len(text) - kept
+    return str(decimal.Decimal(f"{sign}{text}E{e}"))
+
+
+@st.composite
+def rendered_values(draw):
+    """The values a CLI run renders and the edges of decimal's layout:
+    dyadic values (wide norms) of 1-480-bit numerators, decimal rationals and
+    times i/100, powers of ten on both sides of the switch to exponent form
+    at adjusted exponent -6/-7, and exact values with trailing zeros; either
+    sign."""
+    kind = draw(st.sampled_from(("dyadic", "decimal", "time", "power", "zeros")))
+    if kind == "dyadic":
+        x = Fraction(draw(st.integers(1, 1 << draw(st.integers(1, 480))))) * Fraction(2) ** draw(st.integers(-700, 700))
+    elif kind == "decimal":
+        x = Fraction(draw(st.integers(1, 10**30)), 10 ** draw(st.integers(0, 40)))
+    elif kind == "time":
+        x = Fraction(draw(st.integers(1, 10**7)), 100)
+    elif kind == "power":
+        x = Fraction(10) ** draw(st.integers(-9, 3)) * draw(st.sampled_from((1, 9, Fraction(99999, 10**5), Fraction(1, 2))))
+    else:
+        x = Fraction(draw(st.integers(1, 10**6)) * 10 ** draw(st.integers(0, 30)), 10 ** draw(st.integers(0, 40)))
+    return x * draw(st.sampled_from((1, -1)))
+
+
 class TestFormatting:
+    @settings(max_examples=2000, derandomize=True)
+    @given(rendered_values(), st.sampled_from((1, 5, 25)))
+    def test_matches_decimal_layout(self, x, digits):
+        assert format_wide(x, digits) == decimal_layout_format(x, digits)
+
     def test_round_trip_precision(self, rng):
         for _ in range(100):
             x = Fraction(rng.getrandbits(90) + 1, rng.getrandbits(90) + 2)

@@ -13,6 +13,7 @@ The compiled binary128 kernel steps the midpoint rule at p = 113 too, and
 is compared with _midpoint_step by value: its significands carry 113 bits,
 trailing zeros included."""
 
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ import pytest
 from roundtrap import schemes
 from roundtrap.fpcore import _fraction_to_raw, _raw_to_fraction
 from roundtrap.oscillator import OscillatorParams
-from roundtrap.schemes import Scheme, _CONST_EXP, _STATE_EXP, _consts, _raw_in_window
+from roundtrap.schemes import Scheme, _CONST_EXP, _STATE_EXP, _consts, _raw_in_window, _raw_values
 from test_native import IN_WINDOW_STARTS, OUT_OF_WINDOW_STARTS, PAIRS
 
 KERNELS = {Scheme.MIDPOINT_IMPLICIT: (schemes._midpoint_step, schemes._midpoint_fused)}
@@ -71,16 +72,18 @@ def test_compiled_b128_equals_op_by_op(compiled):
                     if not in_state_window(nxt):
                         break
                     oracle.append(nxt)
-                for k in KS:
-                    done, (gmx, gex, gmy, gey) = compiled.midpoint_b128(st, c)(k)
-                    assert done == min(k, len(oracle) - 1), (a, b, dt, x, y, k)
-                    mx, ex, my, ey = oracle[done]
-                    got = _raw_to_fraction(gmx, gex), _raw_to_fraction(gmy, gey)
-                    assert got == (_raw_to_fraction(mx, ex), _raw_to_fraction(my, ey))
-                    # odd significands of at most p bits, or zero as (0, 0)
-                    for m, e in ((gmx, gex), (gmy, gey)):
-                        assert m % 2 and abs(m).bit_length() <= p or (m, e) == (0, 0)
-                    checked += done
+                # the plan KS in one call: the samples up to the last
+                # in-range step, and the state there
+                out = []
+                done, steps, last = compiled.midpoint_b128(st, c, array("q", KS), out)
+                assert steps == min(KS[-1], len(oracle) - 1), (a, b, dt, x, y)
+                assert done == sum(k <= steps for k in KS), (a, b, dt, x, y)
+                want = [v for k in KS[:done] for v in oracle[k]]
+                assert _raw_values(out) == _raw_values(want) and _raw_values(last) == _raw_values(oracle[steps])
+                # odd significands of at most p bits, or zero as (0, 0)
+                for m, e in zip((*out, *last)[::2], (*out, *last)[1::2]):
+                    assert m % 2 and abs(m).bit_length() <= p or (m, e) == (0, 0)
+                checked += steps
     assert checked > 10000
 
 

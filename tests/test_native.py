@@ -6,13 +6,15 @@ midpoint scheme, the compiled binary128 kernel; the compiled kernels must
 also equal the Python kernels."""
 
 import csv
+import functools
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
 
-from roundtrap import schemes
+from roundtrap import _compiled, schemes
 from roundtrap.cli import main
 from roundtrap.fpcore import PrecisionConfig, _add_raw, _float_to_raw, _fraction_to_raw, _round_raw
 from roundtrap.oscillator import OscillatorParams, State
@@ -219,8 +221,9 @@ class TestGuardAndHandOff:
     @pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
     def test_nonfinite_state_trips(self, kernel, bad):
         n_consts = {schemes._euler_native: 3, schemes._midpoint_native: 4, schemes._rk3_native: 6}[kernel]
-        done, x, y = kernel(bad, 0.5, 5, (0.25,) * n_consts, _split_factor(24))
-        assert done == 0 and y == 0.5
+        out = array("d")
+        done, steps, (x, y) = kernel((bad, 0.5), (0.25,) * n_consts, _split_factor(24), array("q", [5]), out)
+        assert (done, steps, y, len(out)) == (0, 0, 0.5, 0)
 
     def test_hand_off_keeps_significands_narrow(self):
         # An integral float's as_integer_ratio() numerator is as wide as its
@@ -329,7 +332,7 @@ class CompiledKernels:
 
         monkeypatch.setattr(schemes, "_FUSED_FN", dict.fromkeys(Scheme, forbidden))
         args = (self.S, OscillatorParams(), Fraction("0.01"), 1)
-        # final-only: one long advance(k); every step: one recorded stretch
+        # final-only and every step: one call through the plan
         for sampling in (SamplingPlan.final_only(), SamplingPlan.every(1)):
             for p in filter(self.native, COMPILED_PS):
                 integrate(*args, PrecisionConfig(p), sampling)
@@ -340,16 +343,17 @@ class CompiledKernels:
 
     def wrong_kernels(self, compiled):
         """(method of Kernels, a wrong version of it) pairs: the scheme's
-        binary64 kernel one step ahead, and recording nothing."""
+        binary64 kernel one step ahead at every sample, and recording
+        nothing."""
         right, name = type(compiled).binary64, self.S.value
 
-        def off_by_one_step(kernels, scheme, *args):
-            advance = right(kernels, scheme, *args)
-            return (lambda k, out=None: advance(k + 1, out)) if scheme == name else advance
+        def off_by_one_step(kernels, scheme, xy, c, C, plan, out):
+            if scheme == name:
+                plan = array("q", (k + 1 for k in plan))
+            return right(kernels, scheme, xy, c, C, plan, out)
 
-        def records_nothing(kernels, scheme, *args):
-            advance = right(kernels, scheme, *args)
-            return (lambda k, out=None: advance(k)) if scheme == name else advance
+        def records_nothing(kernels, scheme, xy, c, C, plan, out):
+            return right(kernels, scheme, xy, c, C, plan, array("d") if scheme == name else out)
 
         return [("binary64", off_by_one_step), ("binary64", records_nothing)]
 
@@ -371,9 +375,8 @@ class TestCompiledMidpoint(CompiledKernels):
     def wrong_kernels(self, compiled):
         right = type(compiled).midpoint_b128
 
-        def off_by_one_step(kernels, st, c):
-            advance = right(kernels, st, c)
-            return lambda k: advance(k + 1)
+        def off_by_one_step(kernels, st, c, plan, out):
+            return right(kernels, st, c, array("q", (k + 1 for k in plan)), out)
 
         return [*super().wrong_kernels(compiled), ("midpoint_b128", off_by_one_step)]
 
@@ -401,3 +404,108 @@ def test_cli_outputs_identical_under_both_backends(tmp_path, argv, name):
     assert python_kernels(main, [*argv, "--out-dir", str(python)]) == 0
     assert _data_columns(native / name) == _data_columns(emu / name)
     assert _data_columns(native / name) == _data_columns(python / name)
+
+
+# ---------------------------------------------------------------------------
+# The plan convention: a native kernel follows a channel's whole sampling
+# plan in one call, and agrees with the emulator at every sampled step
+# ---------------------------------------------------------------------------
+
+PLAN_STEPS = 60
+PLANS = {
+    "final-only": (PLAN_STEPS,),
+    "every-step": tuple(range(PLAN_STEPS + 1)),
+    "stride-2": tuple(range(0, PLAN_STEPS + 1, 2)),
+    "log-spaced": tuple(sorted({round(PLAN_STEPS ** (i / 12)) for i in range(13)})),
+    "step-1": (1,),
+}
+PLAN_KERNELS = [(scheme, p) for scheme in Scheme for p in (10, 24, 53)] + [(Scheme.MIDPOINT_IMPLICIT, 113)]
+
+
+def emulator_plan(scheme, st, c, p, plan):
+    """The values of the raw states at the plan's steps, by the emulator."""
+    out, i = [], 0
+    for k in plan:
+        st, i = schemes._FUSED_FN[scheme](st, c, p, k - i), k
+        out += st
+    return schemes._raw_values(out)
+
+
+def plan_runs(compiled, scheme, p, st, c, plan):
+    """{kernel: (samples done, steps done, values of the sampled states,
+    values of the last state)} for each native kernel of the scheme at p
+    bits, from the raw start st through the plan in one call."""
+    plan = array("q", plan)
+    if p == 113:
+        out = []
+        done, steps, last = compiled.midpoint_b128(st, c, plan, out)
+        return {"binary128": (done, steps, schemes._raw_values(out), schemes._raw_values(last))}
+    args = _native_floats(st, schemes._STATE_EXP), _native_floats(c, _CONST_EXP), _split_factor(p), plan
+    runs = {}
+    for name, kernel in (("compiled", functools.partial(compiled.binary64, scheme.value)),
+                         ("python", schemes._NATIVE_FN[scheme])):
+        out = array("d")
+        done, steps, last = kernel(*args, out)
+        runs[name] = done, steps, [Fraction(v) for v in out], [Fraction(v) for v in last]
+    return runs
+
+
+@pytest.mark.parametrize("plan", PLANS)
+@pytest.mark.parametrize("scheme, p", PLAN_KERNELS)
+def test_plan_bit_identical(compiled, scheme, p, plan):
+    steps = PLANS[plan]
+    for a, b in PAIRS:
+        c = schemes._consts(scheme, OscillatorParams(Fraction(a), Fraction(b)), Fraction("0.03"), p)
+        want = emulator_plan(scheme, schemes._ONE_ZERO, c, p, steps)
+        for kernel, got in plan_runs(compiled, scheme, p, schemes._ONE_ZERO, c, steps).items():
+            assert got == (len(steps), steps[-1], want, want[-2:]), (kernel, a, b)
+
+
+@pytest.mark.parametrize("scheme, p", PLAN_KERNELS)
+def test_plan_guard_trip_inside_a_gap(compiled, scheme, p):
+    # the kernel stops at the exact step before the first state outside the
+    # window, with the samples before it recorded and j the first one not
+    for (a, b), x0, y0 in CompiledKernels.HAND_OFFS:
+        c = schemes._consts(scheme, OscillatorParams(Fraction(a), Fraction(b)), Fraction("0.03"), p)
+        st = start = (*_fraction_to_raw(x0, p), *_fraction_to_raw(y0, p))
+        trip = 0
+        while schemes._raw_in_window(nxt := schemes._FUSED_FN[scheme](st, c, p, 1), schemes._STATE_EXP):
+            st, trip = nxt, trip + 1
+        assert 60 < trip < 2000, (a, b)
+        steps = (0, 1, 7, 40, trip - 20, trip + 30, trip + 100)  # the trip falls in the gap after trip - 20
+        want = emulator_plan(scheme, start, c, p, steps[:5])
+        for kernel, got in plan_runs(compiled, scheme, p, start, c, steps).items():
+            assert got == (5, trip, want, schemes._raw_values(st)), (kernel, a, b)
+
+
+@pytest.mark.parametrize("scheme, p", PLAN_KERNELS)
+def test_plan_cut_beyond_max_index(compiled, monkeypatch, scheme, p):
+    # indices past _compiled._MAX_K leave the native plan; the emulator
+    # steps from the last index in it to the end
+    monkeypatch.setattr(_compiled, "_MAX_K", 25)
+    wanted = (0, 1, 2, 5, 25, 30, 40, 60)
+    plans, emulator_steps = [], []
+    native, fused = schemes._native_kernel, schemes._FUSED_FN[scheme]
+
+    def recorded(*args):
+        kernel = native(*args)
+        if kernel is None:  # an emulated channel
+            return None
+        form, run = kernel
+        return form, lambda plan, out: plans.append(tuple(plan)) or run(plan, out)
+
+    def counted(st, c, q, k):
+        emulator_steps.append(k)
+        return fused(st, c, q, k)
+
+    monkeypatch.setattr(schemes, "_native_kernel", recorded)
+    monkeypatch.setattr(schemes, "_FUSED_FN", {scheme: counted})
+    args = (scheme, OscillatorParams(), Fraction("0.03"), PrecisionConfig(p), Fraction(1), Fraction(0), wanted)
+    for channel in (schemes._channel, functools.partial(python_kernels, schemes._channel)):
+        if p == 113 and channel is not schemes._channel:
+            continue  # the binary128 kernel has no Python twin
+        plans.clear()
+        emulator_steps.clear()
+        got = channel(*args)
+        assert plans == [wanted[:5]] and emulator_steps == [5, 10, 20]
+        assert got == emulated(schemes._channel, *args)

@@ -21,9 +21,12 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin, mpf_div, mpf_sqrt
 
 from conftest import mpf_to_fraction
-from roundtrap import _wide, fpcore
-from roundtrap.analysis import ErrorVec, error_separation
+from roundtrap import _wide, fpcore, oscillator
+from roundtrap.analysis import ErrorTriple, ErrorVec, error_separation
+from roundtrap.experiments import TimeSeriesRecord, longtime_run
+from roundtrap.fpcore import PrecisionConfig
 from roundtrap.oscillator import INITIAL_STATE, OscillatorParams, State, analytic_solution
+from roundtrap.schemes import SamplingPlan, Scheme, integrate_pair
 
 # ---------------------------------------------------------------------------
 # Oracle: the mpf-object implementation
@@ -310,6 +313,66 @@ class TestErrorVec:
         for field in ("x", "y", "norm"):
             with pytest.raises(AttributeError):
                 setattr(shifted.total, field, Fraction(0))
+
+
+class TestSquareFilter:
+    """``wide_norm2`` takes the square root of n = u**2 + v**2 only for the n
+    that pass four residue tables; an exact root must still come out exact."""
+
+    @pytest.mark.parametrize("m", (64, 63, 65, 11))
+    def test_tables_are_the_squares(self, m):
+        table = getattr(_wide, f"_SQUARE_{m}")
+        assert len(table) == m
+        assert {r for r in range(m) if table[r]} == {k * k % m for k in range(m)}
+
+    @pytest.mark.parametrize("k", (0, 1, 7, 64, 301))
+    @pytest.mark.parametrize("u, v, w", ((3, 4, 5), (5, 12, 13), (20, 21, 29), (119, 120, 169)))
+    def test_scaled_triples_are_exact(self, u, v, w, k):
+        for den in (1, 1 << 40, 3, 10**7, 7 << 40):  # powers of two and others
+            assert _wide.wide_norm2(u << k, v << k, den) == Fraction(w << k, den)
+            assert _wide.wide_norm2(-(v << k), u << k, den) == Fraction(w << k, den)
+
+    def test_zero(self):
+        assert _wide.wide_norm2(0, 0, 1 << 80) == 0 == _wide.wide_norm2(0, 0, 3)
+
+    def test_squares_pass_every_table(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            n = rng.getrandbits(rng.randint(1, 700)) ** 2
+            assert all(getattr(_wide, f"_SQUARE_{m}")[n % m] for m in (64, 63, 65, 11))
+
+
+class TestSlotBuilt:
+    """The objects a long-run sample builds through slot descriptors equal
+    the public constructors' under == and hash."""
+
+    def test_state(self):
+        x, y, t = Fraction(-3, 7), Fraction(5, 2**60), Fraction(123, 100)
+        built = oscillator._state(x, y, t)
+        assert built == State(x, y, t) and hash(built) == hash(State(x, y, t))
+        assert (built.x, built.y, built.t) == (x, y, t)
+        params = OscillatorParams()
+        s = analytic_solution(params, t)
+        assert s == State(s.x, s.y, s.t) and hash(s) == hash(State(s.x, s.y, s.t))
+
+    def test_error_triple(self):
+        t = Fraction(3)
+        a, r, e = State(Fraction(5, 4), Fraction(-3, 8), t), State(Fraction(1), Fraction(1, 3), t), State(1, 0, t)
+        triple = error_separation(a, r, e)
+        public = ErrorTriple(ErrorVec(a, e), ErrorVec(r, e), ErrorVec(a, r), t)
+        assert triple == public and hash(triple) == hash(public)
+        assert repr(triple) == repr(public)
+
+    def test_time_series_record(self):
+        params, dt = OscillatorParams(), Fraction(1, 100)
+        args = (Scheme.MIDPOINT_IMPLICIT, params, dt, 1, PrecisionConfig(24), PrecisionConfig(113))
+        recs = longtime_run(*args, 10, spacing="linear")
+        run, ref = integrate_pair(*args, SamplingPlan.at([r.t / dt for r in recs]))
+        assert len(recs) == len(run.samples) == 10
+        for rec, (_, s), (_, sr) in zip(recs, run.samples, ref.samples):
+            triple = error_separation(s, sr, analytic_solution(params, s.t))
+            public = TimeSeriesRecord(s.t, triple.roundoff.norm, triple.truncation.norm)
+            assert rec == public and hash(rec) == hash(public) and repr(rec) == repr(public)
 
 
 class TestSqrt:
