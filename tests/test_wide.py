@@ -335,12 +335,6 @@ class TestSquareFilter:
     def test_zero(self):
         assert _wide.wide_norm2(0, 0, 1 << 80) == 0 == _wide.wide_norm2(0, 0, 3)
 
-    def test_squares_pass_every_table(self):
-        rng = random.Random(11)
-        for _ in range(2000):
-            n = rng.getrandbits(rng.randint(1, 700)) ** 2
-            assert all(getattr(_wide, f"_SQUARE_{m}")[n % m] for m in (64, 63, 65, 11))
-
 
 class TestSlotBuilt:
     """The objects a long-run sample builds through slot descriptors equal
