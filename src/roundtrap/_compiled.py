@@ -1,5 +1,5 @@
 """Build and load the compiled kernels of ``_kernels.c``: the binary64
-twins of every scheme's Python kernel and the midpoint scheme's binary128
+twins of every scheme's Python kernel and the midpoint scheme's 113-bit
 kernel.
 
 The library is built on first use, never at import: ``gcc`` compiles the
@@ -9,8 +9,8 @@ the machine.  The build writes a temporary file and publishes it with
 ``os.replace``, so processes that build at the same time (a sweep's pool
 workers) cannot load a half-written library.  ``load`` returns None when
 anything fails -- no compiler, a compile error, an unwritable cache, no
-``_Float128``, a library that will not load -- and the caller then keeps
-the Python kernels.  ``schemes`` checks the kernels against the Python
+``unsigned __int128``, a library that will not load -- and the caller then
+keeps the Python kernels.  ``schemes`` checks the kernels against the Python
 kernels before it uses them.
 """
 
@@ -20,6 +20,8 @@ import ctypes
 import os
 import zlib
 from array import array
+from itertools import repeat
+from operator import lshift, or_
 from typing import Optional
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
@@ -27,9 +29,7 @@ CC = "gcc"
 # -ffp-contract=off: no fused multiply-add; no -ffast-math: no reassociation
 CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-fPIC", "-shared")
 
-_B128_BIAS = 16383
-_B128_FRACTION = (1 << 112) - 1  # the stored significand bits
-_WORD = (1 << 64) - 1
+_LOW = (1 << 63) - 1  # a 113-bit significand crosses as m >> 63 and m & _LOW
 _MAX_K = (1 << 63) - 1  # the largest index of a plan; the emulator steps beyond it
 
 
@@ -62,27 +62,6 @@ def load() -> Optional["Kernels"]:
         return Kernels(_build())
     except Exception:  # any failure leaves the Python kernels in charge
         return None
-
-
-def _to_bits(m: int, e: int) -> int:
-    """The binary128 bits of the raw pair (m, e): |m| < 2**113 and a value
-    in binary128's normal range."""
-    if not m:
-        return 0
-    n = abs(m).bit_length()
-    sign = 1 << 127 if m < 0 else 0
-    return sign | (e + n - 1 + _B128_BIAS) << 112 | (abs(m) << (113 - n)) & _B128_FRACTION
-
-
-def _from_bits(lo: int, hi: int) -> tuple[int, int]:
-    """The raw pair of binary128 bits that encode zero or a normal number,
-    with an odd significand (zero is (0, 0))."""
-    biased = hi >> 48 & 0x7FFF
-    if not biased:
-        return 0, 0
-    m = (hi << 64 | lo) & _B128_FRACTION | 1 << 112
-    z = (m & -m).bit_length() - 1
-    return (-m if hi >> 63 else m) >> z, biased - _B128_BIAS - 112 + z
 
 
 class Kernels:
@@ -119,16 +98,16 @@ class Kernels:
         return done, steps.value, (st[0], st[1])
 
     def midpoint_b128(self, st, c, plan, out):
-        """The binary128 kernel from the raw state st with raw constants c."""
-        words = []
-        for m, e in zip(st[::2] + c[::2], st[1::2] + c[1::2]):
-            bits = _to_bits(m, e)
-            words += (bits & _WORD, bits >> 64)
-        state, consts = (ctypes.c_uint64 * 4)(*words[:4]), (ctypes.c_uint64 * 8)(*words[4:])
-        got, steps = array("Q", bytes(32 * len(plan))), ctypes.c_int64()
-        done = self._b128(ctypes.addressof(state), ctypes.addressof(consts), plan.buffer_info()[0], len(plan),
-                          got.buffer_info()[0], ctypes.addressof(steps))
-        for k in range(0, 4 * done, 2):
-            out += _from_bits(got[k], got[k + 1])
-        w = state[:]
-        return done, steps.value, (*_from_bits(w[0], w[1]), *_from_bits(w[2], w[3]))
+        """The 113-bit midpoint kernel from the raw state st with raw constants c."""
+        raws = (*st, *c)
+        words = array("q", (w for m, e in zip(raws[::2], raws[1::2]) for w in (m >> 63, m & _LOW, e)))
+        got, steps = array("q", bytes(48 * len(plan))), ctypes.c_int64()
+        address = words.buffer_info()[0]
+        done = self._b128(address, address + 48, plan.buffer_info()[0], len(plan), got.buffer_info()[0],
+                          ctypes.addressof(steps))
+        got, raw = got[:6 * done], [0] * (4 * done)
+        raw[::2] = map(or_, map(lshift, got[::3], repeat(63)), got[1::3])  # m = hi << 63 | lo
+        raw[1::2] = got[2::3]
+        out += raw
+        w = words  # the state's words now hold the last in-range state
+        return done, steps.value, (w[0] << 63 | w[1], w[2], w[3] << 63 | w[4], w[5])

@@ -4,14 +4,14 @@
  * _midpoint_native and _rk3_native: the same binary64 operations in the
  * same order, each followed by its rounding to p bits by a Veltkamp split,
  * and the same range guard.  rt_midpoint_b128 is _midpoint_fused at
- * p = 113: IEEE binary128 has a 113-bit significand and rounds every
- * operation once, to nearest with ties to even, as the emulator does, for
- * as long as no value leaves the normal range, which the same guard keeps.
+ * p = 113 on integer significands (below): the same operations in the same
+ * order, each rounded once to 113 bits, to nearest with ties to even, with
+ * an exponent that cannot overflow, and the same range guard.
  *
  * Each follows a sampling plan: at, n ascending step indices.  It steps
  * from the state in st (step 0) to each index in its own loop and writes
- * the state there to out, x then y: two doubles each in binary64, two
- * binary128 values each in binary128.  It stops at the end of the plan or
+ * the state there to out, x then y: two doubles in binary64, two raw
+ * pairs of three words each at 113 bits.  It stops at the end of the plan or
  * before the first step whose result leaves the state window, leaves the
  * last in-range state in st and the steps done in *steps, and returns the
  * samples written.  So a channel is one call, whatever its sampling.
@@ -23,15 +23,10 @@
 
 #include <float.h>
 #include <stdint.h>
-#include <string.h>
 
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
 #error "binary64 operations must round to double, not to a wider format"
 #endif
-
-typedef _Float128 quad;
-typedef unsigned __int128 quad_bits;
-_Static_assert(sizeof(quad) == 16 && sizeof(quad_bits) == 16, "binary128 is 16 bytes");
 
 /* nonzero state components lie in [2**-400, 2**400], as in schemes */
 static int in_window(double v)
@@ -149,58 +144,163 @@ stop:
     return j;
 }
 
-/* Binary128 values cross the interface as their IEEE bits, two 64-bit
- * words each, low word first. */
-static quad get(const uint64_t *w)
+/* The 113-bit kernel works on integers.  A value is a sign, a significand
+ * m in [2**112, 2**113) (m = 0 for zero) and the exponent e of its last
+ * bit, and every operation rounds once to 113 bits, to nearest with ties
+ * to even, as the emulator's _round_raw does.  An inexact result is first
+ * rounded to odd on a grid at least two bits finer, its sticky bit jammed
+ * into the last place; rounding that to 113 bits is then correct
+ * (S. Boldo and G. Melquiond, IEEE Trans. Computers 57(4), 2008). */
+
+typedef unsigned __int128 u128;
+
+typedef struct {
+    u128 m;
+    int e, neg;
+} q113;
+
+static int bit_length(u128 m)
 {
-    quad_bits b = (quad_bits)w[1] << 64 | w[0];
-    quad v;
-    memcpy(&v, &b, sizeof v);
-    return v;
+    uint64_t hi = (uint64_t)(m >> 64);
+    return hi ? 128 - __builtin_clzll(hi) : 64 - __builtin_clzll((uint64_t)m);
 }
 
-static void put(uint64_t *w, quad v)
+/* the 256-bit product a*b as hi*2**128 + lo, from four 64x64 products */
+static inline void mul256(u128 a, u128 b, u128 *hi, u128 *lo)
 {
-    quad_bits b;
-    memcpy(&b, &v, sizeof b);
-    w[0] = (uint64_t)b;
-    w[1] = (uint64_t)(b >> 64);
+    u128 a0 = (uint64_t)a, a1 = a >> 64, b0 = (uint64_t)b, b1 = b >> 64;
+    u128 p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    u128 mid = (p00 >> 64) + (uint64_t)p01 + (uint64_t)p10;
+    *lo = mid << 64 | (uint64_t)p00;
+    *hi = a1 * b1 + (p01 >> 64) + (p10 >> 64) + (mid >> 64);
 }
 
-static int in_window_q(quad v)
+/* (-1)**neg * m * 2**e, m > 0 of 113 + s bits, rounded to 113 bits: m is
+ * exact, or rounded to odd with s >= 2 */
+static inline q113 round113(int neg, u128 m, int e, int s)
 {
-    quad a = v < 0 ? -v : v;
-    return v == 0 || (a >= (quad)0x1p-400 && a <= (quad)0x1p400);
+    if (s <= 0)
+        return (q113){m << -s, e + s, neg};
+    m = (m + (((u128)1 << (s - 1)) - 1) + (m >> s & 1)) >> s;
+    int carry = (int)(m >> 113); /* rounded up to 2**113 */
+    return (q113){m >> carry, e + s + carry, neg};
 }
 
-/* st = {x, y} and c = {1-k, 1+k, a*dt, b*dt}, as binary128 bits */
-int64_t rt_midpoint_b128(uint64_t *st, const uint64_t *c,
-                         const int64_t *at, int64_t n, uint64_t *out, int64_t *steps)
+static inline q113 mul113(q113 a, q113 b)
 {
-    quad x = get(st), y = get(st + 2);
-    const quad om = get(c), op = get(c + 2), ad = get(c + 4), bd = get(c + 6);
+    u128 hi, lo;
+    if (!a.m || !b.m)
+        return (q113){0, 0, 0};
+    mul256(a.m, b.m, &hi, &lo); /* in [2**224, 2**226) */
+    u128 m = hi << 28 | lo >> 100 | ((lo & (((u128)1 << 100) - 1)) != 0);
+    return round113(a.neg ^ b.neg, m, a.e + b.e + 100, 12 + (int)(m >> 125));
+}
+
+/* a + b: three guard bits keep a cancelling difference at 115 bits or more
+ * whenever the aligned operand lost bits, which takes a shift of four */
+static inline q113 add113(q113 a, q113 b)
+{
+    if (!a.m || !b.m)
+        return a.m ? a : b;
+    int swap = a.e < b.e || (a.e == b.e && a.m < b.m);
+    q113 x = swap ? b : a, y = swap ? a : b; /* |x| >= |y| */
+    int d = x.e - y.e;
+    u128 big = x.m << 3, small = y.m << 3;
+    small = d >= 116 ? 1 : small >> d | ((small & (((u128)1 << d) - 1)) != 0);
+    if (x.neg == y.neg)
+        return round113(x.neg, big + small, x.e - 3, 3 + (int)((big + small) >> 116));
+    u128 m = big - small;
+    return m ? round113(x.neg, m, x.e - 3, bit_length(m) - 113) : (q113){0, 0, 0};
+}
+
+/* floor((2**240 - 1) / m) for m in [2**112, 2**113), below 2**128 */
+static u128 reciprocal(u128 m)
+{
+    u128 q = 0, r = 0;
+    for (int i = 0; i < 240; i++) {
+        r = r << 1 | 1;
+        q = q << 1 | (r >= m);
+        r -= r >= m ? m : 0;
+    }
+    return q;
+}
+
+/* a / b with inv = reciprocal(b.m): q = floor(a.m * 2**116 / b.m) is
+ * floor(a.m * inv / 2**124) or one more, and the remainder, below 2**114
+ * and so exact modulo 2**128, decides */
+static inline q113 div113(q113 a, q113 b, u128 inv)
+{
+    u128 hi, lo;
+    if (!a.m)
+        return (q113){0, 0, 0};
+    mul256(a.m, inv, &hi, &lo);
+    u128 q = hi << 4 | lo >> 124, r = (a.m << 116) - q * b.m;
+    if (r >= b.m) {
+        q++;
+        r -= b.m;
+    }
+    return round113(a.neg ^ b.neg, q | (r != 0), a.e - b.e - 116, 3 + (int)(q >> 116));
+}
+
+static inline int in_window113(q113 v)
+{
+    int top = v.e + 112; /* floor(log2 |v|) */
+    return !v.m || (top >= -400 && (top < 400 || (top == 400 && v.m == (u128)1 << 112)));
+}
+
+/* Values cross the interface as the emulator's raw pairs m * 2**e, three
+ * 64-bit words each: m = w[0] * 2**63 + w[1] with 0 <= w[1] < 2**63, and
+ * e.  A value read has at most 113 bits; a value written has an odd m, or
+ * is (0, 0). */
+static q113 get(const int64_t *w)
+{
+    u128 m = (u128)(__int128)w[0] << 63 | (uint64_t)w[1];
+    if (w[0] < 0)
+        m = -m;
+    return m ? round113(w[0] < 0, m, (int)w[2], bit_length(m) - 113) : (q113){0, 0, 0};
+}
+
+static void put(int64_t *w, q113 v)
+{
+    const u128 low = ((u128)1 << 63) - 1;
+    uint64_t lo = (uint64_t)v.m;
+    int z = !v.m ? 0 : lo ? __builtin_ctzll(lo) : 64 + __builtin_ctzll((uint64_t)(v.m >> 64));
+    u128 m = v.m >> z;
+    w[0] = v.neg ? -(int64_t)((m + low) >> 63) : (int64_t)(m >> 63);
+    w[1] = (int64_t)((v.neg ? -m : m) & low);
+    w[2] = v.m ? v.e + z : 0;
+}
+
+/* st = {x, y} and c = {1-k, 1+k, a*dt, b*dt}, three words each */
+int64_t rt_midpoint_b128(int64_t *st, const int64_t *c,
+                         const int64_t *at, int64_t n, int64_t *out, int64_t *steps)
+{
+    q113 x = get(st), y = get(st + 3), nad = get(c + 6);
+    const q113 om = get(c), op = get(c + 3), bd = get(c + 9);
+    const u128 inv = reciprocal(op.m);
     int64_t i = 0, j;
+    nad.neg = !nad.neg; /* x (x) (1-k) (-) a*dt (x) y is x (x) (1-k) (+) -a*dt (x) y */
     for (j = 0; j < n; j++) {
         for (; i < at[j]; i++) {
-            quad u1 = x * om;
-            quad u2 = ad * y;
-            quad nx = u1 - u2;
-            quad v1 = y * om;
-            quad v2 = bd * x;
-            quad ny = v1 + v2;
-            quad qx = nx / op;
-            quad qy = ny / op;
-            if (!(in_window_q(qx) && in_window_q(qy)))
+            q113 u1 = mul113(x, om);
+            q113 u2 = mul113(nad, y);
+            q113 nx = add113(u1, u2);
+            q113 v1 = mul113(y, om);
+            q113 v2 = mul113(bd, x);
+            q113 ny = add113(v1, v2);
+            q113 qx = div113(nx, op, inv);
+            q113 qy = div113(ny, op, inv);
+            if (!(in_window113(qx) && in_window113(qy)))
                 goto stop;
             x = qx;
             y = qy;
         }
-        put(out + 4 * j, x);
-        put(out + 4 * j + 2, y);
+        put(out + 6 * j, x);
+        put(out + 6 * j + 3, y);
     }
 stop:
     put(st, x);
-    put(st + 2, y);
+    put(st + 3, y);
     *steps = i;
     return j;
 }

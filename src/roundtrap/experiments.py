@@ -12,7 +12,8 @@ per-step round-off against dt**order, not by T.
 
 Sweep legs are independent and may run in worker processes, submitted
 longest first; records are assembled in descending-dt order, so output is
-deterministic regardless of scheduling.
+deterministic regardless of scheduling.  A sweep small enough that a pool
+would cost more than it saves runs in one process.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ._wide import cos_sin_steps
 from .analysis import error_separation
 from .fpcore import ParameterError, PrecisionConfig, QUAD, SINGLE
 from .oscillator import OscillatorParams, analytic_solution, _as_fraction, _state
-from .schemes import SamplingPlan, Scheme, _check_steps, integrate_pair, num_steps
+from .schemes import SamplingPlan, Scheme, _check_steps, integrate_pair, num_steps, starts_compiled
 
 STATUS_OK = "ok"
 STATUS_SKIPPED_GUARD = "skipped_guard"
@@ -131,18 +132,38 @@ def _sweep_leg(cfg: SweepConfig, dt: Fraction) -> SweepRecord:
     )
 
 
+# A sweep runs in this process, whatever ``jobs`` says, when its legs step
+# on compiled kernels and take at most this many steps in all.  On a 2-vCPU
+# x86-64 host two pool workers cost about 30 ms to start, a compiled leg step
+# (p=24 run, 113-bit reference) about 115 ns, and the finest leg of a
+# decade-spaced sweep holds about 2/3 of its steps, so two workers save at
+# most 1/3 of the work: the pool pays only beyond 3 * 30 ms / 115 ns.
+_IN_PROCESS_STEPS = 10**6
+
+
+def _runs_in_process(cfg: SweepConfig) -> bool:
+    """Whether the sweep is too small for a pool: every running leg starts
+    both channels on compiled kernels, and the legs take at most
+    ``_IN_PROCESS_STEPS`` steps in all."""
+    legs = set(running_legs(cfg))
+    if sum(num_steps(cfg.t_end, dt) for dt in legs) > _IN_PROCESS_STEPS:
+        return False
+    ps = (cfg.run_precision.significand_bits, cfg.ref_precision.significand_bits)
+    return all(starts_compiled(cfg.scheme, cfg.params, dt, p) for dt in legs for p in ps)
+
+
 def stepsize_sweep(cfg: SweepConfig, jobs: Optional[int] = None) -> list[SweepRecord]:
     """Run every leg of the sweep and return records in descending-dt order.
 
-    ``jobs`` > 1 runs legs in worker processes; the data columns of the
+    ``jobs`` is the most worker processes to use: > 1 runs legs in worker
+    processes, unless the sweep is small enough that starting them would
+    cost more than they save (``_runs_in_process``); the data columns of the
     result do not depend on jobs.  Guard-tripped legs are reported with
     status=skipped_guard and legs whose t_end/dt rounds to zero steps with
     status=skipped_zero_steps, rather than failing the sweep.
     """
     dts = sorted(set(cfg.dt_list), reverse=True)
-    if jobs is None:
-        jobs = 1
-    if jobs <= 1 or len(dts) == 1:
+    if jobs is None or jobs <= 1 or len(dts) == 1 or _runs_in_process(cfg):
         return [_sweep_leg(cfg, dt) for dt in dts]
     # imported here: it loads multiprocessing, which a one-process run need not pay for
     from concurrent.futures import ProcessPoolExecutor

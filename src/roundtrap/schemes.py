@@ -44,31 +44,29 @@ runs in the emulator throughout, as does every other p.  Both backends give
 bit-identical trajectories.
 
 Compiled kernels.  Each scheme's binary64 kernel has a C twin, and the
-midpoint scheme, the paper's conservative scheme, also a binary128 kernel
-for p = 113 (``_kernels.c``, loaded through ctypes by ``_compiled``).  IEEE
-binary128 has exactly a 113-bit significand, and GCC's ``_Float128`` rounds
-each +, -, * and / once, correctly, to nearest with ties to even: the
-emulator's single rounding, as long as no value leaves the normal range,
-which the same state and constant windows guarantee with a wide margin.
-The library is built with ``-ffp-contract=off``, because GCC would
+midpoint scheme, the paper's conservative scheme, also a 113-bit kernel for
+p = 113 (``_kernels.c``, loaded through ctypes by ``_compiled``).  That
+kernel works on integer significands with an unbounded exponent, as the
+emulator does, and rounds each +, -, * and / once, to nearest with ties to
+even.  The library is built with ``-ffp-contract=off``, because GCC would
 otherwise fuse a multiplication and an addition into one FMA, which rounds
 once instead of twice, and without ``-ffast-math``, which would simplify
 the Veltkamp split away.  It is built on first use, not at import, into
 ``${XDG_CACHE_HOME:-~/.cache}/roundtrap/``, and used only after each kernel
 follows a 40-step plan of mixed gaps as the Python kernels do.  When
 anything fails (no gcc, a compile error, an unwritable cache, no
-``_Float128``, a wrong answer) the channel silently keeps the Python
-kernels.  The guard and the hand-off to
+``unsigned __int128``, a wrong answer) the channel silently keeps the
+Python kernels.  The guard and the hand-off to
 the emulator are the same, so ``channel_backend``, the manifest's backends
 and every output bit stay the same; the manifest's environment block
 records whether the compiled kernels stepped.
 
 Records.  A trajectory keeps its sampled states as the kernels produced
 them (``_Record``): floats from the binary64 kernels, raw pairs from the
-emulator and the binary128 kernel, Fractions from exact steps.  A native
+emulator and the 113-bit kernel, Fractions from exact steps.  A native
 kernel runs the channel's whole sampling plan in one call, stepping between
 samples in its own loop and writing each sampled state into the record
-(binary128 states are converted after the call).  ``Trajectory.samples``
+(113-bit significands cross as two words, joined after the call).  ``Trajectory.samples``
 builds the (i, State) pairs when first read; a long run's error split takes
 them one at a time and keeps none, and the residual stencil of ``analysis``
 reads the record as integers without them.
@@ -184,7 +182,8 @@ class SamplingPlan:
 
 
 # the forms of a record's parts: floats (x, y), raw pairs (mx, ex, my, ey)
-# and Fractions (x, y), each part one flat sequence of them
+# and Fractions (x, y), each part one flat sequence of them; compared by
+# value, since a record unpickled in another process holds copies of them
 _FLOAT, _RAW, _EXACT = "float", "raw", "exact"
 
 
@@ -202,7 +201,7 @@ class _Record:
 
     def part(self, form: str, start: int):
         """The values of a new part from sample ordinal ``start`` on, to extend."""
-        values = array("d") if form is _FLOAT else []
+        values = array("d") if form == _FLOAT else []
         self._parts.append((start, form, values))
         return values
 
@@ -218,11 +217,11 @@ class _Record:
     def fractions(self, ordinals):
         """(x, y) as Fractions for each of the ascending sample ordinals."""
         for form, v, start, part in self._spans(ordinals):
-            if form is _RAW:
+            if form == _RAW:
                 for o in part:
                     k = 4 * (o - start)
                     yield _raw_to_fraction(v[k], v[k + 1]), _raw_to_fraction(v[k + 2], v[k + 3])
-            elif form is _FLOAT:  # from the exact ratio, which is in lowest terms
+            elif form == _FLOAT:  # from the exact ratio, which is in lowest terms
                 for o in part:
                     k = 2 * (o - start)
                     yield _fraction(*v[k].as_integer_ratio()), _fraction(*v[k + 1].as_integer_ratio())
@@ -236,7 +235,7 @@ class _Record:
         is (nx/q, ny/q), q > 0 (a power of two for a rounded run)."""
         lcm = math.lcm
         for form, v, start, part in self._spans(ordinals):
-            if form is _RAW:
+            if form == _RAW:
                 for o in part:
                     k = 4 * (o - start)
                     mx, ex, my, ey = v[k:k + 4]
@@ -710,7 +709,7 @@ def _compiled_start(scheme: Scheme, p: int, st, consts) -> bool:
 def _compiled_precision(scheme: Scheme, p: int) -> bool:
     """Whether the compiled kernels cover the scheme at p bits: every
     scheme in binary64 where channel_backend says so, and the midpoint
-    scheme in binary128 at p = 113."""
+    scheme at p = 113, the width of binary128."""
     return channel_backend(p) == BINARY64 or (scheme is Scheme.MIDPOINT_IMPLICIT and p == _BINARY128_BITS)
 
 
@@ -743,7 +742,7 @@ def _raw_values(raws) -> list[Fraction]:
 def _known_answers(kernels) -> bool:
     """Whether the compiled kernels follow a plan of mixed gaps from (1, 0)
     as the Python kernels do: each scheme's binary64 kernel at p = 10, 24
-    and 53 against its Python twin, and the binary128 midpoint kernel at
+    and 53 against its Python twin, and the 113-bit midpoint kernel at
     p = 113 against the emulator."""
     params, dt = OscillatorParams(Fraction(1, 10), Fraction(1, 5)), Fraction(3, 100)
     plan = array("q", (0, 1, 2, 5, 6, 13, 40))  # a sample at the start, gaps of 1, 3, 7 and 27 steps
@@ -942,7 +941,7 @@ def _native_run(form, run, wanted, record: _Record, p: int):
     j, i, st = run(array("q", wanted[:bisect_right(wanted, _MAX_K)]), record.part(form, 0))
     if j == len(wanted):
         return i, j, None
-    return i, j, st if form is _RAW else (*_float_to_raw(st[0], p), *_float_to_raw(st[1], p))
+    return i, j, st if form == _RAW else (*_float_to_raw(st[0], p), *_float_to_raw(st[1], p))
 
 
 def integrate_pair(

@@ -1,9 +1,12 @@
+import concurrent.futures
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from roundtrap import experiments
 from roundtrap.analysis import error_separation
 from roundtrap.experiments import (
     DESK_DT_LIST,
@@ -21,6 +24,11 @@ from roundtrap.oscillator import OscillatorParams, analytic_solution
 from roundtrap.schemes import SamplingPlan, Scheme, integrate, integrate_pair
 
 PARAMS = OscillatorParams()
+
+def strip(records):
+    """The data columns of sweep records, without the wall time."""
+    return [(r.dt, r.n_steps, r.e_total, r.e_trunc, r.e_round, r.status) for r in records]
+
 
 SMALL = SweepConfig(
     t_end=Fraction(2),
@@ -67,13 +75,25 @@ class TestStepsizeSweep:
             from_sweep.e_total, from_sweep.e_trunc, from_sweep.e_round
         )
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_IN_PROCESS_STEPS", 0)  # a pool even for a small sweep
         serial = stepsize_sweep(SMALL, jobs=1)
         parallel = stepsize_sweep(SMALL, jobs=2)
-        strip = lambda recs: [(r.dt, r.n_steps, r.e_total, r.e_trunc, r.e_round, r.status) for r in recs]
         assert strip(serial) == strip(parallel)
         # legs are submitted longest first but reported in descending-dt order
         assert [r.dt for r in parallel] == sorted(SMALL.dt_list, reverse=True)
+
+    def test_small_sweep_starts_no_pool(self, compiled, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert experiments._runs_in_process(SMALL)  # 420 steps, every channel compiled
+        assert strip(stepsize_sweep(SMALL, jobs=2)) == strip(stepsize_sweep(SMALL, jobs=1))
+        # a sweep with an emulated channel, or one past the bound, uses the pool
+        assert not experiments._runs_in_process(replace(SMALL, run_precision=PrecisionConfig(30)))
+        monkeypatch.setattr(experiments, "_IN_PROCESS_STEPS", 419)
+        assert not experiments._runs_in_process(SMALL)
 
     def test_guard_trips_are_per_record(self):
         cfg = SweepConfig(

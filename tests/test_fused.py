@@ -9,14 +9,17 @@ The fused Euler and RK3 kernels have no p-dependent code of their own:
 they call fpcore's _round_raw and _add_raw, and tests/test_native.py and
 the emulated golden sweeps check their operation order.
 
-The compiled binary128 kernel steps the midpoint rule at p = 113 too, and
-is compared with _midpoint_step by value: its significands carry 113 bits,
-trailing zeros included."""
+The compiled 113-bit kernel steps the midpoint rule at p = 113 on integer
+significands, and is compared with _midpoint_step by value, on a fixed
+matrix, on drawn parameters, start states and plans, and at the edges of the
+state window."""
 
 from array import array
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from roundtrap import schemes
 from roundtrap.fpcore import _fraction_to_raw, _raw_to_fraction
@@ -85,6 +88,77 @@ def test_compiled_b128_equals_op_by_op(compiled):
                     assert m % 2 and abs(m).bit_length() <= p or (m, e) == (0, 0)
                 checked += steps
     assert checked > 10000
+
+
+def assert_b128_follows_op_by_op(compiled, st, c, plan):
+    """The kernel from the raw start st with the raw constants c through the
+    plan in one call: the samples, the steps done and the step where the
+    guard trips are _midpoint_step's."""
+    states = [st]
+    while len(states) <= plan[-1]:
+        nxt = schemes._midpoint_step(states[-1], c, 113)
+        if not in_state_window(nxt):
+            break
+        states.append(nxt)
+    steps = len(states) - 1  # the plan's end, or the step before the guard trips
+    out = []
+    done, got_steps, last = compiled.midpoint_b128(st, c, array("q", plan), out)
+    assert (done, got_steps) == (sum(k <= steps for k in plan), steps)
+    assert _raw_values(out) == _raw_values([v for k in plan[:done] for v in states[k]])
+    assert _raw_values(last) == _raw_values(states[steps])
+
+
+def full_width(neg, m, top):
+    """The raw pair of a 113-bit significand 2**112 + m whose value lies in
+    [2**top, 2**(top + 1))."""
+    return (-1 if neg else 1) * ((1 << 112) | m), top - 112
+
+
+positive = st.fractions(min_value=Fraction(1, 10**4), max_value=100, max_denominator=10**6)
+components = st.one_of(st.just((0, 0)), st.builds(full_width, st.booleans(), st.integers(0, 2**112 - 1),
+                                                  st.integers(-402, 402)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(a=positive, b=positive, dt=st.fractions(min_value=Fraction(1, 10**6), max_value=4, max_denominator=10**7),
+       x=components, y=components, start=st.sampled_from(("drawn", "x cancels", "y cancels")),
+       plan=st.lists(st.integers(0, 60), min_size=1, max_size=6, unique=True).map(sorted))
+def test_compiled_b128_drawn(compiled, a, b, dt, x, y, start, plan):
+    c = _consts(Scheme.MIDPOINT_IMPLICIT, OscillatorParams(a, b), dt, 113)
+    om, ad, bd = c[0:2], c[4:6], c[6:8]
+    if start == "x cancels":  # x (x) (1-k) - a*dt (x) y is exactly 0
+        x, y = ad, om
+    elif start == "y cancels":  # y (x) (1-k) + b*dt (x) x is exactly 0
+        x, y = (-om[0], om[1]), bd
+    assert_b128_follows_op_by_op(compiled, (*x, *y), c, plan)
+
+
+# raw constants (1-k, 1+k, a*dt, b*dt) that double, halve or keep the state
+DOUBLE, HALVE, KEEP = (2, 0, 1, 0, 0, 0, 0, 0), (1, 0, 2, 0, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0, 0, 0)
+EDGES = {
+    "reaches 2**400": (DOUBLE, (1, 399, 0, 0), 1),
+    "steps past 2**400": (DOUBLE, ((1 << 112) + 1, 287, 0, 0), 0),
+    "reaches -2**400": (DOUBLE, (0, 0, -1, 399), 1),
+    "reaches 2**-400": (HALVE, (1, -399, 0, 0), 1),
+    "steps below 2**-400": (HALVE, ((1 << 113) - 1, -512, 0, 0), 0),
+    "zero state": (KEEP, (0, 0, 0, 0), 50),
+    "zero component": (KEEP, (0, 0, 3, -7), 50),
+    # 1-k = 3, a*dt = 1: from (1, 3), x (x) 3 - 1 (x) y is exactly 0
+    "sum cancels": ((3, 0, 1, 0, 1, 0, 0, 0), (1, 0, 3, 0), 50),
+    # a first step whose quotient the reciprocal estimates one short (found by search)
+    "quotient estimate one short": (_consts(Scheme.MIDPOINT_IMPLICIT, OscillatorParams(), Fraction("0.03"), 113),
+                                    (8161526254493609862969598938728170, -112,
+                                     6728992923982397297632216954248132, -112), 50),
+}
+
+
+@pytest.mark.parametrize("case", EDGES)
+def test_compiled_b128_edge_cases(compiled, case):
+    c, st, steps = EDGES[case]
+    out = []
+    assert compiled.midpoint_b128(st, c, array("q", (0, 1, 50)), out)[1] == steps
+    assert_b128_follows_op_by_op(compiled, st, c, (0, 1, 50))
 
 
 def test_exact_fused_applies_update_matrix():

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -228,6 +229,17 @@ class TestIntegrate:
     def test_determinism(self):
         args = (Scheme.MIDPOINT_IMPLICIT, PARAMS, Fraction(1, 100), 2, SINGLE, SamplingPlan.every(37))
         assert integrate(*args) == integrate(*args)
+
+    @pytest.mark.parametrize("p", [24, 40, 113, None])
+    def test_pickle_round_trip(self, p):
+        # a trajectory from a worker process arrives pickled: its record's
+        # parts (floats at p=24, raw pairs at 40 and 113, Fractions when
+        # exact) must read back the same states
+        cfg = None if p is None else PrecisionConfig(p)
+        traj = integrate(Scheme.MIDPOINT_IMPLICIT, PARAMS, Fraction(1, 10), 3, cfg, SamplingPlan.every(4))
+        copy = pickle.loads(pickle.dumps(traj))
+        assert copy.samples == traj.samples and copy.final_state == traj.final_state
+        assert copy.record == traj.record
 
     def test_pair_matches_separate_runs(self):
         dt = Fraction(1, 100)
