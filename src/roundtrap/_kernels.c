@@ -252,7 +252,7 @@ static inline int in_window113(q113 v)
  * 64-bit words each: m = w[0] * 2**63 + w[1] with 0 <= w[1] < 2**63, and
  * e.  A value read has at most 113 bits; a value written has an odd m, or
  * is (0, 0). */
-static q113 get(const int64_t *w)
+static q113 read113(const int64_t *w)
 {
     u128 m = (u128)(__int128)w[0] << 63 | (uint64_t)w[1];
     if (w[0] < 0)
@@ -260,7 +260,7 @@ static q113 get(const int64_t *w)
     return m ? round113(w[0] < 0, m, (int)w[2], bit_length(m) - 113) : (q113){0, 0, 0};
 }
 
-static void put(int64_t *w, q113 v)
+static void write113(int64_t *w, q113 v)
 {
     const u128 low = ((u128)1 << 63) - 1;
     uint64_t lo = (uint64_t)v.m;
@@ -275,8 +275,8 @@ static void put(int64_t *w, q113 v)
 int64_t rt_midpoint_b128(int64_t *st, const int64_t *c,
                          const int64_t *at, int64_t n, int64_t *out, int64_t *steps)
 {
-    q113 x = get(st), y = get(st + 3), nad = get(c + 6);
-    const q113 om = get(c), op = get(c + 3), bd = get(c + 9);
+    q113 x = read113(st), y = read113(st + 3), nad = read113(c + 6);
+    const q113 om = read113(c), op = read113(c + 3), bd = read113(c + 9);
     const u128 inv = reciprocal(op.m);
     int64_t i = 0, j;
     nad.neg = !nad.neg; /* x (x) (1-k) (-) a*dt (x) y is x (x) (1-k) (+) -a*dt (x) y */
@@ -295,12 +295,12 @@ int64_t rt_midpoint_b128(int64_t *st, const int64_t *c,
             x = qx;
             y = qy;
         }
-        put(out + 6 * j, x);
-        put(out + 6 * j + 3, y);
+        write113(out + 6 * j, x);
+        write113(out + 6 * j + 3, y);
     }
 stop:
-    put(st, x);
-    put(st + 3, y);
+    write113(st, x);
+    write113(st + 3, y);
     *steps = i;
     return j;
 }

@@ -241,7 +241,7 @@ FLAGS = {
     "p_run": Flag(_precision, "run significand bits"),
     "p_ref": Flag(_precision, "reference significand bits"),
     "max_steps": Flag(int, "most steps a run may take"),
-    "jobs": Flag(_jobs, "most worker processes for sweep legs (default: CPU count); a small sweep runs in one"),
+    "jobs": Flag(_jobs, "most worker processes for sweep legs (default: CPU count); small sweeps use none"),
     "samples": Flag(int, "number of sample times (>= 2)"),
     "spacing": Flag(str, "spacing of the sample times", ("log", "linear")),
     "mode": Flag(str, "which diagnostic to run", ("ect", "os", "spectral", "drift", "residual", "bound")),

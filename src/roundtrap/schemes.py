@@ -66,10 +66,10 @@ them (``_Record``): floats from the binary64 kernels, raw pairs from the
 emulator and the 113-bit kernel, Fractions from exact steps.  A native
 kernel runs the channel's whole sampling plan in one call, stepping between
 samples in its own loop and writing each sampled state into the record
-(113-bit significands cross as two words, joined after the call).  ``Trajectory.samples``
-builds the (i, State) pairs when first read; a long run's error split takes
-them one at a time and keeps none, and the residual stencil of ``analysis``
-reads the record as integers without them.
+(113-bit significands cross as two words, joined after the call).
+``Trajectory.samples`` builds the (i, State) pairs when first read; a long
+run's error split takes them one at a time and keeps none, and the residual
+stencil of ``analysis`` reads the record as integers without them.
 
 The emulator runs one fused kernel per scheme (``_FUSED_FN``): each
 advances the raw state k steps in its own loop, rounding with
