@@ -25,6 +25,7 @@ from roundtrap.schemes import SamplingPlan, Scheme, integrate, integrate_pair
 
 PARAMS = OscillatorParams()
 
+
 def strip(records):
     """The data columns of sweep records, without the wall time."""
     return [(r.dt, r.n_steps, r.e_total, r.e_trunc, r.e_round, r.status) for r in records]

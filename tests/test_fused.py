@@ -90,11 +90,11 @@ def test_compiled_b128_equals_op_by_op(compiled):
     assert checked > 10000
 
 
-def assert_b128_follows_op_by_op(compiled, st, c, plan):
-    """The kernel from the raw start st with the raw constants c through the
-    plan in one call: the samples, the steps done and the step where the
+def assert_b128_follows_op_by_op(compiled, start, c, plan):
+    """The kernel from the raw start state with the raw constants c through
+    the plan in one call: the samples, the steps done and the step where the
     guard trips are _midpoint_step's."""
-    states = [st]
+    states = [start]
     while len(states) <= plan[-1]:
         nxt = schemes._midpoint_step(states[-1], c, 113)
         if not in_state_window(nxt):
@@ -102,7 +102,7 @@ def assert_b128_follows_op_by_op(compiled, st, c, plan):
         states.append(nxt)
     steps = len(states) - 1  # the plan's end, or the step before the guard trips
     out = []
-    done, got_steps, last = compiled.midpoint_b128(st, c, array("q", plan), out)
+    done, got_steps, last = compiled.midpoint_b128(start, c, array("q", plan), out)
     assert (done, got_steps) == (sum(k <= steps for k in plan), steps)
     assert _raw_values(out) == _raw_values([v for k in plan[:done] for v in states[k]])
     assert _raw_values(last) == _raw_values(states[steps])
@@ -122,14 +122,14 @@ components = st.one_of(st.just((0, 0)), st.builds(full_width, st.booleans(), st.
 @settings(derandomize=True, max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(a=positive, b=positive, dt=st.fractions(min_value=Fraction(1, 10**6), max_value=4, max_denominator=10**7),
-       x=components, y=components, start=st.sampled_from(("drawn", "x cancels", "y cancels")),
+       x=components, y=components, kind=st.sampled_from(("drawn", "x cancels", "y cancels")),
        plan=st.lists(st.integers(0, 60), min_size=1, max_size=6, unique=True).map(sorted))
-def test_compiled_b128_drawn(compiled, a, b, dt, x, y, start, plan):
+def test_compiled_b128_drawn(compiled, a, b, dt, x, y, kind, plan):
     c = _consts(Scheme.MIDPOINT_IMPLICIT, OscillatorParams(a, b), dt, 113)
     om, ad, bd = c[0:2], c[4:6], c[6:8]
-    if start == "x cancels":  # x (x) (1-k) - a*dt (x) y is exactly 0
+    if kind == "x cancels":  # x (x) (1-k) - a*dt (x) y is exactly 0
         x, y = ad, om
-    elif start == "y cancels":  # y (x) (1-k) + b*dt (x) x is exactly 0
+    elif kind == "y cancels":  # y (x) (1-k) + b*dt (x) x is exactly 0
         x, y = (-om[0], om[1]), bd
     assert_b128_follows_op_by_op(compiled, (*x, *y), c, plan)
 
@@ -155,10 +155,9 @@ EDGES = {
 
 @pytest.mark.parametrize("case", EDGES)
 def test_compiled_b128_edge_cases(compiled, case):
-    c, st, steps = EDGES[case]
-    out = []
-    assert compiled.midpoint_b128(st, c, array("q", (0, 1, 50)), out)[1] == steps
-    assert_b128_follows_op_by_op(compiled, st, c, (0, 1, 50))
+    c, start, steps = EDGES[case]
+    assert compiled.midpoint_b128(start, c, array("q", (0, 1, 50)), [])[1] == steps
+    assert_b128_follows_op_by_op(compiled, start, c, (0, 1, 50))
 
 
 def test_exact_fused_applies_update_matrix():
