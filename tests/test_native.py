@@ -2,7 +2,7 @@
 native trajectory must equal the emulated one bit for bit, including runs
 that leave the guarded range and hand off to the emulator.  The native
 kernels are the Python binary64 kernels, their compiled twins and, for the
-midpoint scheme, the compiled binary128 kernel; the compiled kernels must
+midpoint scheme, the compiled 113-bit kernel; the compiled kernels must
 also equal the Python kernels."""
 
 import csv
@@ -251,7 +251,7 @@ class TestGuardAndHandOff:
 class CompiledKernels:
     """A scheme's compiled kernels against the emulator and the Python
     kernels; one subclass per scheme.  At p = 113 the midpoint scheme's
-    binary128 kernel has only the emulator to agree with, and the other
+    113-bit kernel has only the emulator to agree with, and the other
     schemes are emulated."""
 
     S: Scheme
@@ -503,7 +503,7 @@ def test_plan_cut_beyond_max_index(compiled, monkeypatch, scheme, p):
     args = (scheme, OscillatorParams(), Fraction("0.03"), PrecisionConfig(p), Fraction(1), Fraction(0), wanted)
     for channel in (schemes._channel, functools.partial(python_kernels, schemes._channel)):
         if p == 113 and channel is not schemes._channel:
-            continue  # the binary128 kernel has no Python twin
+            continue  # the 113-bit kernel has no Python twin
         plans.clear()
         emulator_steps.clear()
         got = channel(*args)
