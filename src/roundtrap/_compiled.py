@@ -1,6 +1,6 @@
 """Build and load the compiled kernels of ``_kernels.c``: the binary64
-twins of every scheme's Python kernel and the midpoint scheme's 113-bit
-kernel.
+twins of every scheme's Python kernel and the midpoint scheme's integer
+kernel, which steps at any p up to 113 bits.
 
 The library is built on first use, never at import: ``gcc`` compiles the
 package's own C source into ``${XDG_CACHE_HOME:-~/.cache}/roundtrap/``,
@@ -65,7 +65,7 @@ def load() -> Optional["Kernels"]:
 
 
 class Kernels:
-    """The loaded library.  ``binary64`` and ``midpoint_b128`` run a
+    """The loaded library.  ``binary64`` and ``midpoint_int`` run a
     channel's kernel once, through its sampling plan: the ascending step
     indices ``plan``, an ``array('q')`` of indices up to ``_MAX_K``.  Each
     steps from the start state to each index in the kernel's own loop and
@@ -82,8 +82,8 @@ class Kernels:
             fn = getattr(lib, f"rt_{name}_b64")
             fn.argtypes, fn.restype = (ptr, ptr, ctypes.c_double, ptr, i64, ptr, ptr), i64
             self._b64[name] = fn
-        self._b128 = lib.rt_midpoint_b128
-        self._b128.argtypes, self._b128.restype = (ptr, ptr, ptr, i64, ptr, ptr), i64
+        self._int = lib.rt_midpoint_int
+        self._int.argtypes, self._int.restype = (ctypes.c_int, ptr, ptr, ptr, i64, ptr, ptr), i64
 
     def binary64(self, name: str, xy, c, C: float, plan, out):
         """The binary64 kernel of the scheme called name, from the float
@@ -97,14 +97,15 @@ class Kernels:
         del out[start + 2 * done:]
         return done, steps.value, (st[0], st[1])
 
-    def midpoint_b128(self, st, c, plan, out):
-        """The 113-bit midpoint kernel from the raw state st with raw constants c."""
+    def midpoint_int(self, p: int, st, c, plan, out):
+        """The integer midpoint kernel at p bits from the raw state st with
+        raw constants c, each of at most p bits."""
         raws = (*st, *c)
         words = array("q", (w for m, e in zip(raws[::2], raws[1::2]) for w in (m >> 63, m & _LOW, e)))
         got, steps = array("q", bytes(48 * len(plan))), ctypes.c_int64()
         address = words.buffer_info()[0]
-        done = self._b128(address, address + 48, plan.buffer_info()[0], len(plan), got.buffer_info()[0],
-                          ctypes.addressof(steps))
+        done = self._int(p, address, address + 48, plan.buffer_info()[0], len(plan), got.buffer_info()[0],
+                         ctypes.addressof(steps))
         got, raw = got[:6 * done], [0] * (4 * done)
         raw[::2] = map(or_, map(lshift, got[::3], repeat(63)), got[1::3])  # m = hi << 63 | lo
         raw[1::2] = got[2::3]

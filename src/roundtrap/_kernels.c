@@ -3,18 +3,19 @@
  * rt_euler_b64, rt_midpoint_b64 and rt_rk3_b64 are _euler_native,
  * _midpoint_native and _rk3_native: the same binary64 operations in the
  * same order, each followed by its rounding to p bits by a Veltkamp split,
- * and the same range guard.  rt_midpoint_b128 is _midpoint_fused at
- * p = 113 on integer significands (below): the same operations in the same
- * order, each rounded once to 113 bits, to nearest with ties to even, with
- * an exponent that cannot overflow, and the same range guard.
+ * and the same range guard.  rt_midpoint_int is _midpoint_fused at any
+ * p <= 113 on integer significands (below): the same operations in the
+ * same order, each rounded once to p bits, to nearest with ties to even,
+ * with an exponent that cannot overflow, and the same range guard.
  *
  * Each follows a sampling plan: at, n ascending step indices.  It steps
  * from the state in st (step 0) to each index in its own loop and writes
  * the state there to out, x then y: two doubles in binary64, two raw
- * pairs of three words each at 113 bits.  It stops at the end of the plan or
- * before the first step whose result leaves the state window, leaves the
- * last in-range state in st and the steps done in *steps, and returns the
- * samples written.  So a channel is one call, whatever its sampling.
+ * pairs of three words each in the integer kernel.  It stops at the end of
+ * the plan or before the first step whose result leaves the state window,
+ * leaves the last in-range state in st and the steps done in *steps, and
+ * returns the samples written.  So a channel is one call, whatever its
+ * sampling.
  * The library is built with -ffp-contract=off (a*b + c must not become one
  * fused multiply-add) and without -ffast-math (u - (u - v) must not be
  * simplified).  The Python loader runs a known-answer plan of mixed gaps
@@ -144,15 +145,21 @@ stop:
     return j;
 }
 
-/* The 113-bit kernel works on integers.  A value is a sign, a significand
- * m in [2**112, 2**113) (m = 0 for zero) and the exponent e of its last
- * bit, and every operation rounds once to 113 bits, to nearest with ties
- * to even, as the emulator's _round_raw does.  An inexact result is first
- * rounded to odd on a grid at least two bits finer, its sticky bit jammed
- * into the last place; rounding that to 113 bits is then correct
- * (S. Boldo and G. Melquiond, IEEE Trans. Computers 57(4), 2008). */
+/* The integer kernel.  A value is a sign, a significand m and the exponent
+ * e of m's last bit.  m lies in [2**112, 2**113) (m = 0 for zero): it is
+ * left-aligned at 113 bits, and a p-bit value has its low 113 - p bits
+ * zero.  Every operation rounds once to p bits, at bit 113 - p of m, to
+ * nearest with ties to even, as the emulator's _round_raw does.  An inexact
+ * result is first rounded to odd on a grid of at least 115 bits, its sticky
+ * bit jammed into the last place; rounding that to any p <= 113 bits is
+ * then correct (S. Boldo and G. Melquiond, IEEE Trans. Computers 57(4),
+ * 2008). */
 
 typedef unsigned __int128 u128;
+
+/* the operations and the step loop are always inlined, so that a call of
+ * the loop with a constant p compiles to a loop with constant shifts */
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
 
 typedef struct {
     u128 m;
@@ -175,30 +182,31 @@ static inline void mul256(u128 a, u128 b, u128 *hi, u128 *lo)
     *hi = a1 * b1 + (p01 >> 64) + (p10 >> 64) + (mid >> 64);
 }
 
-/* (-1)**neg * m * 2**e, m > 0 of 113 + s bits, rounded to 113 bits: m is
- * exact, or rounded to odd with s >= 2 */
-static inline q113 round113(int neg, u128 m, int e, int s)
+/* (-1)**neg * m * 2**e, m > 0 of 113 + s bits, rounded to 113 - pad bits
+ * and left-aligned at 113: m is exact, or rounded to odd with s >= 2 */
+ALWAYS_INLINE q113 round113(int neg, u128 m, int e, int s, int pad)
 {
-    if (s <= 0)
+    int r = s + pad; /* the bits below the last one kept */
+    if (r <= 0)
         return (q113){m << -s, e + s, neg};
-    m = (m + (((u128)1 << (s - 1)) - 1) + (m >> s & 1)) >> s;
-    int carry = (int)(m >> 113); /* rounded up to 2**113 */
-    return (q113){m >> carry, e + s + carry, neg};
+    m = (m + (((u128)1 << (r - 1)) - 1) + (m >> r & 1)) >> r;
+    int carry = (int)(m >> (113 - pad)); /* rounded up to 2**(113 - pad) */
+    return (q113){m >> carry << pad, e + s + carry, neg};
 }
 
-static inline q113 mul113(q113 a, q113 b)
+ALWAYS_INLINE q113 mul113(q113 a, q113 b, int pad)
 {
     u128 hi, lo;
     if (!a.m || !b.m)
         return (q113){0, 0, 0};
     mul256(a.m, b.m, &hi, &lo); /* in [2**224, 2**226) */
     u128 m = hi << 28 | lo >> 100 | ((lo & (((u128)1 << 100) - 1)) != 0);
-    return round113(a.neg ^ b.neg, m, a.e + b.e + 100, 12 + (int)(m >> 125));
+    return round113(a.neg ^ b.neg, m, a.e + b.e + 100, 12 + (int)(m >> 125), pad);
 }
 
 /* a + b: three guard bits keep a cancelling difference at 115 bits or more
  * whenever the aligned operand lost bits, which takes a shift of four */
-static inline q113 add113(q113 a, q113 b)
+ALWAYS_INLINE q113 add113(q113 a, q113 b, int pad)
 {
     if (!a.m || !b.m)
         return a.m ? a : b;
@@ -208,9 +216,9 @@ static inline q113 add113(q113 a, q113 b)
     u128 big = x.m << 3, small = y.m << 3;
     small = d >= 116 ? 1 : small >> d | ((small & (((u128)1 << d) - 1)) != 0);
     if (x.neg == y.neg)
-        return round113(x.neg, big + small, x.e - 3, 3 + (int)((big + small) >> 116));
+        return round113(x.neg, big + small, x.e - 3, 3 + (int)((big + small) >> 116), pad);
     u128 m = big - small;
-    return m ? round113(x.neg, m, x.e - 3, bit_length(m) - 113) : (q113){0, 0, 0};
+    return m ? round113(x.neg, m, x.e - 3, bit_length(m) - 113, pad) : (q113){0, 0, 0};
 }
 
 /* floor((2**240 - 1) / m) for m in [2**112, 2**113), below 2**128 */
@@ -228,7 +236,7 @@ static u128 reciprocal(u128 m)
 /* a / b with inv = reciprocal(b.m): q = floor(a.m * 2**116 / b.m) is
  * floor(a.m * inv / 2**124) or one more, and the remainder, below 2**114
  * and so exact modulo 2**128, decides */
-static inline q113 div113(q113 a, q113 b, u128 inv)
+ALWAYS_INLINE q113 div113(q113 a, q113 b, u128 inv, int pad)
 {
     u128 hi, lo;
     if (!a.m)
@@ -239,7 +247,7 @@ static inline q113 div113(q113 a, q113 b, u128 inv)
         q++;
         r -= b.m;
     }
-    return round113(a.neg ^ b.neg, q | (r != 0), a.e - b.e - 116, 3 + (int)(q >> 116));
+    return round113(a.neg ^ b.neg, q | (r != 0), a.e - b.e - 116, 3 + (int)(q >> 116), pad);
 }
 
 static inline int in_window113(q113 v)
@@ -250,14 +258,14 @@ static inline int in_window113(q113 v)
 
 /* Values cross the interface as the emulator's raw pairs m * 2**e, three
  * 64-bit words each: m = w[0] * 2**63 + w[1] with 0 <= w[1] < 2**63, and
- * e.  A value read has at most 113 bits; a value written has an odd m, or
+ * e.  A value read has at most p bits; a value written has an odd m, or
  * is (0, 0). */
 static q113 read113(const int64_t *w)
 {
     u128 m = (u128)(__int128)w[0] << 63 | (uint64_t)w[1];
     if (w[0] < 0)
         m = -m;
-    return m ? round113(w[0] < 0, m, (int)w[2], bit_length(m) - 113) : (q113){0, 0, 0};
+    return m ? round113(w[0] < 0, m, (int)w[2], bit_length(m) - 113, 0) : (q113){0, 0, 0};
 }
 
 static void write113(int64_t *w, q113 v)
@@ -271,10 +279,11 @@ static void write113(int64_t *w, q113 v)
     w[2] = v.m ? v.e + z : 0;
 }
 
-/* st = {x, y} and c = {1-k, 1+k, a*dt, b*dt}, three words each */
-int64_t rt_midpoint_b128(int64_t *st, const int64_t *c,
-                         const int64_t *at, int64_t n, int64_t *out, int64_t *steps)
+/* the midpoint rule at p bits */
+ALWAYS_INLINE int64_t midpoint_int(int p, int64_t *st, const int64_t *c, const int64_t *at, int64_t n,
+                                   int64_t *out, int64_t *steps)
 {
+    const int pad = 113 - p;
     q113 x = read113(st), y = read113(st + 3), nad = read113(c + 6);
     const q113 om = read113(c), op = read113(c + 3), bd = read113(c + 9);
     const u128 inv = reciprocal(op.m);
@@ -282,14 +291,14 @@ int64_t rt_midpoint_b128(int64_t *st, const int64_t *c,
     nad.neg = !nad.neg; /* x (x) (1-k) (-) a*dt (x) y is x (x) (1-k) (+) -a*dt (x) y */
     for (j = 0; j < n; j++) {
         for (; i < at[j]; i++) {
-            q113 u1 = mul113(x, om);
-            q113 u2 = mul113(nad, y);
-            q113 nx = add113(u1, u2);
-            q113 v1 = mul113(y, om);
-            q113 v2 = mul113(bd, x);
-            q113 ny = add113(v1, v2);
-            q113 qx = div113(nx, op, inv);
-            q113 qy = div113(ny, op, inv);
+            q113 u1 = mul113(x, om, pad);
+            q113 u2 = mul113(nad, y, pad);
+            q113 nx = add113(u1, u2, pad);
+            q113 v1 = mul113(y, om, pad);
+            q113 v2 = mul113(bd, x, pad);
+            q113 ny = add113(v1, v2, pad);
+            q113 qx = div113(nx, op, inv, pad);
+            q113 qy = div113(ny, op, inv, pad);
             if (!(in_window113(qx) && in_window113(qy)))
                 goto stop;
             x = qx;
@@ -303,4 +312,13 @@ stop:
     write113(st + 3, y);
     *steps = i;
     return j;
+}
+
+/* st = {x, y} and c = {1-k, 1+k, a*dt, b*dt}, three words each, 2 <= p <= 113 */
+int64_t rt_midpoint_int(int p, int64_t *st, const int64_t *c, const int64_t *at, int64_t n, int64_t *out,
+                        int64_t *steps)
+{
+    if (p == 113) /* the reference of every sweep */
+        return midpoint_int(113, st, c, at, n, out, steps);
+    return midpoint_int(p, st, c, at, n, out, steps);
 }

@@ -134,10 +134,13 @@ def _sweep_leg(cfg: SweepConfig, dt: Fraction) -> SweepRecord:
 
 # A sweep runs in this process, whatever ``jobs`` says, when its legs step
 # on compiled kernels and take at most this many steps in all.  On a 2-vCPU
-# x86-64 host two pool workers cost about 30 ms to start, a compiled leg step
-# (p=24 run, 113-bit reference) about 115 ns, and the finest leg of a
-# decade-spaced sweep holds about 2/3 of its steps, so two workers save at
-# most 1/3 of the work: the pool pays only beyond 3 * 30 ms / 115 ns.
+# x86-64 host a compiled midpoint leg step costs about 105 ns at p_run 24
+# (19 ns binary64 run, 87 ns 113-bit reference) and 195 ns at p_run 40
+# (108 ns integer run), and two pool workers cost 10-30 ms to start.  Six
+# legs from dt=1e-1 to 3e-4 (medians of 7) ran as fast in process as on a
+# pool of two at 5.8*10**5 steps and p_run 40 (144 against 141 ms), and
+# faster at p_run 24 (67 against 84 ms) and at 1.15*10**6 steps (137
+# against 160 ms at p_run 24, 310 against 335 ms at p_run 40).
 _IN_PROCESS_STEPS = 10**6
 
 

@@ -98,14 +98,13 @@ ONE = RValue(1, 0)
 # results are round-to-nearest-even at p bits and may carry trailing zeros.
 # These are the hot path for the integrators, so they avoid object wrappers.
 #
-# _round_raw is the only rounding code (schemes' fused midpoint kernel
-# inlines a copy).  It rounds by a signed floor shift: with s =
-# bit_length(m) - p > 0 excess bits and m = q*2**s + r (floor division,
-# 0 <= r < 2**s), (m + 2**(s-1) - 1 + (q & 1)) >> s is m/2**s rounded to
-# nearest, ties to even, for either sign of m; a carry to p+1 bits halves.
-# _HALF holds 2**(s-1) - 1 for every excess up to 2*113+4, the widest the
-# step kernels produce (an aligned sum with RK3's 4*k2 operand, or a
-# quotient); the wider inputs of conversions compute it.
+# _round_raw is the only rounding code.  It rounds by a signed floor shift:
+# with s = bit_length(m) - p > 0 excess bits and m = q*2**s + r (floor
+# division, 0 <= r < 2**s), (m + 2**(s-1) - 1 + (q & 1)) >> s is m/2**s
+# rounded to nearest, ties to even, for either sign of m; a carry to p+1
+# bits halves.  _HALF holds 2**(s-1) - 1 for every excess up to 2*113+4, the
+# widest the step kernels produce (an aligned sum with RK3's 4*k2 operand);
+# the wider inputs of conversions compute it.
 # ---------------------------------------------------------------------------
 
 _HALF = (0, *((1 << (s - 1)) - 1 for s in range(1, 2 * MAX_SIGNIFICAND_BITS + 5)))

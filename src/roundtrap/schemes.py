@@ -44,40 +44,40 @@ runs in the emulator throughout, as does every other p.  Both backends give
 bit-identical trajectories.
 
 Compiled kernels.  Each scheme's binary64 kernel has a C twin, and the
-midpoint scheme, the paper's conservative scheme, also a 113-bit kernel for
-p = 113 (``_kernels.c``, loaded through ctypes by ``_compiled``).  That
-kernel works on integer significands with an unbounded exponent, as the
-emulator does, and rounds each +, -, * and / once, to nearest with ties to
-even.  The library is built with ``-ffp-contract=off``, because GCC would
-otherwise fuse a multiplication and an addition into one FMA, which rounds
-once instead of twice, and without ``-ffast-math``, which would simplify
-the Veltkamp split away.  It is built on first use, not at import, into
+midpoint scheme, the paper's conservative scheme, also an integer kernel
+for every other p up to 113 (``_kernels.c``, loaded through ctypes by
+``_compiled``).  That kernel works on integer significands with an
+unbounded exponent, as the emulator does, and rounds each +, -, * and /
+once to p bits, to nearest with ties to even.  The library is built with
+``-ffp-contract=off``, because GCC would otherwise fuse a multiplication
+and an addition into one FMA, which rounds once instead of twice, and
+without ``-ffast-math``, which would simplify the Veltkamp split away.  It
+is built on first use, not at import, into
 ``${XDG_CACHE_HOME:-~/.cache}/roundtrap/``, and used only after each kernel
 follows a 40-step plan of mixed gaps as the Python kernels do.  When
 anything fails (no gcc, a compile error, an unwritable cache, no
 ``unsigned __int128``, a wrong answer) the channel silently keeps the
-Python kernels.  The guard and the hand-off to
-the emulator are the same, so ``channel_backend``, the manifest's backends
-and every output bit stay the same; the manifest's environment block
-records whether the compiled kernels stepped.
+Python kernels, which for a midpoint channel outside binary64 is the
+emulator.  The guard and the hand-off to the emulator are the same, so
+``channel_backend``, the manifest's backends and every output bit stay the
+same; the manifest's environment block records whether the compiled
+kernels stepped.
 
 Records.  A trajectory keeps its sampled states as the kernels produced
 them (``_Record``): floats from the binary64 kernels, raw pairs from the
-emulator and the 113-bit kernel, Fractions from exact steps.  A native
+emulator and the integer kernel, Fractions from exact steps.  A native
 kernel runs the channel's whole sampling plan in one call, stepping between
 samples in its own loop and writing each sampled state into the record
-(113-bit significands cross as two words, joined after the call).
+(integer significands cross as two words, joined after the call).
 ``Trajectory.samples`` builds the (i, State) pairs when first read; a long
 run's error split takes them one at a time and keeps none, and the residual
 stencil of ``analysis`` reads the record as integers without them.
 
 The emulator runs one fused kernel per scheme (``_FUSED_FN``): each
-advances the raw state k steps in its own loop, rounding with
-``fpcore._round_raw`` (the midpoint kernel inlines it).  The native kernels
-fix the operation order, and tests require both backends to agree bit for
-bit.  ``_midpoint_step``, the midpoint rule one ``fpcore`` operation at a
-time, also fixes the order of the inlined midpoint kernel, whose rounding
-and division shift depend on p.
+advances the raw state k steps in its own loop on ``fpcore``'s raw kernels,
+so ``fpcore._round_raw`` is its only rounding.  The native kernels fix the
+operation order, and tests require both backends to agree bit for bit.
+``_midpoint_step`` is the midpoint rule one ``fpcore`` operation at a time.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ from typing import Optional
 from .fpcore import (
     ParameterError,
     PrecisionConfig,
-    _HALF,
     _add_raw,
     _div_raw,
     _float_to_raw,
@@ -319,7 +318,7 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # Rounded-mode states are (mx, ex, my, ey) integer quadruples; constants are
 # precomputed per run by _consts().  _midpoint_step is one midpoint step, one
-# fpcore operation at a time: the oracle of the inlined _midpoint_fused.
+# fpcore operation at a time.
 # ---------------------------------------------------------------------------
 
 
@@ -360,17 +359,8 @@ def _consts(scheme: Scheme, params: OscillatorParams, dt: Fraction, p: int):
 # ---------------------------------------------------------------------------
 # Fused emulator kernels, one per scheme.  Each advances a raw state k steps
 # in its own loop and does the operations of its native twin below on the
-# same operands.  Euler and RK3 call fpcore's _round_raw and _add_raw
+# same operands.  They call fpcore's _round_raw, _add_raw and _div_raw
 # directly, with no per-operation wrapper.
-#
-# The midpoint kernel, the reference channel of the default sweep, does the
-# operations of _midpoint_step above and returns the same integer quadruple,
-# but inlines each of them, _round_raw's floor-shift rounding included (_HALF is
-# fpcore's table).  It divides by 1+k at the constant shift 2p+4: dividends
-# and divisors carry at most p bits, so that leaves a quotient of at least
-# p+5 bits above its sticky bit, enough for one correct rounding, and
-# correct rounding is unique, so _div_raw's width-dependent shift gives the
-# same result.  A zero result is (0, 0), as _round_raw returns it.
 # ---------------------------------------------------------------------------
 
 
@@ -391,78 +381,16 @@ def _euler_fused(st, c, p, k):
 def _midpoint_fused(st, c, p, k):
     mx, ex, my, ey = st
     omm, ome, opm, ope, am, ae, bm, be = c
-    nam = -am  # -(a*dt (x) y) = -a*dt (x) y, so x's subtraction is an addition
-    half, far, sticky, shift = _HALF, 2 * p + 1, p + 4, 2 * p + 4
-    qe = ope + shift
+    rn, add, div = _round_raw, _add_raw, _div_raw
     for _ in range(k):
-        # x (x) (1-k) and -a*dt (x) y
-        u1 = mx * omm; u1e = ex + ome
-        s = u1.bit_length() - p
-        if s > 0:
-            u1 = (u1 + half[s] + ((u1 >> s) & 1)) >> s; u1e += s
-            if u1.bit_length() > p: u1 >>= 1; u1e += 1
-        elif not u1: u1e = 0
-        u2 = nam * my; u2e = ae + ey
-        s = u2.bit_length() - p
-        if s > 0:
-            u2 = (u2 + half[s] + ((u2 >> s) & 1)) >> s; u2e += s
-            if u2.bit_length() > p: u2 >>= 1; u2e += 1
-        elif not u2: u2e = 0
-        # y (x) (1-k) and b*dt (x) x
-        v1 = my * omm; v1e = ey + ome
-        s = v1.bit_length() - p
-        if s > 0:
-            v1 = (v1 + half[s] + ((v1 >> s) & 1)) >> s; v1e += s
-            if v1.bit_length() > p: v1 >>= 1; v1e += 1
-        elif not v1: v1e = 0
-        v2 = bm * mx; v2e = be + ex
-        s = v2.bit_length() - p
-        if s > 0:
-            v2 = (v2 + half[s] + ((v2 >> s) & 1)) >> s; v2e += s
-            if v2.bit_length() > p: v2 >>= 1; v2e += 1
-        elif not v2: v2e = 0
-        # nx = u1 (+) u2, then (/) (1+k)
-        if u1 and u2:
-            d = u1e - u2e
-            if d >= 0:
-                if d <= far: n = (u1 << d) + u2; ne = u2e
-                else: n = (u1 << sticky) + (1 if u2 > 0 else -1); ne = u1e - sticky
-            elif d >= -far: n = u1 + (u2 << -d); ne = u1e
-            else: n = (u2 << sticky) + (1 if u1 > 0 else -1); ne = u2e - sticky
-            s = n.bit_length() - p
-            if s > 0:
-                n = (n + half[s] + ((n >> s) & 1)) >> s; ne += s
-                if n.bit_length() > p: n >>= 1; ne += 1
-        elif u1: n, ne = u1, u1e
-        else: n, ne = u2, u2e
-        if n:
-            q, r = divmod(n << shift, opm)
-            if r: q |= 1
-            s = q.bit_length() - p
-            mx = (q + half[s] + ((q >> s) & 1)) >> s; ex = ne - qe + s
-            if mx.bit_length() > p: mx >>= 1; ex += 1
-        else: mx = ex = 0
-        # ny = v1 (+) v2, then (/) (1+k)
-        if v1 and v2:
-            d = v1e - v2e
-            if d >= 0:
-                if d <= far: n = (v1 << d) + v2; ne = v2e
-                else: n = (v1 << sticky) + (1 if v2 > 0 else -1); ne = v1e - sticky
-            elif d >= -far: n = v1 + (v2 << -d); ne = v1e
-            else: n = (v2 << sticky) + (1 if v1 > 0 else -1); ne = v2e - sticky
-            s = n.bit_length() - p
-            if s > 0:
-                n = (n + half[s] + ((n >> s) & 1)) >> s; ne += s
-                if n.bit_length() > p: n >>= 1; ne += 1
-        elif v1: n, ne = v1, v1e
-        else: n, ne = v2, v2e
-        if n:
-            q, r = divmod(n << shift, opm)
-            if r: q |= 1
-            s = q.bit_length() - p
-            my = (q + half[s] + ((q >> s) & 1)) >> s; ey = ne - qe + s
-            if my.bit_length() > p: my >>= 1; ey += 1
-        else: my = ey = 0
+        u1m, u1e = rn(mx * omm, ex + ome, p)  # x (x) (1-k)
+        u2m, u2e = rn(am * my, ae + ey, p)  # a*dt (x) y
+        v1m, v1e = rn(my * omm, ey + ome, p)  # y (x) (1-k)
+        v2m, v2e = rn(bm * mx, be + ex, p)  # b*dt (x) x
+        nxm, nxe = add(u1m, u1e, -u2m, u2e, p)
+        nym, nye = add(v1m, v1e, v2m, v2e, p)
+        mx, ex = div(nxm, nxe, opm, ope, p)  # (/) (1+k)
+        my, ey = div(nym, nye, opm, ope, p)
     return mx, ex, my, ey
 
 
@@ -540,7 +468,6 @@ BINARY64 = "binary64"
 EMULATED = "emulated"
 
 _STATE_EXP, _CONST_EXP = 400, 64
-_BINARY128_BITS = 113
 _STATE_LO, _STATE_HI = 2.0**-_STATE_EXP, 2.0**_STATE_EXP
 
 
@@ -683,7 +610,7 @@ def _native_kernel(scheme: Scheme, p: int, st, consts):
     if _compiled_start(scheme, p, st, consts):
         kernels = _load_kernels()
         if not binary64:
-            return _RAW, functools.partial(kernels.midpoint_b128, st, consts)
+            return _RAW, functools.partial(kernels.midpoint_int, p, st, consts)
         kernel = functools.partial(kernels.binary64, scheme.value)
     elif binary64 and _in_windows(st, consts):
         kernel = _NATIVE_FN[scheme]
@@ -709,8 +636,8 @@ def _compiled_start(scheme: Scheme, p: int, st, consts) -> bool:
 def _compiled_precision(scheme: Scheme, p: int) -> bool:
     """Whether the compiled kernels cover the scheme at p bits: every
     scheme in binary64 where channel_backend says so, and the midpoint
-    scheme at p = 113, the width of binary128."""
-    return channel_backend(p) == BINARY64 or (scheme is Scheme.MIDPOINT_IMPLICIT and p == _BINARY128_BITS)
+    scheme at every p."""
+    return channel_backend(p) == BINARY64 or scheme is Scheme.MIDPOINT_IMPLICIT
 
 
 @functools.cache
@@ -742,8 +669,8 @@ def _raw_values(raws) -> list[Fraction]:
 def _known_answers(kernels) -> bool:
     """Whether the compiled kernels follow a plan of mixed gaps from (1, 0)
     as the Python kernels do: each scheme's binary64 kernel at p = 10, 24
-    and 53 against its Python twin, and the 113-bit midpoint kernel at
-    p = 113 against the emulator."""
+    and 53 against its Python twin, and the integer midpoint kernel at
+    p = 30, 55 and 113 against the emulator."""
     params, dt = OscillatorParams(Fraction(1, 10), Fraction(1, 5)), Fraction(3, 100)
     plan = array("q", (0, 1, 2, 5, 6, 13, 40))  # a sample at the start, gaps of 1, 3, 7 and 27 steps
     try:
@@ -753,14 +680,16 @@ def _known_answers(kernels) -> bool:
                 want, got = array("d"), array("d")
                 if kernels.binary64(scheme.value, *args, got) != _NATIVE_FN[scheme](*args, want) or got != want:
                     return False
-        p = _BINARY128_BITS
-        c = _consts(Scheme.MIDPOINT_IMPLICIT, params, dt, p)
-        want, got, st, i = [], [], _ONE_ZERO, 0
-        for k in plan:
-            st, i = _midpoint_fused(st, c, p, k - i), k
-            want += st
-        done, steps, last = kernels.midpoint_b128(_ONE_ZERO, c, plan, got)
-        return (done, steps, _raw_values([*got, *last])) == (len(plan), i, _raw_values([*want, *st]))
+        for p in (30, 55, 113):
+            c = _consts(Scheme.MIDPOINT_IMPLICIT, params, dt, p)
+            want, got, st, i = [], [], _ONE_ZERO, 0
+            for k in plan:
+                st, i = _midpoint_fused(st, c, p, k - i), k
+                want += st
+            done, steps, last = kernels.midpoint_int(p, _ONE_ZERO, c, plan, got)
+            if (done, steps, _raw_values([*got, *last])) != (len(plan), i, _raw_values([*want, *st])):
+                return False
+        return True
     except Exception:  # a library that misbehaves is not used
         return False
 

@@ -1,11 +1,12 @@
 import decimal
 import math
 import random
+import shutil
 from fractions import Fraction
 
 import pytest
 
-from roundtrap import schemes
+from roundtrap import _compiled, schemes
 from roundtrap.fpcore import PrecisionConfig
 
 
@@ -63,9 +64,14 @@ def p113():
 
 @pytest.fixture
 def compiled():
-    """The compiled kernels; the test is skipped where they do not
-    build or load (CI fails on ubuntu when they do not)."""
+    """The compiled kernels.  The test is skipped where no compiler is on
+    PATH, and fails where one is but the kernels did not build, load or
+    pass their known-answer check, so that a wrong kernel shows as a
+    failure and not as skipped tests."""
     kernels = schemes._load_kernels()
     if kernels is None:
-        pytest.skip("the compiled kernels did not build or load")
+        if shutil.which(_compiled.CC):
+            pytest.fail(f"{_compiled.CC} is on PATH, but the compiled kernels did not build, load or "
+                        "pass their known-answer check")
+        pytest.skip(f"no {_compiled.CC} on PATH to build the compiled kernels")
     return kernels

@@ -90,17 +90,18 @@ def test_environment_block(tmp_path, compiled, monkeypatch):
         return starts_compiled(scheme, OscillatorParams(), "0.01", p)
 
     assert all(compiled_kernels(scheme, p) for scheme in Scheme for p in (10, 24, 53))
-    assert compiled_kernels(Scheme.MIDPOINT_IMPLICIT, 113)
-    assert not any(compiled_kernels(scheme, 30) for scheme in Scheme)
-    assert not compiled_kernels(Scheme.RK3, 113) and not compiled_kernels(Scheme.FORWARD_EULER, 113)
+    assert all(compiled_kernels(Scheme.MIDPOINT_IMPLICIT, p) for p in (2, 30, 40, 64, 113))
+    # Euler and RK3 have no integer kernel: the emulator steps them
+    assert not any(compiled_kernels(scheme, p) for scheme in (Scheme.FORWARD_EULER, Scheme.RK3)
+                   for p in (30, 113))
     calls = []  # the flag must say whether a compiled kernel stepped
-    for method in ("binary64", "midpoint_b128"):
+    for method in ("binary64", "midpoint_int"):
         right = getattr(type(compiled), method)
         monkeypatch.setattr(type(compiled), method, lambda *args, right=right: calls.append(args) or right(*args))
     drift = ["diagnose", "drift", "--scheme", "midpoint", "--dt", "1e-2", "--t-end", "1", "--p-run", "24"]
     for argv, used in (
         (["sweep", "--t-end", "1", "--dt-list", "1e-1", "--p-run", "30", "--p-ref", "113"], True),
-        (["sweep", "--t-end", "1", "--dt-list", "1e-1", "--p-run", "30", "--p-ref", "64"], False),
+        (["sweep", "--t-end", "1", "--dt-list", "1e-1", "--p-run", "30", "--p-ref", "64"], True),
         (["sweep", "--scheme", "rk3", "--t-end", "1", "--dt-list", "1e-1"], True),
         (["sweep", "--scheme", "rk3", "--t-end", "1", "--dt-list", "1e-1", "--p-run", "30", "--p-ref", "64"], False),
         # every leg skipped by the step-count guard: nothing steps

@@ -91,8 +91,12 @@ class TestStepsizeSweep:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert experiments._runs_in_process(SMALL)  # 420 steps, every channel compiled
         assert strip(stepsize_sweep(SMALL, jobs=2)) == strip(stepsize_sweep(SMALL, jobs=1))
+        # the midpoint scheme is compiled at p = 30 too
+        at_30 = replace(SMALL, run_precision=PrecisionConfig(30))
+        assert experiments._runs_in_process(at_30)
+        assert strip(stepsize_sweep(at_30, jobs=2)) == strip(stepsize_sweep(at_30, jobs=1))
         # a sweep with an emulated channel, or one past the bound, uses the pool
-        assert not experiments._runs_in_process(replace(SMALL, run_precision=PrecisionConfig(30)))
+        assert not experiments._runs_in_process(replace(at_30, scheme=Scheme.RK3))
         monkeypatch.setattr(experiments, "_IN_PROCESS_STEPS", 419)
         assert not experiments._runs_in_process(SMALL)
 

@@ -48,6 +48,13 @@ GOLDEN = {
          "--dt-list", "1e-1,3e-2,1e-2", "--p-run", "64", "--p-ref", "113", "--jobs", "1"],
         "sweep.csv",
     ),
+    # p_run 40: written while both channels were emulated, and stepped
+    # since by the compiled integer kernel at every p
+    "sweep_midpoint_p40.csv": (
+        ["sweep", "--scheme", "midpoint", "--a", "0.4", "--b", "0.05", "--t-end", "3",
+         "--dt-list", "1e-1,3e-2,1e-2", "--p-run", "40", "--p-ref", "113", "--jobs", "1"],
+        "sweep.csv",
+    ),
     "timeseries.csv": (
         ["longrun", "--dt", "1e-2", "--t-end", "100", "--samples", "200", "--spacing", "linear",
          "--p-run", "24", "--p-ref", "113"],
@@ -136,7 +143,8 @@ def test_data_columns_match_golden(name, tmp_path):
 
 
 # the golden runs that step the midpoint scheme, which has compiled kernels
-MIDPOINT_GOLDEN = ("sweep.csv", "timeseries.csv", "diagnostics_residual_midpoint.csv")
+MIDPOINT_GOLDEN = ("sweep.csv", "sweep_midpoint_p40.csv", "timeseries.csv",
+                   "diagnostics_residual_midpoint.csv")
 
 
 @pytest.mark.parametrize("name", MIDPOINT_GOLDEN)

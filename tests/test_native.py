@@ -2,8 +2,8 @@
 native trajectory must equal the emulated one bit for bit, including runs
 that leave the guarded range and hand off to the emulator.  The native
 kernels are the Python binary64 kernels, their compiled twins and, for the
-midpoint scheme, the compiled 113-bit kernel; the compiled kernels must
-also equal the Python kernels."""
+midpoint scheme, the compiled integer kernel at every other p; the compiled
+kernels must also equal the Python kernels."""
 
 import csv
 import functools
@@ -37,7 +37,7 @@ PAIRS = (
     ("0.025", "0.8"), ("0.8", "0.025"), ("3", "7"),
 )
 NATIVE_PS = (2, 10, 24, 25, 53)
-COMPILED_PS = (*NATIVE_PS, 113)
+COMPILED_PS = (*NATIVE_PS, 40, 113)
 SAMPLINGS = {
     "stride": SamplingPlan.every(7),
     "explicit": SamplingPlan.at((0, 1, 2, 33, 99, 149)),
@@ -250,9 +250,9 @@ class TestGuardAndHandOff:
 
 class CompiledKernels:
     """A scheme's compiled kernels against the emulator and the Python
-    kernels; one subclass per scheme.  At p = 113 the midpoint scheme's
-    113-bit kernel has only the emulator to agree with, and the other
-    schemes are emulated."""
+    kernels; one subclass per scheme.  At p = 40 and 113 the midpoint
+    scheme's integer kernel has only the emulator to agree with, and the
+    other schemes are emulated."""
 
     S: Scheme
 
@@ -291,7 +291,7 @@ class CompiledKernels:
     # sparse samples, and every step: the guard trips inside a recorded stretch
     HAND_OFF_SAMPLES = ((0, 1, 7, 40, 200, 300, 350, 400, 600), tuple(range(601)))
 
-    @pytest.mark.parametrize("p", (10, 24, 53, 113))  # p=2 distorts the orbits too much
+    @pytest.mark.parametrize("p", (10, 24, 40, 53, 113))  # p=2 distorts the orbits too much
     def test_guard_trips_mid_run_and_hands_off(self, compiled, monkeypatch, p):
         emulator_steps = []
         fused = schemes._FUSED_FN[self.S]
@@ -311,7 +311,7 @@ class CompiledKernels:
                 # both backends stepped, where the scheme has a compiled kernel at p
                 assert (0 < sum(emulator_steps) < wanted[-1]) is self.native(p), (a, b)
                 assert got == emulated(schemes._channel, *args), (a, b)
-                if p != 113:
+                if channel_backend(p) == BINARY64:
                     assert got == python_kernels(schemes._channel, *args), (a, b)
 
     @pytest.mark.parametrize("p", (24, 113))
@@ -320,7 +320,7 @@ class CompiledKernels:
             raise AssertionError("compiled kernel called")
 
         monkeypatch.setattr(type(compiled), "binary64", forbidden)
-        monkeypatch.setattr(type(compiled), "midpoint_b128", forbidden)
+        monkeypatch.setattr(type(compiled), "midpoint_int", forbidden)
         params = OscillatorParams(Fraction(1, 2**300), Fraction(2**290))
         assert_same_as_emulator(
             self.S, params, Fraction("0.01"), 1, PrecisionConfig(p), SamplingPlan.every(9)
@@ -373,12 +373,16 @@ class TestCompiledMidpoint(CompiledKernels):
     S = Scheme.MIDPOINT_IMPLICIT
 
     def wrong_kernels(self, compiled):
-        right = type(compiled).midpoint_b128
+        right = type(compiled).midpoint_int
 
-        def off_by_one_step(kernels, st, c, plan, out):
-            return right(kernels, st, c, array("q", (k + 1 for k in plan)), out)
+        def off_by_one_step(kernels, p, st, c, plan, out):
+            return right(kernels, p, st, c, array("q", (k + 1 for k in plan)), out)
 
-        return [*super().wrong_kernels(compiled), ("midpoint_b128", off_by_one_step)]
+        def rounds_at_113_bits(kernels, p, st, c, plan, out):
+            return right(kernels, 113, st, c, plan, out)
+
+        return [*super().wrong_kernels(compiled), ("midpoint_int", off_by_one_step),
+                ("midpoint_int", rounds_at_113_bits)]
 
 
 class TestCompiledRK3(CompiledKernels):
@@ -419,7 +423,8 @@ PLANS = {
     "log-spaced": tuple(sorted({round(PLAN_STEPS ** (i / 12)) for i in range(13)})),
     "step-1": (1,),
 }
-PLAN_KERNELS = [(scheme, p) for scheme in Scheme for p in (10, 24, 53)] + [(Scheme.MIDPOINT_IMPLICIT, 113)]
+PLAN_KERNELS = [*((scheme, p) for scheme in Scheme for p in (10, 24, 53)),
+                (Scheme.MIDPOINT_IMPLICIT, 40), (Scheme.MIDPOINT_IMPLICIT, 113)]
 
 
 def emulator_plan(scheme, st, c, p, plan):
@@ -436,10 +441,10 @@ def plan_runs(compiled, scheme, p, st, c, plan):
     values of the last state)} for each native kernel of the scheme at p
     bits, from the raw start st through the plan in one call."""
     plan = array("q", plan)
-    if p == 113:
+    if channel_backend(p) != BINARY64:
         out = []
-        done, steps, last = compiled.midpoint_b128(st, c, plan, out)
-        return {"binary128": (done, steps, schemes._raw_values(out), schemes._raw_values(last))}
+        done, steps, last = compiled.midpoint_int(p, st, c, plan, out)
+        return {"integer": (done, steps, schemes._raw_values(out), schemes._raw_values(last))}
     args = _native_floats(st, schemes._STATE_EXP), _native_floats(c, _CONST_EXP), _split_factor(p), plan
     runs = {}
     for name, kernel in (("compiled", functools.partial(compiled.binary64, scheme.value)),
@@ -502,8 +507,8 @@ def test_plan_cut_beyond_max_index(compiled, monkeypatch, scheme, p):
     monkeypatch.setattr(schemes, "_FUSED_FN", {scheme: counted})
     args = (scheme, OscillatorParams(), Fraction("0.03"), PrecisionConfig(p), Fraction(1), Fraction(0), wanted)
     for channel in (schemes._channel, functools.partial(python_kernels, schemes._channel)):
-        if p == 113 and channel is not schemes._channel:
-            continue  # the 113-bit kernel has no Python twin
+        if channel_backend(p) != BINARY64 and channel is not schemes._channel:
+            continue  # the integer kernel has no Python twin
         plans.clear()
         emulator_steps.clear()
         got = channel(*args)
