@@ -1,6 +1,7 @@
 """Build and load the compiled kernels of ``_kernels.c``: the binary64
-twins of every scheme's Python kernel and the midpoint scheme's integer
-kernel, which steps at any p up to 113 bits.
+twins of every scheme's Python kernel, one entry that takes the scheme's
+number, and the midpoint scheme's integer kernel, which steps at any p up
+to 113 bits.
 
 The library is built on first use, never at import: ``gcc`` compiles the
 package's own C source into ``${XDG_CACHE_HOME:-~/.cache}/roundtrap/``,
@@ -74,14 +75,13 @@ class Kernels:
     steps done, the last in-range state); it stops early only when a step
     leaves the state window."""
 
+    SCHEMES = {"euler": 0, "midpoint": 1, "rk3": 2}  # rt_binary64's scheme numbers
+
     def __init__(self, path: str):
         lib = ctypes.CDLL(path)
         i64, ptr = ctypes.c_int64, ctypes.c_void_p  # buffers pass as addresses, the fastest way
-        self._b64 = {}
-        for name in ("euler", "midpoint", "rk3"):
-            fn = getattr(lib, f"rt_{name}_b64")
-            fn.argtypes, fn.restype = (ptr, ptr, ctypes.c_double, ptr, i64, ptr, ptr), i64
-            self._b64[name] = fn
+        self._b64 = lib.rt_binary64
+        self._b64.argtypes, self._b64.restype = (ctypes.c_int, ptr, ptr, ctypes.c_double, ptr, i64, ptr, ptr), i64
         self._int = lib.rt_midpoint_int
         self._int.argtypes, self._int.restype = (ctypes.c_int, ptr, ptr, ptr, i64, ptr, ptr), i64
 
@@ -92,8 +92,8 @@ class Kernels:
         st, consts, steps = (ctypes.c_double * 2)(*xy), (ctypes.c_double * len(c))(*c), ctypes.c_int64()
         start = len(out)
         out.frombytes(bytes(16 * len(plan)))
-        done = self._b64[name](ctypes.addressof(st), ctypes.addressof(consts), C, plan.buffer_info()[0],
-                               len(plan), out.buffer_info()[0] + 8 * start, ctypes.addressof(steps))
+        done = self._b64(self.SCHEMES[name], ctypes.addressof(st), ctypes.addressof(consts), C,
+                         plan.buffer_info()[0], len(plan), out.buffer_info()[0] + 8 * start, ctypes.addressof(steps))
         del out[start + 2 * done:]
         return done, steps.value, (st[0], st[1])
 

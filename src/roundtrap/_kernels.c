@@ -1,21 +1,20 @@
 /* Compiled twins of roundtrap.schemes' kernels.
  *
- * rt_euler_b64, rt_midpoint_b64 and rt_rk3_b64 are _euler_native,
- * _midpoint_native and _rk3_native: the same binary64 operations in the
- * same order, each followed by its rounding to p bits by a Veltkamp split,
- * and the same range guard.  rt_midpoint_int is _midpoint_fused at any
- * p <= 113 on integer significands (below): the same operations in the
- * same order, each rounded once to p bits, to nearest with ties to even,
- * with an exponent that cannot overflow, and the same range guard.
+ * Each scheme's rounded step is written once per arithmetic.  euler_b64,
+ * midpoint_b64 and rk3_b64 are the steps of _euler_native, _midpoint_native
+ * and _rk3_native: the same binary64 operations in the same order, each
+ * followed by its rounding to p bits by a Veltkamp split.  midpoint_q113 is
+ * _midpoint_fused's step at any p <= 113 on integer significands (below).
  *
- * Each follows a sampling plan: at, n ascending step indices.  It steps
- * from the state in st (step 0) to each index in its own loop and writes
- * the state there to out, x then y: two doubles in binary64, two raw
- * pairs of three words each in the integer kernel.  It stops at the end of
- * the plan or before the first step whose result leaves the state window,
- * leaves the last in-range state in st and the steps done in *steps, and
- * returns the samples written.  So a channel is one call, whatever its
- * sampling.
+ * The plan loop is written once per arithmetic, plan_b64 and plan_q113.  It
+ * follows a sampling plan: at, n ascending step indices.  It steps from the
+ * state in st (step 0) to each index and writes the state there to out, x
+ * then y: two doubles in binary64, two raw pairs of three words each on
+ * integers.  It stops at the end of the plan or before the first step whose
+ * result leaves the state window, leaves the last in-range state in st and
+ * the steps done in *steps, and returns the samples written.  So a channel
+ * is one call, whatever its sampling.  rt_binary64 takes the scheme's
+ * number: 0 Euler, 1 midpoint, 2 RK3.
  * The library is built with -ffp-contract=off (a*b + c must not become one
  * fused multiply-add) and without -ffast-math (u - (u - v) must not be
  * simplified).  The Python loader runs a known-answer plan of mixed gaps
@@ -28,6 +27,10 @@
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
 #error "binary64 operations must round to double, not to a wider format"
 #endif
+
+/* steps, operations and plan loops are always inlined: a plan loop called
+ * with a constant step (and p) compiles to one loop around that step */
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
 
 /* nonzero state components lie in [2**-400, 2**400], as in schemes */
 static int in_window(double v)
@@ -42,57 +45,71 @@ static double split(double v, double C)
     return u - (u - v);
 }
 
-/* st = {x, y}; c = {-a, b, dt}; C = 2**(53-p) + 1 */
-int64_t rt_euler_b64(double *st, const double *c, double C,
-                     const int64_t *at, int64_t n, double *out, int64_t *steps)
+typedef struct {
+    double x, y;
+} pair64;
+
+/* c = {-a, b, dt}; C = 2**(53-p) + 1 */
+ALWAYS_INLINE pair64 euler_b64(double x, double y, const double *c, double C)
 {
-    double x = st[0], y = st[1];
     const double na = c[0], b = c[1], d = c[2];
-    int64_t i = 0, j;
-    for (j = 0; j < n; j++) {
-        for (; i < at[j]; i++) {
-            double t1 = split(na * y, C);
-            double t2 = split(d * t1, C);
-            double nx = split(x + t2, C);
-            double u1 = split(b * x, C);
-            double u2 = split(d * u1, C);
-            double ny = split(y + u2, C);
-            if (!(in_window(nx) && in_window(ny)))
-                goto stop;
-            x = nx;
-            y = ny;
-        }
-        out[2 * j] = x;
-        out[2 * j + 1] = y;
-    }
-stop:
-    st[0] = x;
-    st[1] = y;
-    *steps = i;
-    return j;
+    double t1 = split(na * y, C);
+    double t2 = split(d * t1, C);
+    double nx = split(x + t2, C);
+    double u1 = split(b * x, C);
+    double u2 = split(d * u1, C);
+    return (pair64){nx, split(y + u2, C)};
 }
 
-/* st = {x, y}; c = {1-k, 1+k, a*dt, b*dt}; C = 2**(53-p) + 1 */
-int64_t rt_midpoint_b64(double *st, const double *c, double C,
-                        const int64_t *at, int64_t n, double *out, int64_t *steps)
+/* c = {1-k, 1+k, a*dt, b*dt}; C = 2**(53-p) + 1 */
+ALWAYS_INLINE pair64 midpoint_b64(double x, double y, const double *c, double C)
 {
-    double x = st[0], y = st[1];
     const double om = c[0], op = c[1], ad = c[2], bd = c[3];
+    double u1 = split(x * om, C);
+    double u2 = split(ad * y, C);
+    double nx = split(u1 - u2, C);
+    double v1 = split(y * om, C);
+    double v2 = split(bd * x, C);
+    double ny = split(v1 + v2, C);
+    return (pair64){split(nx / op, C), split(ny / op, C)};
+}
+
+/* c = {-a, b, dt, dt/2, 2*dt, dt/6}; C = 2**(53-p) + 1 */
+ALWAYS_INLINE pair64 rk3_b64(double x, double y, const double *c, double C)
+{
+    const double na = c[0], b = c[1], d = c[2], h = c[3], d2 = c[4], d6 = c[5];
+    double k1x = split(na * y, C);
+    double k1y = split(b * x, C);
+    double x2 = split(x + split(h * k1x, C), C);
+    double y2 = split(y + split(h * k1y, C), C);
+    double k2x = split(na * y2, C);
+    double k2y = split(b * x2, C);
+    double x3 = split(x - split(d * k1x, C), C);
+    x3 = split(x3 + split(d2 * k2x, C), C);
+    double y3 = split(y - split(d * k1y, C), C);
+    y3 = split(y3 + split(d2 * k2y, C), C);
+    double k3x = split(na * y3, C);
+    double k3y = split(b * x3, C);
+    /* x + dt/6 * ((k1 + 4 k2) + k3); 4*k2 is an exact scaling */
+    double s = split(split(k1x + 4.0 * k2x, C) + k3x, C);
+    double nx = split(x + split(d6 * s, C), C);
+    s = split(split(k1y + 4.0 * k2y, C) + k3y, C);
+    return (pair64){nx, split(y + split(d6 * s, C), C)};
+}
+
+ALWAYS_INLINE int64_t plan_b64(pair64 (*step)(double, double, const double *, double), double *st,
+                               const double *c, double C, const int64_t *at, int64_t n, double *out,
+                               int64_t *steps)
+{
+    double x = st[0], y = st[1];
     int64_t i = 0, j;
     for (j = 0; j < n; j++) {
         for (; i < at[j]; i++) {
-            double u1 = split(x * om, C);
-            double u2 = split(ad * y, C);
-            double nx = split(u1 - u2, C);
-            double v1 = split(y * om, C);
-            double v2 = split(bd * x, C);
-            double ny = split(v1 + v2, C);
-            double qx = split(nx / op, C);
-            double qy = split(ny / op, C);
-            if (!(in_window(qx) && in_window(qy)))
+            pair64 t = step(x, y, c, C);
+            if (!(in_window(t.x) && in_window(t.y)))
                 goto stop;
-            x = qx;
-            y = qy;
+            x = t.x;
+            y = t.y;
         }
         out[2 * j] = x;
         out[2 * j + 1] = y;
@@ -104,45 +121,19 @@ stop:
     return j;
 }
 
-/* st = {x, y}; c = {-a, b, dt, dt/2, 2*dt, dt/6}; C = 2**(53-p) + 1 */
-int64_t rt_rk3_b64(double *st, const double *c, double C,
-                   const int64_t *at, int64_t n, double *out, int64_t *steps)
+int64_t rt_binary64(int scheme, double *st, const double *c, double C, const int64_t *at, int64_t n,
+                    double *out, int64_t *steps)
 {
-    double x = st[0], y = st[1];
-    const double na = c[0], b = c[1], d = c[2], h = c[3], d2 = c[4], d6 = c[5];
-    int64_t i = 0, j;
-    for (j = 0; j < n; j++) {
-        for (; i < at[j]; i++) {
-            double k1x = split(na * y, C);
-            double k1y = split(b * x, C);
-            double x2 = split(x + split(h * k1x, C), C);
-            double y2 = split(y + split(h * k1y, C), C);
-            double k2x = split(na * y2, C);
-            double k2y = split(b * x2, C);
-            double x3 = split(x - split(d * k1x, C), C);
-            x3 = split(x3 + split(d2 * k2x, C), C);
-            double y3 = split(y - split(d * k1y, C), C);
-            y3 = split(y3 + split(d2 * k2y, C), C);
-            double k3x = split(na * y3, C);
-            double k3y = split(b * x3, C);
-            /* x + dt/6 * ((k1 + 4 k2) + k3); 4*k2 is an exact scaling */
-            double s = split(split(k1x + 4.0 * k2x, C) + k3x, C);
-            double nx = split(x + split(d6 * s, C), C);
-            s = split(split(k1y + 4.0 * k2y, C) + k3y, C);
-            double ny = split(y + split(d6 * s, C), C);
-            if (!(in_window(nx) && in_window(ny)))
-                goto stop;
-            x = nx;
-            y = ny;
-        }
-        out[2 * j] = x;
-        out[2 * j + 1] = y;
+    switch (scheme) {
+    case 0:
+        return plan_b64(euler_b64, st, c, C, at, n, out, steps);
+    case 1:
+        return plan_b64(midpoint_b64, st, c, C, at, n, out, steps);
+    case 2:
+        return plan_b64(rk3_b64, st, c, C, at, n, out, steps);
     }
-stop:
-    st[0] = x;
-    st[1] = y;
-    *steps = i;
-    return j;
+    *steps = 0; /* no such scheme: nothing steps */
+    return 0;
 }
 
 /* The integer kernel.  A value is a sign, a significand m and the exponent
@@ -156,10 +147,6 @@ stop:
  * 2008). */
 
 typedef unsigned __int128 u128;
-
-/* the operations and the step loop are always inlined, so that a call of
- * the loop with a constant p compiles to a loop with constant shifts */
-#define ALWAYS_INLINE static inline __attribute__((always_inline))
 
 typedef struct {
     u128 m;
@@ -279,30 +266,41 @@ static void write113(int64_t *w, q113 v)
     w[2] = v.m ? v.e + z : 0;
 }
 
-/* the midpoint rule at p bits */
-ALWAYS_INLINE int64_t midpoint_int(int p, int64_t *st, const int64_t *c, const int64_t *at, int64_t n,
-                                   int64_t *out, int64_t *steps)
+typedef struct {
+    q113 x, y;
+} pair113;
+
+typedef struct {
+    q113 v[4];
+    u128 inv;
+} consts113;
+
+/* c->v = {1-k, 1+k, -a*dt, b*dt}, c->inv = reciprocal((1+k).m) */
+ALWAYS_INLINE pair113 midpoint_q113(q113 x, q113 y, const consts113 *c, int pad)
 {
-    const int pad = 113 - p;
-    q113 x = read113(st), y = read113(st + 3), nad = read113(c + 6);
-    const q113 om = read113(c), op = read113(c + 3), bd = read113(c + 9);
-    const u128 inv = reciprocal(op.m);
+    const q113 om = c->v[0], op = c->v[1], nad = c->v[2], bd = c->v[3];
+    q113 u1 = mul113(x, om, pad);
+    q113 u2 = mul113(nad, y, pad);
+    q113 nx = add113(u1, u2, pad);
+    q113 v1 = mul113(y, om, pad);
+    q113 v2 = mul113(bd, x, pad);
+    q113 ny = add113(v1, v2, pad);
+    return (pair113){div113(nx, op, c->inv, pad), div113(ny, op, c->inv, pad)};
+}
+
+ALWAYS_INLINE int64_t plan_q113(pair113 (*step)(q113, q113, const consts113 *, int), int64_t *st,
+                                const consts113 *c, int pad, const int64_t *at, int64_t n, int64_t *out,
+                                int64_t *steps)
+{
+    q113 x = read113(st), y = read113(st + 3);
     int64_t i = 0, j;
-    nad.neg = !nad.neg; /* x (x) (1-k) (-) a*dt (x) y is x (x) (1-k) (+) -a*dt (x) y */
     for (j = 0; j < n; j++) {
         for (; i < at[j]; i++) {
-            q113 u1 = mul113(x, om, pad);
-            q113 u2 = mul113(nad, y, pad);
-            q113 nx = add113(u1, u2, pad);
-            q113 v1 = mul113(y, om, pad);
-            q113 v2 = mul113(bd, x, pad);
-            q113 ny = add113(v1, v2, pad);
-            q113 qx = div113(nx, op, inv, pad);
-            q113 qy = div113(ny, op, inv, pad);
-            if (!(in_window113(qx) && in_window113(qy)))
+            pair113 t = step(x, y, c, pad);
+            if (!(in_window113(t.x) && in_window113(t.y)))
                 goto stop;
-            x = qx;
-            y = qy;
+            x = t.x;
+            y = t.y;
         }
         write113(out + 6 * j, x);
         write113(out + 6 * j + 3, y);
@@ -314,11 +312,14 @@ stop:
     return j;
 }
 
-/* st = {x, y} and c = {1-k, 1+k, a*dt, b*dt}, three words each, 2 <= p <= 113 */
+/* the midpoint rule at 2 <= p <= 113 bits; c = {1-k, 1+k, a*dt, b*dt} */
 int64_t rt_midpoint_int(int p, int64_t *st, const int64_t *c, const int64_t *at, int64_t n, int64_t *out,
                         int64_t *steps)
 {
+    consts113 k = {{read113(c), read113(c + 3), read113(c + 6), read113(c + 9)}, 0};
+    k.v[2].neg = !k.v[2].neg; /* x (x) (1-k) (-) a*dt (x) y is x (x) (1-k) (+) -a*dt (x) y */
+    k.inv = reciprocal(k.v[1].m);
     if (p == 113) /* the reference of every sweep */
-        return midpoint_int(113, st, c, at, n, out, steps);
-    return midpoint_int(p, st, c, at, n, out, steps);
+        return plan_q113(midpoint_q113, st, &k, 0, at, n, out, steps);
+    return plan_q113(midpoint_q113, st, &k, 113 - p, at, n, out, steps);
 }

@@ -43,25 +43,23 @@ channel whose start state or scheme constants lie outside their windows
 runs in the emulator throughout, as does every other p.  Both backends give
 bit-identical trajectories.
 
-Compiled kernels.  Each scheme's binary64 kernel has a C twin, and the
-midpoint scheme, the paper's conservative scheme, also an integer kernel
-for every other p up to 113 (``_kernels.c``, loaded through ctypes by
-``_compiled``).  That kernel works on integer significands with an
-unbounded exponent, as the emulator does, and rounds each +, -, * and /
-once to p bits, to nearest with ties to even.  The library is built with
-``-ffp-contract=off``, because GCC would otherwise fuse a multiplication
-and an addition into one FMA, which rounds once instead of twice, and
-without ``-ffast-math``, which would simplify the Veltkamp split away.  It
-is built on first use, not at import, into
-``${XDG_CACHE_HOME:-~/.cache}/roundtrap/``, and used only after each kernel
-follows a 40-step plan of mixed gaps as the Python kernels do.  When
-anything fails (no gcc, a compile error, an unwritable cache, no
-``unsigned __int128``, a wrong answer) the channel silently keeps the
-Python kernels, which for a midpoint channel outside binary64 is the
-emulator.  The guard and the hand-off to the emulator are the same, so
+Compiled kernels.  Each scheme's binary64 step has a C twin, and the
+midpoint scheme, the paper's conservative scheme, also an integer step for
+every other p up to 113 (``_kernels.c``, built and loaded through ctypes by
+``_compiled``); one plan loop per arithmetic runs them.  The integer step
+works on integer significands with an unbounded exponent, as the emulator
+does, and rounds each +, -, * and / once to p bits, to nearest with ties to
+even.  The library is built on first use, not at import, with the flags
+``_kernels.c`` explains, and used only after each kernel follows a 40-step
+plan of mixed gaps as the Python kernels do.  When anything fails (no gcc,
+a compile error, an unwritable cache, no ``unsigned __int128``, a wrong
+answer) the channel silently keeps the Python kernels, which for a midpoint
+channel outside binary64 is the emulator.  ``_native_kernel`` alone picks a
+channel's kernel; ``starts_compiled``, which the manifest's environment
+block and the sweep's pool decision read, returns its choice.  The guard
+and the hand-off to the emulator are the same on every kernel, so
 ``channel_backend``, the manifest's backends and every output bit stay the
-same; the manifest's environment block records whether the compiled
-kernels stepped.
+same.
 
 Records.  A trajectory keeps its sampled states as the kernels produced
 them (``_Record``): floats from the binary64 kernels, raw pairs from the
@@ -493,12 +491,8 @@ def _raw_in_window(raws, exp: int) -> bool:
                for m, e in zip(raws[::2], raws[1::2]))
 
 
-def _native_floats(raws, exp: int):
-    """Flattened raw pairs of at most 53 bits as floats, or None when one
-    lies outside its window, before math.ldexp could overflow or leave the
-    normal range."""
-    if not _raw_in_window(raws, exp):
-        return None
+def _native_floats(raws):
+    """Flattened raw pairs of at most 53 bits, inside their window, as floats."""
     return tuple(math.ldexp(m, e) for m, e in zip(raws[::2], raws[1::2]))  # exact
 
 
@@ -600,44 +594,23 @@ _NATIVE_FN = {
 
 def _native_kernel(scheme: Scheme, p: int, st, consts):
     """The native kernel of a rounded channel from the raw start st, as
-    (form, run): run(plan, out) follows the sampling plan as the kernels
-    above do, appending each sampled state to ``out``, a record part's
-    values in the form ``form``, and returns (samples done, steps done, the
-    last in-range state).  None when the channel runs on the emulator
-    throughout: a precision without a native kernel, or a start or
-    constants outside their windows."""
+    (form, run, compiled): run(plan, out) follows the sampling plan as the
+    kernels above do, appending each sampled state to ``out``, a record
+    part's values in the form ``form``, and returns (samples done, steps
+    done, the last in-range state); compiled is whether run is compiled.
+    None when the channel runs on the emulator throughout: a precision
+    without a native kernel, or a start or constants outside their windows,
+    which are checked here and nowhere else."""
     binary64 = channel_backend(p) == BINARY64
-    if _compiled_start(scheme, p, st, consts):
-        kernels = _load_kernels()
-        if not binary64:
-            return _RAW, functools.partial(kernels.midpoint_int, p, st, consts)
-        kernel = functools.partial(kernels.binary64, scheme.value)
-    elif binary64 and _in_windows(st, consts):
-        kernel = _NATIVE_FN[scheme]
-    else:
+    if not ((binary64 or scheme is Scheme.MIDPOINT_IMPLICIT)  # the integer kernel covers every p
+            and _raw_in_window(st, _STATE_EXP) and _raw_in_window(consts, _CONST_EXP)):
         return None
-    return _FLOAT, functools.partial(kernel, _native_floats(st, _STATE_EXP), _native_floats(consts, _CONST_EXP),
-                                     _split_factor(p))
-
-
-def _in_windows(st, consts) -> bool:
-    """Whether the raw start st and the raw constants lie in their windows."""
-    return _raw_in_window(st, _STATE_EXP) and _raw_in_window(consts, _CONST_EXP)
-
-
-def _compiled_start(scheme: Scheme, p: int, st, consts) -> bool:
-    """Whether a rounded channel from the raw start st with the constants
-    consts steps on the compiled kernels: they cover the scheme at p bits,
-    st and consts lie in their windows, and the kernels loaded.
-    ``_native_kernel`` and ``starts_compiled`` both decide by it."""
-    return _compiled_precision(scheme, p) and _in_windows(st, consts) and _load_kernels() is not None
-
-
-def _compiled_precision(scheme: Scheme, p: int) -> bool:
-    """Whether the compiled kernels cover the scheme at p bits: every
-    scheme in binary64 where channel_backend says so, and the midpoint
-    scheme at every p."""
-    return channel_backend(p) == BINARY64 or scheme is Scheme.MIDPOINT_IMPLICIT
+    kernels = _load_kernels()
+    if not binary64:
+        return None if kernels is None else (_RAW, functools.partial(kernels.midpoint_int, p, st, consts), True)
+    kernel = _NATIVE_FN[scheme] if kernels is None else functools.partial(kernels.binary64, scheme.value)
+    run = functools.partial(kernel, _native_floats(st), _native_floats(consts), _split_factor(p))
+    return _FLOAT, run, kernels is not None
 
 
 @functools.cache
@@ -656,9 +629,10 @@ _ONE_ZERO = (1, 0, 0, 0)  # the raw start (1, 0) of integrate, at every p
 
 def starts_compiled(scheme: Scheme, params: OscillatorParams, dt, p: int) -> bool:
     """Whether a rounded channel of the scheme at p bits, integrated from
-    (1, 0) with step size dt, steps on the compiled kernels: the same test
-    as the channel's own, on the constants rounded for this dt."""
-    return _compiled_start(scheme, p, _ONE_ZERO, _consts(scheme, params, _as_fraction(dt), p))
+    (1, 0) with step size dt, steps on the compiled kernels: the channel's
+    own choice, on the constants rounded for this dt."""
+    kernel = _native_kernel(scheme, p, _ONE_ZERO, _consts(scheme, params, _as_fraction(dt), p))
+    return kernel is not None and kernel[2]
 
 
 def _raw_values(raws) -> list[Fraction]:
@@ -676,7 +650,7 @@ def _known_answers(kernels) -> bool:
     try:
         for scheme in Scheme:
             for p in (10, 24, 53):
-                args = (1.0, 0.0), _native_floats(_consts(scheme, params, dt, p), _CONST_EXP), _split_factor(p), plan
+                args = (1.0, 0.0), _native_floats(_consts(scheme, params, dt, p)), _split_factor(p), plan
                 want, got = array("d"), array("d")
                 if kernels.binary64(scheme.value, *args, got) != _NATIVE_FN[scheme](*args, want) or got != want:
                     return False
@@ -847,8 +821,13 @@ def _channel(scheme: Scheme, params: OscillatorParams, dt: Fraction, cfg, x0, y0
         fused, consts, form = _FUSED_FN[scheme], _consts(scheme, params, dt, p), _RAW
         st = (*_fraction_to_raw(x0, p), *_fraction_to_raw(y0, p))
         native = _native_kernel(scheme, p, st, consts)
-        if native is not None:
-            i, j, st = _native_run(*native, wanted, record, p)
+        if native is not None:  # one call, up to the last index an array('q') holds
+            from ._compiled import _MAX_K
+
+            native_form, run, _ = native
+            j, i, st = run(array("q", wanted[:bisect_right(wanted, _MAX_K)]), record.part(native_form, 0))
+            if native_form == _FLOAT and j < len(wanted):  # the emulator goes on from the last in-range state
+                st = (*_float_to_raw(st[0], p), *_float_to_raw(st[1], p))
     if j < len(wanted):
         out = record.part(form, j)
         for j in range(j, len(wanted)):
@@ -856,21 +835,6 @@ def _channel(scheme: Scheme, params: OscillatorParams, dt: Fraction, cfg, x0, y0
             i = wanted[j]
             out.extend(st)
     return record
-
-
-def _native_run(form, run, wanted, record: _Record, p: int):
-    """Step through ``wanted`` on a native kernel (``_native_kernel``) in one
-    call, recording each sampled state, until the end or until the range
-    guard trips; the emulator steps to indices beyond ``_compiled._MAX_K``.
-    Returns (i, j, st): the step reached, the ordinal of the first sample
-    not recorded and the raw state there, from which the emulator takes
-    over."""
-    from ._compiled import _MAX_K  # an array('q') holds no larger index
-
-    j, i, st = run(array("q", wanted[:bisect_right(wanted, _MAX_K)]), record.part(form, 0))
-    if j == len(wanted):
-        return i, j, None
-    return i, j, st if form == _RAW else (*_float_to_raw(st[0], p), *_float_to_raw(st[1], p))
 
 
 def integrate_pair(

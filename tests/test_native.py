@@ -23,11 +23,11 @@ from roundtrap.schemes import (
     EMULATED,
     SamplingPlan,
     Scheme,
-    _CONST_EXP,
     _native_floats,
     _split_factor,
     channel_backend,
     integrate,
+    starts_compiled,
     step,
 )
 
@@ -212,18 +212,28 @@ class TestGuardAndHandOff:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_out_of_range_constants(self, scheme):
         params = OscillatorParams(Fraction(1, 2**300), Fraction(2**290))
-        assert _native_floats(schemes._consts(scheme, params, Fraction("0.01"), 24), _CONST_EXP) is None
+        c = schemes._consts(scheme, params, Fraction("0.01"), 24)
+        assert schemes._native_kernel(scheme, 24, schemes._ONE_ZERO, c) is None
         assert_same_as_emulator(
             scheme, params, Fraction("0.01"), 1, PrecisionConfig(24), SamplingPlan.every(9)
         )
 
-    @pytest.mark.parametrize("kernel", list(schemes._NATIVE_FN.values()))
+    # each scheme's Python twin and its compiled binary64 kernel
+    @pytest.mark.parametrize("scheme, backend", [
+        *(pytest.param(scheme, "python", id=fn.__name__) for scheme, fn in schemes._NATIVE_FN.items()),
+        *(pytest.param(scheme, "compiled", id=f"rt_binary64-{scheme.value}") for scheme in Scheme),
+    ])
     @pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
-    def test_nonfinite_state_trips(self, kernel, bad):
-        n_consts = {schemes._euler_native: 3, schemes._midpoint_native: 4, schemes._rk3_native: 6}[kernel]
+    def test_nonfinite_state_trips(self, request, scheme, backend, bad):
+        if backend == "python":
+            kernel = schemes._NATIVE_FN[scheme]
+        else:
+            kernel = functools.partial(request.getfixturevalue("compiled").binary64, scheme.value)
+        n_consts = len(schemes._consts(scheme, OscillatorParams(), Fraction("0.01"), 24)) // 2
         out = array("d")
-        done, steps, (x, y) = kernel((bad, 0.5), (0.25,) * n_consts, _split_factor(24), array("q", [5]), out)
-        assert (done, steps, y, len(out)) == (0, 0, 0.5, 0)
+        done, steps, last = kernel((bad, 0.5), (0.25,) * n_consts, _split_factor(24), array("q", [5]), out)
+        assert (done, steps, len(out)) == (0, 0, 0)
+        assert array("d", last).tobytes() == array("d", (bad, 0.5)).tobytes()  # unchanged, NaN included
 
     def test_hand_off_keeps_significands_narrow(self):
         # An integral float's as_integer_ratio() numerator is as wide as its
@@ -258,7 +268,7 @@ class CompiledKernels:
 
     def native(self, p):
         """Whether a channel of the scheme at p bits has a compiled kernel."""
-        return schemes._compiled_precision(self.S, p)
+        return starts_compiled(self.S, OscillatorParams(), Fraction("0.03"), p)
 
     @pytest.mark.parametrize("sampling", SAMPLINGS)
     @pytest.mark.parametrize("p", COMPILED_PS)
@@ -341,8 +351,33 @@ class CompiledKernels:
         with pytest.raises(AssertionError, match="emulator kernel"):
             python_kernels(integrate, *args, PrecisionConfig(113))
 
+    @pytest.mark.parametrize("p", (10, 24, 30, 40, 53, 113))
+    def test_one_choice(self, compiled, monkeypatch, p):
+        # _native_kernel's compiled flag says whether the channel calls a
+        # Kernels method, and starts_compiled returns it for the start (1, 0):
+        # so the manifest's compiled_kernels and the sweep's pool decision
+        # read the channel's own choice
+        calls = []
+        for method in ("binary64", "midpoint_int"):
+            right = getattr(type(compiled), method)
+            monkeypatch.setattr(type(compiled), method, lambda *args, right=right: calls.append(args) or right(*args))
+        dt, one, zero = Fraction("0.01"), Fraction(1), Fraction(0)
+        usual, far = OscillatorParams(), OscillatorParams(Fraction(1, 2**300), Fraction(2**290))
+        covered = channel_backend(p) == BINARY64 or self.S is Scheme.MIDPOINT_IMPLICIT
+        # a start inside the state window, one outside it, constants outside theirs
+        for params, (x0, y0), want in ((usual, (one, zero), covered), (usual, OUT_OF_WINDOW_STARTS[0], False),
+                                       (far, (one, zero), False)):
+            st = (*_fraction_to_raw(x0, p), *_fraction_to_raw(y0, p))
+            kernel = schemes._native_kernel(self.S, p, st, schemes._consts(self.S, params, dt, p))
+            calls.clear()
+            schemes._channel(self.S, params, dt, PrecisionConfig(p), x0, y0, (0, 3, 10))
+            assert (kernel is not None and kernel[2]) is want, (params, x0)
+            assert bool(calls) is want, (params, x0)
+            if (x0, y0) == (one, zero):
+                assert starts_compiled(self.S, params, dt, p) is want, params
+
     def wrong_kernels(self, compiled):
-        """(method of Kernels, a wrong version of it) pairs: the scheme's
+        """(attribute of Kernels, a wrong version of it) pairs: the scheme's
         binary64 kernel one step ahead at every sample, and recording
         nothing."""
         right, name = type(compiled).binary64, self.S.value
@@ -359,10 +394,10 @@ class CompiledKernels:
 
     def test_known_answers_refuse_a_wrong_kernel(self, compiled, monkeypatch):
         assert schemes._known_answers(compiled)
-        for method, wrong in self.wrong_kernels(compiled):
+        for name, wrong in self.wrong_kernels(compiled):
             with monkeypatch.context() as mp:
-                mp.setattr(type(compiled), method, wrong)
-                assert not schemes._known_answers(compiled), wrong.__name__
+                mp.setattr(type(compiled), name, wrong)
+                assert not schemes._known_answers(compiled), (name, wrong)
 
 
 class TestCompiledEuler(CompiledKernels):
@@ -387,6 +422,12 @@ class TestCompiledMidpoint(CompiledKernels):
 
 class TestCompiledRK3(CompiledKernels):
     S = Scheme.RK3
+
+    def wrong_kernels(self, compiled):
+        # a name-to-number map that sends RK3 to rt_binary64's Euler: Euler
+        # reads RK3's first three constants, which are its own
+        numbers = type(compiled).SCHEMES
+        return [*super().wrong_kernels(compiled), ("SCHEMES", {**numbers, "rk3": numbers["euler"]})]
 
 
 def _data_columns(path):
@@ -445,7 +486,7 @@ def plan_runs(compiled, scheme, p, st, c, plan):
         out = []
         done, steps, last = compiled.midpoint_int(p, st, c, plan, out)
         return {"integer": (done, steps, schemes._raw_values(out), schemes._raw_values(last))}
-    args = _native_floats(st, schemes._STATE_EXP), _native_floats(c, _CONST_EXP), _split_factor(p), plan
+    args = _native_floats(st), _native_floats(c), _split_factor(p), plan
     runs = {}
     for name, kernel in (("compiled", functools.partial(compiled.binary64, scheme.value)),
                          ("python", schemes._NATIVE_FN[scheme])):
@@ -496,8 +537,8 @@ def test_plan_cut_beyond_max_index(compiled, monkeypatch, scheme, p):
         kernel = native(*args)
         if kernel is None:  # an emulated channel
             return None
-        form, run = kernel
-        return form, lambda plan, out: plans.append(tuple(plan)) or run(plan, out)
+        form, run, flag = kernel
+        return form, lambda plan, out: plans.append(tuple(plan)) or run(plan, out), flag
 
     def counted(st, c, q, k):
         emulator_steps.append(k)
