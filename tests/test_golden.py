@@ -96,6 +96,13 @@ GOLDEN = {
          "--dt", "1e-3", "--t-end", "0.5", "--p-run", "4"],
         "diagnostics.csv",
     ),
+    # p_run 25 and B != I: the deepest cancellation that the compiled
+    # residual keys accept, over 2*10^4 step pairs
+    "diagnostics_residual_p25.csv": (
+        ["diagnose", "residual", "--scheme", "midpoint", "--a", "0.025", "--b", "0.8",
+         "--dt", "1e-4", "--t-end", "2", "--p-run", "25"],
+        "diagnostics.csv",
+    ),
     "diagnostics_spectral.csv": (
         ["diagnose", "spectral", "--scheme", "rk3", "--a", "0.4", "--b", "0.05", "--dt", "0.3"],
         "diagnostics.csv",
@@ -144,7 +151,7 @@ def test_data_columns_match_golden(name, tmp_path):
 
 # the golden runs that step the midpoint scheme, which has compiled kernels
 MIDPOINT_GOLDEN = ("sweep.csv", "sweep_midpoint_p40.csv", "timeseries.csv",
-                   "diagnostics_residual_midpoint.csv")
+                   "diagnostics_residual_midpoint.csv", "diagnostics_residual_p25.csv")
 
 
 @pytest.mark.parametrize("name", MIDPOINT_GOLDEN)
