@@ -1,7 +1,8 @@
 """Build and load the compiled kernels of ``_kernels.c``: the binary64
 twins of every scheme's Python kernel, one entry that takes the scheme's
-number, and the midpoint scheme's integer kernel, which steps at any p up
-to 113 bits.
+number, the midpoint scheme's integer kernel, which steps at any p up to
+113 bits, and the residual keys that ``analysis.residual_summary`` ranks a
+binary64 record's step pairs by.
 
 The library is built on first use, never at import: ``gcc`` compiles the
 package's own C source into ``${XDG_CACHE_HOME:-~/.cache}/roundtrap/``,
@@ -12,7 +13,7 @@ workers) cannot load a half-written library.  ``load`` returns None when
 anything fails -- no compiler, a compile error, an unwritable cache, no
 ``unsigned __int128``, a library that will not load -- and the caller then
 keeps the Python kernels.  ``schemes`` checks the kernels against the Python
-kernels before it uses them.
+kernels, and the keys against the exact ones, before it uses them.
 """
 
 from __future__ import annotations
@@ -84,6 +85,8 @@ class Kernels:
         self._b64.argtypes, self._b64.restype = (ctypes.c_int, ptr, ptr, ctypes.c_double, ptr, i64, ptr, ptr), i64
         self._int = lib.rt_midpoint_int
         self._int.argtypes, self._int.restype = (ctypes.c_int, ptr, ptr, ptr, i64, ptr, ptr), i64
+        self._keys = lib.rt_residual_keys
+        self._keys.argtypes, self._keys.restype = (ptr, i64, ptr, ptr), i64
 
     def binary64(self, name: str, xy, c, C: float, plan, out):
         """The binary64 kernel of the scheme called name, from the float
@@ -112,3 +115,18 @@ class Kernels:
         out += raw
         w = words  # the state's words now hold the last in-range state
         return done, steps.value, (w[0] << 63 | w[1], w[2], w[3] << 63 | w[4], w[5])
+
+    def residual_keys(self, xy, m, keys, start: int = 0) -> int:
+        """The residual keys of the adjacent states in the array('d') xy (x
+        then y, as ``binary64`` writes them) into the array('d') keys from
+        index start on, one per pair: |M (x1, y1, x0, y0)|**2 correctly
+        rounded, or NaN where the kernel cannot prove the rounding.  m holds
+        hi = float(e) and lo = float(e - hi) of each entry e of M's rows.
+        Returns the number of NaN keys written."""
+        n = len(xy) // 2
+        if n < 2:
+            return 0
+        if xy.typecode != "d" or keys.typecode != "d" or not 0 <= start <= len(keys) - (n - 1):
+            raise ValueError("the states and keys must be arrays of doubles, with room for n - 1 keys")
+        consts = (ctypes.c_double * 16)(*m)
+        return self._keys(xy.buffer_info()[0], n, ctypes.addressof(consts), keys.buffer_info()[0] + 8 * start)

@@ -15,10 +15,20 @@
  * the steps done in *steps, and returns the samples written.  So a channel
  * is one call, whatever its sampling.  rt_binary64 takes the scheme's
  * number: 0 Euler, 1 midpoint, 2 RK3.
+ *
+ * The third export, rt_residual_keys, is not a step: it ranks the step
+ * pairs of a binary64 record for analysis.residual_summary.  For each pair
+ * of adjacent states it writes the squared norm of the consistency
+ * residual correctly rounded to a double, formed in double-double from
+ * Dekker's exact products, or NaN where its stated error bound (below,
+ * under 2**-100 of the terms' magnitude per component, taken as 2**-96)
+ * cannot prove that rounding.
+ *
  * The library is built with -ffp-contract=off (a*b + c must not become one
  * fused multiply-add) and without -ffast-math (u - (u - v) must not be
  * simplified).  The Python loader runs a known-answer plan of mixed gaps
- * against the Python kernels before using it.
+ * against the Python kernels, and compares the residual keys of a short
+ * record with the exact ones, before using it.
  */
 
 #include <float.h>
@@ -322,4 +332,142 @@ int64_t rt_midpoint_int(int p, int64_t *st, const int64_t *c, const int64_t *at,
     if (p == 113) /* the reference of every sweep */
         return plan_q113(midpoint_q113, st, &k, 0, at, n, out, steps);
     return plan_q113(midpoint_q113, st, &k, 113 - p, at, n, out, steps);
+}
+
+/* The residual keys.  For the states v0, v1 of two adjacent samples, the
+ * residual (B v1 - C v0)/delta of analysis is r = M (x1, y1, x0, y0) with
+ * M = [B/delta | -C/delta], and its key is |r|**2 correctly rounded to a
+ * double.  Each entry m of M arrives as hi = float(m), lo = float(m - hi),
+ * so |m - hi - lo| <= 2**-105 |hi| (u = 2**-53 below).
+ *
+ * A component of r is formed in double-double: each hi*v exactly by
+ * Dekker's product, the four summed by TwoSum, and their rounding errors,
+ * the products' low parts and each fl(lo*v) added into one low word by 10
+ * float additions.  The low terms add up to at most 5u T, T = sum |hi*v|,
+ * so those additions err by at most 50.1u**2 T; with the lo*v roundings and
+ * M's truncation the component errs by at most 53u**2 T < 2**-100 T, and
+ * ex = 2**-96 T is taken.  The square norm is formed the same way from the
+ * components' double-double values R: each R_hi**2 exactly, 2 R_hi R_lo
+ * rounded, R_lo**2 dropped, all within 20u**2 |R|**2 < 2**-101 |R|**2.  With
+ * |r**2 - R**2| <= ex (2|R| + ex), the key's error bound is twice
+ * ex (2|Rx_hi| + ex) + ey (2|Ry_hi| + ey) + 2**-98 |R|**2.  The key is the
+ * double nearest to the sum when the bound lies strictly inside the half
+ * gap to the double's neighbour on the sum's side (Ziv's test), and NaN
+ * otherwise.
+ *
+ * Every operand of a product -- state, hi and R_hi -- is 0 or lies in
+ * [2**-450, 2**450], so each product is exact or in [2**-900, 2**900], and
+ * the key must lie in [2**-900, 2**900]; anything else, and a zero,
+ * subnormal or infinite key, gives NaN.  The underflow of a lo*v or of a
+ * term of the bound costs at most 2**-1075 each, covered by 2**-1000 added
+ * to each bound. */
+
+typedef struct {
+    double hi, lo;
+} dd;
+
+/* a value and its halves of 26 bits, v = h + l, by Veltkamp's split */
+typedef struct {
+    double v, h, l;
+} halves;
+
+static double mag(double v)
+{
+    return v < 0 ? -v : v;
+}
+
+/* zero, or a magnitude in [2**-450, 2**450]; NaN and inf fail */
+static int in_key_range(double v)
+{
+    return v == 0 || (mag(v) >= 0x1p-450 && mag(v) <= 0x1p450);
+}
+
+static inline halves halve(double v)
+{
+    double h = split(v, 0x1p27 + 1);
+    return (halves){v, h, v - h};
+}
+
+/* a + b = hi + lo exactly (TwoSum) */
+static inline dd two_sum(double a, double b)
+{
+    double s = a + b, bb = s - a;
+    return (dd){s, (a - (s - bb)) + (b - bb)};
+}
+
+/* a * b = hi + lo exactly (Dekker's product) */
+static inline dd two_prod(halves a, halves b)
+{
+    double p = a.v * b.v;
+    return (dd){p, ((a.h * b.h - p) + a.h * b.l + a.l * b.h) + a.l * b.l};
+}
+
+/* one component of r as hi + lo, from M's row as halves of hi and as lo;
+ * *ex its error bound, *ok cleared when R_hi leaves the key range.  The
+ * sums are paired, so that the two halves of each can run side by side. */
+static inline dd component(const halves *hi, const double *lo, const halves *v, double *ex, int *ok)
+{
+    dd p0 = two_prod(hi[0], v[0]), p1 = two_prod(hi[1], v[1]);
+    dd p2 = two_prod(hi[2], v[2]), p3 = two_prod(hi[3], v[3]);
+    dd s01 = two_sum(p0.hi, p1.hi), s23 = two_sum(p2.hi, p3.hi), s = two_sum(s01.hi, s23.hi);
+    double l = ((p0.lo + p1.lo) + (p2.lo + p3.lo)) + ((lo[0] * v[0].v + lo[1] * v[1].v) + (lo[2] * v[2].v + lo[3] * v[3].v));
+    dd r = two_sum(s.hi, l + ((s01.lo + s23.lo) + s.lo));
+    *ok &= in_key_range(r.hi);
+    *ex = 0x1p-96 * ((mag(p0.hi) + mag(p1.hi)) + (mag(p2.hi) + mag(p3.hi))) + 0x1p-1000;
+    return r;
+}
+
+static double residual_key(const halves *hi, const double *lo, const halves *v)
+{
+    double ex, ey;
+    int ok = 1;
+    dd rx = component(hi, lo, v, &ex, &ok), ry = component(hi + 4, lo + 4, v, &ey, &ok);
+    dd a = two_prod(halve(rx.hi), halve(rx.hi)), b = two_prod(halve(ry.hi), halve(ry.hi));
+    dd s = two_sum(a.hi, b.hi);
+    dd k = two_sum(s.hi, (((s.lo + a.lo) + b.lo) + 2 * rx.hi * rx.lo) + 2 * ry.hi * ry.lo);
+    double err = 2 * (ex * (2 * mag(rx.hi) + ex) + ey * (2 * mag(ry.hi) + ey) + 0x1p-98 * k.hi) + 0x1p-1000;
+    if (!(ok && k.hi >= 0x1p-900 && k.hi <= 0x1p900))
+        return __builtin_nan("");
+    /* the gap from k.hi to its neighbour on k.lo's side, halved; the one
+     * below is the narrower, at a power of two */
+    union {
+        double d;
+        uint64_t u;
+    } near = {k.hi};
+    near.u += k.lo > 0 ? 1 : -1;
+    double half = mag(near.d - k.hi) * 0.5;
+    return err < half - mag(k.lo) ? k.hi : __builtin_nan("");
+}
+
+/* the keys of the n - 1 adjacent pairs among the n states in xy (x then y)
+ * into keys, with m the 16 doubles hi, lo of M's rows; returns the number
+ * of NaN keys written */
+int64_t rt_residual_keys(const double *xy, int64_t n, const double *m, double *keys)
+{
+    halves hi[8], v[4]; /* v: x1, y1, x0, y0 */
+    double lo[8];
+    int ok = 1, in0, in1;
+    if (n < 2)
+        return 0;
+    for (int i = 0; i < 8; i++) {
+        hi[i] = halve(m[2 * i]);
+        lo[i] = m[2 * i + 1];
+        ok &= in_key_range(m[2 * i]) && mag(lo[i]) <= 0x1p-53 * mag(m[2 * i]);
+    }
+    v[0] = halve(xy[0]);
+    v[1] = halve(xy[1]);
+    in1 = in_key_range(xy[0]) && in_key_range(xy[1]);
+    int64_t undecided = 0;
+    for (int64_t j = 0; j + 1 < n; j++) {
+        v[2] = v[0]; /* the pair's first state is the last pair's second */
+        v[3] = v[1];
+        in0 = in1;
+        v[0] = halve(xy[2 * j + 2]);
+        v[1] = halve(xy[2 * j + 3]);
+        in1 = in_key_range(xy[2 * j + 2]) && in_key_range(xy[2 * j + 3]);
+        double key = ok && in0 && in1 ? residual_key(hi, lo, v) : __builtin_nan("");
+        undecided += key != key;
+        keys[j] = key;
+    }
+    return undecided;
 }

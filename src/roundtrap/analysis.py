@@ -14,19 +14,27 @@ common denominator.
 The consistency residual (B u1 - C u0)/delta is formed exactly over integers
 from the scheme's pencil (B, C), the definition exact steps also use.  Its
 median and max are selected on the exact squared norms, with a wide norm
-only for the pairs that can decide them.
+only for the pairs that can decide them.  The pairs are ranked by float
+keys, the squared norms correctly rounded.  For the binary64 parts of a run
+at p <= 25 the compiled kernel gives them in double-double, leaving NaN
+where its error bound cannot prove the rounding; those pairs, pairs across
+a part boundary, other runs and hosts without the compiled kernels take
+their keys from the exact integers.  At p = 53 the residual cancels too
+many bits for double-double, and every key is exact.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence
 
-from . import _wide
+from . import _wide, schemes
 from .fpcore import ParameterError, PrecisionConfig
 from .oscillator import OscillatorParams, State, invariant_value, _as_fraction
 from .schemes import Scheme, Trajectory, UpdateMatrix, _pencil, update_matrix
@@ -120,14 +128,11 @@ def error_separation(actual: State, reference: State, analytic: State) -> ErrorT
 # ---------------------------------------------------------------------------
 
 
-def _residual_forms(trajectory: Trajectory, params: OscillatorParams, ordinals):
-    """(i, rx, ry, d) for each step pair (i, i + 1) among the samples at the
-    ascending ordinals: the residual (B u1 - C u0)/delta is (rx, ry)/d, with
-    (B, C) the scheme's exact pencil at the machine step size delta.  Each
-    component is one integer linear form over the pair's common denominator
-    (a power of two for a rounded run) and the pencil's.  Each state is read
-    from the trajectory's record as integers once, and a pair's second
-    state is the next pair's first."""
+def _residual_matrix(trajectory: Trajectory, params: OscillatorParams):
+    """(m, scale): the residual's matrix [B/delta | -C/delta], which maps
+    (x1, y1, x0, y0) to (B u1 - C u0)/delta, is m/scale, its two rows
+    flattened into eight integers; (B, C) is the scheme's exact pencil at
+    the machine step size delta."""
     delta = trajectory.machine_dt
     b, c = _pencil(trajectory.scheme, params, delta)
     entries = (*b[0], *b[1], *c[0], *c[1])
@@ -136,7 +141,17 @@ def _residual_forms(trajectory: Trajectory, params: OscillatorParams, ordinals):
     b00, b01, b10, b11, c00, c01, c10, c11 = (
         e.numerator * (den // e.denominator) * delta.denominator for e in entries
     )
-    scale = den * delta.numerator
+    return (b00, b01, -c00, -c01, b10, b11, -c10, -c11), den * delta.numerator
+
+
+def _residual_forms(trajectory: Trajectory, params: OscillatorParams, ordinals):
+    """(i, rx, ry, d) for each step pair (i, i + 1) among the samples at the
+    ascending ordinals: the residual (B u1 - C u0)/delta is (rx, ry)/d.
+    Each component is one integer linear form over the pair's common
+    denominator (a power of two for a rounded run) and the matrix's.  Each
+    state is read from the trajectory's record as integers once, and a
+    pair's second state is the next pair's first."""
+    (b00, b01, c00, c01, b10, b11, c10, c11), scale = _residual_matrix(trajectory, params)
     lcm, steps = math.lcm, trajectory.steps
     o0 = i0 = -2
     for o, i, (nx1, ny1, q1) in zip(ordinals, map(steps.__getitem__, ordinals),
@@ -145,8 +160,8 @@ def _residual_forms(trajectory: Trajectory, params: OscillatorParams, ordinals):
             q = lcm(q0, q1)
             a0, a1 = q // q0, q // q1
             x0, y0, x1, y1 = nx0 * a0, ny0 * a0, nx1 * a1, ny1 * a1
-            yield (i0, b00 * x1 + b01 * y1 - c00 * x0 - c01 * y0,
-                   b10 * x1 + b11 * y1 - c10 * x0 - c11 * y0, scale * q)
+            yield (i0, b00 * x1 + b01 * y1 + c00 * x0 + c01 * y0,
+                   b10 * x1 + b11 * y1 + c10 * x0 + c11 * y0, scale * q)
         o0, i0, nx0, ny0, q0 = o, i, nx1, ny1, q1
 
 
@@ -174,6 +189,57 @@ def consistency_residual(
     return out
 
 
+def _float_key(rx: int, ry: int, d: int) -> float:
+    """(rx**2 + ry**2)/d**2 correctly rounded to a float (int/int true
+    division rounds correctly), inf beyond the float range."""
+    try:
+        return (rx * rx + ry * ry) / (d * d)
+    except OverflowError:
+        return math.inf
+
+
+def _key_coefficients(trajectory: Trajectory, params: OscillatorParams):
+    """hi = float(e) and lo = float(e - hi) for each entry e of the
+    residual's matrix (``_residual_matrix``); None when an entry is beyond
+    the float range or rounds to 0 without being 0."""
+    m, scale = _residual_matrix(trajectory, params)
+    out = []
+    for n in m:
+        try:
+            hi = n / scale  # int/int true division rounds correctly
+        except OverflowError:
+            return None
+        if n and not hi:
+            return None
+        hn, hd = hi.as_integer_ratio()
+        out += (hi, (n * hd - hn * scale) / (scale * hd))
+    return out
+
+
+_KEYS_MAX_P = 25  # at p = 53 the residual cancels too many bits for double-double keys
+
+
+def _compiled_keys(trajectory: Trajectory, params: OscillatorParams):
+    """(keys, undecided): a float key for each pair of adjacent samples
+    (o, o + 1), from the compiled kernel for the pairs within a float part
+    of a run at p <= 25, and NaN for the rest; undecided counts the NaNs.
+    A key that is not NaN equals ``_float_key`` of the pair's forms."""
+    n = len(trajectory.steps) - 1
+    keys = array("d", [math.nan]) * n
+    cfg = trajectory.precision
+    if cfg is None or cfg.significand_bits > _KEYS_MAX_P:
+        return keys, n
+    kernels = schemes._load_kernels()  # looked up at call time: tests switch the kernels off
+    m = None if kernels is None else _key_coefficients(trajectory, params)
+    if m is None:
+        return keys, n
+    undecided = n
+    for form, values, start, part in trajectory.record._spans(range(n + 1)):
+        if form == schemes._FLOAT and len(part) > 1:
+            undecided -= len(part) - 1 - kernels.residual_keys(values, m, keys, start)
+    return keys, undecided
+
+
 def residual_summary(
     trajectory: Trajectory, params: OscillatorParams
 ) -> tuple[int, Fraction, Fraction]:
@@ -182,29 +248,39 @@ def residual_summary(
     evaluated only for the pairs that can decide the two.
 
     Each pair's exact squared norm s = (rx**2 + ry**2)/d**2 is first rounded
-    to a float key (int/int true division rounds correctly, so the key is
-    monotone in s; inf when s is beyond the float range).  Before its
-    correctly rounded square root, ``wide_norm2``'s wide value is s times
-    (1 + e1)(1 + e2) with |ei| <= 2**-240: the rounding of the numerator and
-    the division by the denominator's odd part, in ``_wide._to_raw``.  So
-    the 240-bit norms of two pairs can be out of order only when their
-    exact squared norms are within 2**-238 of each other, relatively.  Keys
-    two or more float steps apart imply a much larger gap, also at 0.0,
-    among subnormals and at inf; equal exact values give equal norms.  For
-    a rank, the band is every pair whose key lies within one
-    ``math.nextafter`` step of the ranked key.  A pair keyed below the band
-    is two or more steps below the ranked key, so its norm exceeds no norm
-    keyed at or above it, and it sorts below the rank; a pair keyed above
-    the band mirrors this.  So the element at the rank is the band's sorted
-    norm at the rank minus the number of pairs keyed below the band.
+    to a float key (``_float_key``: the key is monotone in s; inf when s is
+    beyond the float range).  The compiled kernel gives the keys of a
+    binary64 run's pairs, each proved to be that rounding or left NaN; the
+    NaN keys, and every key of other runs, come from the exact integer
+    forms.  Before its correctly rounded square root, ``wide_norm2``'s wide
+    value is s times (1 + e1)(1 + e2) with |ei| <= 2**-240: the rounding of
+    the numerator and the division by the denominator's odd part, in
+    ``_wide._to_raw``.  So the 240-bit norms of two pairs can be out of
+    order only when their exact squared norms are within 2**-238 of each
+    other, relatively.  Keys two or more float steps apart imply a much
+    larger gap, also at 0.0, among subnormals and at inf; equal exact values
+    give equal norms.  For a rank, the band is every pair whose key lies
+    within one ``math.nextafter`` step of the ranked key.  A pair keyed
+    below the band is two or more steps below the ranked key, so its norm
+    exceeds no norm keyed at or above it, and it sorts below the rank; a
+    pair keyed above the band mirrors this.  So the element at the rank is
+    the band's sorted norm at the rank minus the number of pairs keyed below
+    the band.
     """
-    firsts, keys = [], []  # each pair's first step and key
-    for i, rx, ry, d in _residual_forms(trajectory, params, range(len(trajectory.steps))):
-        firsts.append(i)
-        try:
-            keys.append((rx * rx + ry * ry) / (d * d))
-        except OverflowError:
-            keys.append(math.inf)
+    steps = trajectory.steps
+    keys, undecided = _compiled_keys(trajectory, params)
+    if undecided:  # the exact keys of the undecided step pairs
+        todo = [o for o in compress(range(len(keys)), map(math.isnan, keys)) if steps[o + 1] == steps[o] + 1]
+        at = {steps[o]: o for o in todo}  # first step -> ordinal
+        ordinals = range(len(steps)) if undecided == len(keys) else sorted({o + t for o in todo for t in (0, 1)})
+        for i, rx, ry, d in _residual_forms(trajectory, params, ordinals):
+            if i in at:
+                keys[at[i]] = _float_key(rx, ry, d)
+    if steps[-1] - steps[0] == len(keys):  # every pair of adjacent samples is a step pair
+        firsts = steps[:-1]
+    else:
+        pairs = [o for o in range(len(keys)) if steps[o + 1] == steps[o] + 1]
+        firsts, keys = [steps[o] for o in pairs], [keys[o] for o in pairs]
     if not keys:
         raise ParameterError(_NO_PAIRS)
     ranked = sorted(keys)
@@ -212,10 +288,9 @@ def residual_summary(
     for rank in (len(keys) // 2, len(keys) - 1):
         lo = math.nextafter(ranked[rank], -math.inf)
         hi = math.nextafter(ranked[rank], math.inf)
-        band = [firsts[k] for k, key in enumerate(keys) if lo <= key <= hi]
+        band = [i for i, key in zip(firsts, keys) if lo <= key <= hi]
         bands.append((rank, bisect.bisect_left(ranked, lo), band))
     wanted = {i for _, _, band in bands for i in band}
-    steps = trajectory.steps
     ordinals = sorted({bisect.bisect_left(steps, i) + t for i in wanted for t in (0, 1)})
     norms = {
         i: _wide.wide_norm2(rx, ry, d)

@@ -2,10 +2,11 @@ import dataclasses
 import functools
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from roundtrap import _wide
@@ -23,7 +24,7 @@ from roundtrap.analysis import (
 )
 from roundtrap import analysis, schemes
 from roundtrap.experiments import SweepRecord, longtime_run
-from roundtrap.fpcore import QUAD, SINGLE, ParameterError, PrecisionConfig, _raw_to_fraction
+from roundtrap.fpcore import DOUBLE, QUAD, SINGLE, ParameterError, PrecisionConfig, _raw_to_fraction
 from roundtrap.oscillator import OscillatorParams, State, analytic_solution
 from roundtrap.schemes import SamplingPlan, Scheme, UpdateMatrix, integrate, update_matrix
 from conftest import decimal_sqrt, rel_diff
@@ -215,6 +216,8 @@ def sorted_summary(norms):
 class SyntheticRun:
     """A stand-in trajectory whose step pair at index i has the residual
     forms[i] = (rx, ry, d); only its sampled steps are real."""
+
+    precision = None  # the forms are exact: no compiled keys
 
     def __init__(self, forms, indices=None):
         self.forms = forms
@@ -438,6 +441,165 @@ class TestResidualSummarySynthetic:
         run = SyntheticRun([(1, 0, 1)] * 8, [0, 2, 4, 6])
         with pytest.raises(ParameterError, match="no consecutive step pairs"):
             run.summary(monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# Compiled residual keys: a key the kernel decides is the exact pair's
+# float_key, bit for bit; anything it cannot prove comes out NaN
+# ---------------------------------------------------------------------------
+
+
+def assert_keys_exact(traj, params):
+    """The compiled keys of the run, after checking that each one not NaN
+    equals float_key of its pair's exact forms and that the NaNs are
+    counted."""
+    keys, undecided = analysis._compiled_keys(traj, params)
+    steps = traj.steps
+    forms = {i: form for i, *form in analysis._residual_forms(traj, params, range(len(steps)))}
+    for o, key in enumerate(keys):
+        if not math.isnan(key) and steps[o + 1] == steps[o] + 1:
+            # equal positive normal floats are equal bit for bit
+            assert key == float_key(*forms[steps[o]]), (o, key)
+    assert sum(map(math.isnan, keys)) == undecided
+    return keys
+
+
+def run_from(scheme, params, dt, p, x0, y0, n):
+    """An every-step run of n steps from (x0, y0) at p bits."""
+    record = schemes._channel(scheme, params, dt, PrecisionConfig(p), x0, y0, tuple(range(n + 1)))
+    return schemes.Trajectory(params, scheme, dt, PrecisionConfig(p), n, record)
+
+
+def binades(lo, hi):
+    """Fractions m * 2**e with a 20-bit m, whose magnitude lies in binades lo to hi."""
+    return st.builds(lambda m, e: Fraction(m) * Fraction(2) ** (e - 19), st.integers(1 << 19, (1 << 20) - 1),
+                     st.integers(lo, hi))
+
+
+def mostly(usual, edges):
+    """usual seven times in ten, else edges."""
+    return st.integers(0, 9).flatmap(lambda k: usual if k < 7 else edges)
+
+
+# constants, some near the edges of the window [2**-64, 2**64] of the
+# rounded constants; states, some near the edges of the state window
+# [2**-400, 2**400]
+keyed_constants = mostly(st.fractions(min_value=Fraction(1, 100), max_value=10, max_denominator=1000),
+                         st.one_of(binades(-66, -60), binades(58, 64)))
+keyed_steps = mostly(st.fractions(min_value=Fraction(1, 10**5), max_value=1, max_denominator=10**6),
+                     binades(-66, -60))
+keyed_states = mostly(st.one_of(st.sampled_from((Fraction(0), Fraction(1), Fraction(-3, 7))),
+                                st.fractions(min_value=-10, max_value=10, max_denominator=1000)),
+                      st.one_of(binades(-402, -396), binades(395, 401), binades(395, 401).map(lambda v: -v)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scheme=st.sampled_from(list(Scheme)), p=st.integers(2, 25), a=keyed_constants, b=keyed_constants,
+       dt=keyed_steps, x0=keyed_states, y0=keyed_states, n=st.integers(1, 200))
+def test_compiled_keys_drawn(compiled, scheme, p, a, b, dt, x0, y0, n):
+    params = OscillatorParams(a, b)
+    traj = run_from(scheme, params, dt, p, x0, y0, n)
+    assert_keys_exact(traj, params)
+    expected = sorted_summary(r for _, r in consistency_residual(traj, params))
+    assert residual_summary(traj, params) == expected
+    assert python_kernels(residual_summary, traj, params) == expected
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_compiled_keys_at_ties(compiled, p):
+    # p = 4 is the golden run whose median and max fall in a run of 483
+    # equal residuals; at p = 2 ties are as common
+    params = OscillatorParams(Fraction("0.8"), Fraction("0.025"))
+    traj = integrate(Scheme.FORWARD_EULER, params, Fraction(1, 1000), Fraction(1, 2), PrecisionConfig(p),
+                     SamplingPlan.every(1))
+    keys = assert_keys_exact(traj, params)
+    assert len(set(keys)) < len(keys) // 4  # mostly ties
+    expected = sorted_summary(r for _, r in consistency_residual(traj, params))
+    assert residual_summary(traj, params) == python_kernels(residual_summary, traj, params) == expected
+
+
+def test_compiled_keys_of_a_hand_off(compiled):
+    scheme, params, dt, n, p, _, parts = RECORDS["hand-off compiled"]
+    traj = integrate(scheme, params, dt, n * dt, PrecisionConfig(p), SamplingPlan.every(1))
+    assert [form for _, form, _ in traj.record._parts] == parts
+    keys = assert_keys_exact(traj, params)
+    raw_start = traj.record._parts[1][0]
+    # within the float part NaN only for a zero residual (the early steps
+    # are exact); NaN across the boundary and in the raw part
+    exact = [float_key(*form) for _, *form in analysis._residual_forms(traj, params, range(raw_start))]
+    assert list(map(math.isnan, keys[:raw_start - 1])) == [key == 0 for key in exact]
+    assert exact.count(0) < raw_start // 4
+    assert all(map(math.isnan, keys[raw_start - 1:]))
+
+
+@pytest.mark.parametrize("part", FLOAT_PARTS)
+def test_compiled_keys_of_float_part_edges(compiled, part):
+    # zeros, subnormals and values far outside [2**-450, 2**450]: NaN, not wrong
+    values = FLOAT_PARTS[part]
+    record = schemes._Record(tuple(range(len(values) // 2)))
+    record.part(schemes._FLOAT, 0).extend(values)
+    for scheme in Scheme:
+        traj = schemes.Trajectory(PARAMS, scheme, Fraction(1, 100), SINGLE, len(values) // 2 - 1, record)
+        keys = assert_keys_exact(traj, PARAMS)
+        for o, key in enumerate(keys):
+            pair = values[2 * o:2 * o + 4]
+            if any(v and not 2.0**-450 <= abs(v) <= 2.0**450 for v in pair) or not any(pair):
+                assert math.isnan(key), (part, scheme, o)
+
+
+def root(t):
+    """A rational within 2**-199 of sqrt(t), for t in [1/8, 8]."""
+    return Fraction(math.isqrt(t.numerator * 2**400 // t.denominator), 2**200)
+
+
+# midpoints between adjacent doubles: below 1, where the gap below is half
+# the gap above, and at random places in [1, 2)
+_rng = random.Random(24)
+MIDPOINTS = [1 - Fraction(1, 2**54), *(1 + Fraction(2 * _rng.getrandbits(52) + 1, 2**53) for _ in range(12))]
+
+
+@pytest.mark.parametrize("ry", [0.0, 0.375])
+@pytest.mark.parametrize("x0, x1", [(0.0, 1.0), (float.fromhex("0x1.4cccccp+0"), float.fromhex("0x1.4ccccep+0"))])
+def test_compiled_keys_at_rounding_boundaries(compiled, x0, x1, ry):
+    # M = [[m, 0, -m, 0], [0, ry, 0, 0]] from (x0, 0) to (x1, 1): the
+    # residual is (m (x1 - x0), ry), and its squared norm lies 2**-108 to
+    # 2**-123 above or below a midpoint, relatively.  At the second (x0, x1)
+    # the two products cancel 23 bits.  The double-double value can err by
+    # more than that distance, so a bound taken too small (2**-112 T in
+    # place of 2**-96 T), or the wrong gap, rounds some of these to the
+    # wrong side
+    xy = array("d", (x0, 0.0, x1, 1.0))
+    dx = Fraction(x1) - Fraction(x0)
+    for t in MIDPOINTS:
+        for bits in range(108, 124, 3):
+            for side in (1, -1):
+                s = t * (1 + side * Fraction(1, 2**bits))  # within 2**-190 of the residual's squared norm
+                m = root(s - Fraction(ry) ** 2) / dx
+                hi = float(m)
+                lo = float(m - Fraction(hi))
+                keys = array("d", [0.0])
+                compiled.residual_keys(xy, [hi, lo, 0.0, 0.0, -hi, -lo, 0.0, 0.0,
+                                            0.0, 0.0, ry, 0.0, 0.0, 0.0, 0.0, 0.0], keys)
+                assert math.isnan(keys[0]) or keys[0] == float(s), (t, bits, side)
+
+
+def test_compiled_keys_decide_almost_every_pair(compiled):
+    # the golden p_run 25 run: B != I and the deepest cancellation the
+    # kernel takes; 19,993 of its 20,000 keys were decided when written
+    params = OscillatorParams(Fraction("0.025"), Fraction("0.8"))
+    traj = integrate(Scheme.MIDPOINT_IMPLICIT, params, Fraction(1, 10**4), 2, PrecisionConfig(25),
+                     SamplingPlan.every(1))
+    keys, undecided = analysis._compiled_keys(traj, params)
+    assert len(keys) == 20000 and undecided < 200
+
+
+def test_no_compiled_keys_at_p53(compiled):
+    params = OscillatorParams(Fraction("0.8"), Fraction("0.025"))
+    traj = integrate(Scheme.MIDPOINT_IMPLICIT, params, Fraction(1, 1000), Fraction(1, 10), DOUBLE,
+                     SamplingPlan.every(1))
+    keys, undecided = analysis._compiled_keys(traj, params)
+    assert undecided == len(keys) == 100 and all(map(math.isnan, keys))
 
 
 class TestErrorBound:

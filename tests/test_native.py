@@ -379,8 +379,10 @@ class CompiledKernels:
     def wrong_kernels(self, compiled):
         """(attribute of Kernels, a wrong version of it) pairs: the scheme's
         binary64 kernel one step ahead at every sample, and recording
-        nothing."""
+        nothing; and residual keys that drop the low words of the
+        coefficients."""
         right, name = type(compiled).binary64, self.S.value
+        right_keys = type(compiled).residual_keys
 
         def off_by_one_step(kernels, scheme, xy, c, C, plan, out):
             if scheme == name:
@@ -390,7 +392,10 @@ class CompiledKernels:
         def records_nothing(kernels, scheme, xy, c, C, plan, out):
             return right(kernels, scheme, xy, c, C, plan, array("d") if scheme == name else out)
 
-        return [("binary64", off_by_one_step), ("binary64", records_nothing)]
+        def drops_lo(kernels, xy, m, keys, start=0):
+            return right_keys(kernels, xy, [v if k % 2 == 0 else 0.0 for k, v in enumerate(m)], keys, start)
+
+        return [("binary64", off_by_one_step), ("binary64", records_nothing), ("residual_keys", drops_lo)]
 
     def test_known_answers_refuse_a_wrong_kernel(self, compiled, monkeypatch):
         assert schemes._known_answers(compiled)
