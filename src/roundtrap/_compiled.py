@@ -126,7 +126,8 @@ class Kernels:
         n = len(xy) // 2
         if n < 2:
             return 0
-        if xy.typecode != "d" or keys.typecode != "d" or not 0 <= start <= len(keys) - (n - 1):
-            raise ValueError("the states and keys must be arrays of doubles, with room for n - 1 keys")
+        if xy.typecode != "d" or keys.typecode != "d" or not 0 <= start <= len(keys) - (n - 1) or len(m) != 16:
+            raise ValueError("the states and keys must be arrays of doubles, with room for n - 1 keys, "
+                             "and m 16 doubles")
         consts = (ctypes.c_double * 16)(*m)
         return self._keys(xy.buffer_info()[0], n, ctypes.addressof(consts), keys.buffer_info()[0] + 8 * start)

@@ -584,6 +584,18 @@ def test_compiled_keys_at_rounding_boundaries(compiled, x0, x1, ry):
                 assert math.isnan(keys[0]) or keys[0] == float(s), (t, bits, side)
 
 
+def test_residual_keys_refuse_bad_buffers(compiled):
+    # M = [I | -I]: the residual is the step's difference, here (0, 0.5)
+    xy, m = array("d", (1.0, 0.0, 1.0, 0.5)), [1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0,
+                                               0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0]
+    for keys, coefficients, start in ((array("d"), m, 0), (array("d", [0.0]), m, 1), (array("q", [0]), m, 0),
+                                      (array("d", [0.0]), m[:14], 0)):
+        with pytest.raises(ValueError):
+            compiled.residual_keys(xy, coefficients, keys, start)
+    keys = array("d", [0.0])
+    assert compiled.residual_keys(xy, m, keys) == 0 and keys[0] == 0.25
+
+
 def test_compiled_keys_decide_almost_every_pair(compiled):
     # the golden p_run 25 run: B != I and the deepest cancellation the
     # kernel takes; 19,993 of its 20,000 keys were decided when written
