@@ -28,14 +28,13 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
 from typing import Optional, Sequence
 
 from . import _wide, schemes
-from .fpcore import ParameterError, PrecisionConfig
+from .fpcore import ParameterError, PrecisionConfig, _Frozen, _set
 from .oscillator import OscillatorParams, State, invariant_value, _as_fraction
 from .schemes import Scheme, Trajectory, UpdateMatrix, _pencil, update_matrix
 
@@ -53,6 +52,13 @@ class ErrorVec:
         self._a = a
         self._b = b
         self._norm = None
+
+    # a slotted class pickles at protocols 0 and 1 only with its own __getstate__
+    def __getstate__(self):
+        return self._a, self._b, self._norm
+
+    def __setstate__(self, state):
+        self._a, self._b, self._norm = state
 
     @property
     def x(self) -> Fraction:
@@ -91,15 +97,17 @@ class ErrorVec:
         return f"ErrorVec(x={self.x!r}, y={self.y!r}, norm={self.norm!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class ErrorTriple:
+class ErrorTriple(_Frozen):
     """Total, truncation, and round-off error at time t, with
     total = truncation + roundoff exact componentwise."""
 
-    total: ErrorVec
-    truncation: ErrorVec
-    roundoff: ErrorVec
-    t: Fraction
+    __slots__ = ("total", "truncation", "roundoff", "t")
+
+    def __init__(self, total: ErrorVec, truncation: ErrorVec, roundoff: ErrorVec, t: Fraction):
+        _set(self, "total", total)
+        _set(self, "truncation", truncation)
+        _set(self, "roundoff", roundoff)
+        _set(self, "t", t)
 
 
 _SET_TOTAL, _SET_TRUNCATION, _SET_ROUNDOFF, _SET_T = (
@@ -310,8 +318,7 @@ class BoundMode(Enum):
     RANDOM_WALK = "random_walk"
 
 
-@dataclass(frozen=True, slots=True)
-class ErrorBoundModel:
+class ErrorBoundModel(_Frozen):
     """Magnitude model for the per-step injected error.
 
     WORST_CASE accumulates n*eps (aligned errors), RANDOM_WALK sqrt(n)*eps
@@ -319,13 +326,14 @@ class ErrorBoundModel:
     round-off decides which fits.
     """
 
-    mode: BoundMode
-    per_step_eps: Fraction
+    __slots__ = ("mode", "per_step_eps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "per_step_eps", _as_fraction(self.per_step_eps))
-        if self.per_step_eps <= 0:
+    def __init__(self, mode: BoundMode, per_step_eps: Fraction):
+        per_step_eps = _as_fraction(per_step_eps)
+        if per_step_eps <= 0:
             raise ParameterError("per_step_eps must be positive")
+        _set(self, "mode", mode)
+        _set(self, "per_step_eps", per_step_eps)
 
     @classmethod
     def for_precision(
@@ -440,10 +448,14 @@ def predict_error_bound(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SpectralInfo:
-    det: Fraction
-    eigenvalue_moduli: tuple[Fraction, Fraction]
+class SpectralInfo(_Frozen):
+    """Determinant and eigenvalue moduli of a one-step matrix."""
+
+    __slots__ = ("det", "eigenvalue_moduli")
+
+    def __init__(self, det: Fraction, eigenvalue_moduli: tuple[Fraction, Fraction]):
+        _set(self, "det", det)
+        _set(self, "eigenvalue_moduli", eigenvalue_moduli)
 
 
 def spectral_analysis(m: UpdateMatrix) -> SpectralInfo:

@@ -21,13 +21,12 @@ from __future__ import annotations
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from ._wide import cos_sin_steps
 from .analysis import error_separation
-from .fpcore import ParameterError, PrecisionConfig, QUAD, SINGLE
+from .fpcore import ParameterError, PrecisionConfig, QUAD, SINGLE, _Frozen, _set
 from .oscillator import OscillatorParams, analytic_solution, _as_fraction, _state
 from .schemes import SamplingPlan, Scheme, _check_steps, integrate_pair, num_steps, starts_compiled
 
@@ -41,57 +40,71 @@ DESK_DT_LIST = tuple(Fraction(s) for s in DESK_DT_STRINGS)
 DESK_MAX_STEPS = 20_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class SweepConfig:
+class SweepConfig(_Frozen):
     """Configuration of a step-size sweep."""
 
-    scheme: Scheme = Scheme.MIDPOINT_IMPLICIT
-    params: OscillatorParams = OscillatorParams()
-    t_end: Fraction = Fraction(100)
-    dt_list: tuple[Fraction, ...] = DESK_DT_LIST
-    run_precision: PrecisionConfig = SINGLE
-    ref_precision: PrecisionConfig = QUAD
-    max_steps: int = DESK_MAX_STEPS
+    __slots__ = ("scheme", "params", "t_end", "dt_list", "run_precision", "ref_precision", "max_steps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "t_end", _as_fraction(self.t_end))
-        object.__setattr__(self, "dt_list", tuple(_as_fraction(dt) for dt in self.dt_list))
-        if self.ref_precision.significand_bits <= self.run_precision.significand_bits:
+    def __init__(
+        self,
+        scheme: Scheme = Scheme.MIDPOINT_IMPLICIT,
+        params: OscillatorParams = OscillatorParams(),
+        t_end: Fraction = Fraction(100),
+        dt_list: tuple[Fraction, ...] = DESK_DT_LIST,
+        run_precision: PrecisionConfig = SINGLE,
+        ref_precision: PrecisionConfig = QUAD,
+        max_steps: int = DESK_MAX_STEPS,
+    ):
+        t_end = _as_fraction(t_end)
+        dt_list = tuple(_as_fraction(dt) for dt in dt_list)
+        if ref_precision.significand_bits <= run_precision.significand_bits:
             raise ParameterError("reference precision must be strictly wider than run precision")
-        if self.t_end <= 0:
+        if t_end <= 0:
             raise ParameterError("t_end must be positive")
-        if not self.dt_list:
+        if not dt_list:
             raise ParameterError("dt_list is empty")
-        if any(dt <= 0 for dt in self.dt_list):
+        if any(dt <= 0 for dt in dt_list):
             raise ParameterError("step sizes must be positive")
-        for dt in self.dt_list:
-            num_steps(self.t_end, dt)  # rejects a step count too long to report
-        if self.max_steps < 1:
+        for dt in dt_list:
+            num_steps(t_end, dt)  # rejects a step count too long to report
+        if max_steps < 1:
             raise ParameterError("max_steps must be >= 1")
+        _set(self, "scheme", scheme)
+        _set(self, "params", params)
+        _set(self, "t_end", t_end)
+        _set(self, "dt_list", dt_list)
+        _set(self, "run_precision", run_precision)
+        _set(self, "ref_precision", ref_precision)
+        _set(self, "max_steps", max_steps)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepRecord:
+class SweepRecord(_Frozen):
     """One sweep row: error norms at t_end for one step size.  Error fields
     are None when the leg was skipped: by the step-count guard
     (n_steps > max_steps) or because t_end/dt rounds to zero steps."""
 
-    dt: Fraction
-    n_steps: int
-    e_total: Optional[Fraction]
-    e_trunc: Optional[Fraction]
-    e_round: Optional[Fraction]
-    wall_time_s: float
-    status: str = STATUS_OK
+    __slots__ = ("dt", "n_steps", "e_total", "e_trunc", "e_round", "wall_time_s", "status")
+
+    def __init__(self, dt: Fraction, n_steps: int, e_total: Optional[Fraction], e_trunc: Optional[Fraction],
+                 e_round: Optional[Fraction], wall_time_s: float, status: str = STATUS_OK):
+        _set(self, "dt", dt)
+        _set(self, "n_steps", n_steps)
+        _set(self, "e_total", e_total)
+        _set(self, "e_trunc", e_trunc)
+        _set(self, "e_round", e_round)
+        _set(self, "wall_time_s", wall_time_s)
+        _set(self, "status", status)
 
 
-@dataclass(frozen=True, slots=True)
-class TimeSeriesRecord:
+class TimeSeriesRecord(_Frozen):
     """One long-run row: round-off and truncation error norms at time t."""
 
-    t: Fraction
-    e_round: Fraction
-    e_trunc: Fraction
+    __slots__ = ("t", "e_round", "e_trunc")
+
+    def __init__(self, t: Fraction, e_round: Fraction, e_trunc: Fraction):
+        _set(self, "t", t)
+        _set(self, "e_round", e_round)
+        _set(self, "e_trunc", e_trunc)
 
 
 _SET_T, _SET_E_ROUND, _SET_E_TRUNC = (

@@ -19,7 +19,7 @@ threads or processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from numbers import Rational
 
@@ -32,21 +32,70 @@ class ParameterError(ValueError):
     usage error (exit 2); any other ValueError is a defect and propagates."""
 
 
-@dataclass(frozen=True, slots=True)
-class PrecisionConfig:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable records.  They are not dataclasses: importing
+    dataclasses (which loads inspect, ast, dis and tokenize) and generating
+    each class's methods from source took a large share of a CLI process's
+    start-up.  A subclass names its fields in ``__slots__`` (in
+    ``__match_args__`` when only some of them compare and show) and sets
+    each one once in its own ``__init__`` through ``object.__setattr__``.
+    This base refuses any later assignment or deletion, and gives equality
+    (same class only), the hash of the field tuple, the repr and the
+    pickling of a frozen dataclass; unpickling does not run ``__init__``'s
+    checks again."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__match_args__ = cls.__dict__.get("__match_args__", cls.__slots__)
+        get = operator.attrgetter(*fields)  # a tuple, for more than one field
+        cls._key = get if len(fields) > 1 else staticmethod(lambda self: (get(self),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            _set(self, name, value)
+
+
+class PrecisionConfig(_Frozen):
     """An emulated format: significand width in bits, implicit leading bit
     included.  24 models IEEE single, 53 double, 113 quadruple."""
 
-    significand_bits: int
+    __slots__ = ("significand_bits",)
 
-    def __post_init__(self):
-        if not isinstance(self.significand_bits, int):
+    def __init__(self, significand_bits: int):
+        if not isinstance(significand_bits, int):
             raise TypeError("significand_bits must be an integer")
-        if not MIN_SIGNIFICAND_BITS <= self.significand_bits <= MAX_SIGNIFICAND_BITS:
+        if not MIN_SIGNIFICAND_BITS <= significand_bits <= MAX_SIGNIFICAND_BITS:
             raise ParameterError(
                 f"significand_bits must be in [{MIN_SIGNIFICAND_BITS}, "
-                f"{MAX_SIGNIFICAND_BITS}], got {self.significand_bits}"
+                f"{MAX_SIGNIFICAND_BITS}], got {significand_bits}"
             )
+        _set(self, "significand_bits", significand_bits)
 
     @property
     def unit_roundoff(self) -> Fraction:
@@ -59,8 +108,7 @@ DOUBLE = PrecisionConfig(53)
 QUAD = PrecisionConfig(113)
 
 
-@dataclass(frozen=True, slots=True)
-class RValue:
+class RValue(_Frozen):
     """A value exactly representable in some emulated format.
 
     Canonical form: ``significand`` is odd or zero (zero forces
@@ -68,8 +116,11 @@ class RValue:
     via :func:`round_to`; the raw constructor trusts its arguments.
     """
 
-    significand: int
-    exponent: int
+    __slots__ = ("significand", "exponent")
+
+    def __init__(self, significand: int, exponent: int):
+        _set(self, "significand", significand)
+        _set(self, "exponent", exponent)
 
     def to_fraction(self) -> Fraction:
         return _raw_to_fraction(self.significand, self.exponent)

@@ -13,12 +13,11 @@ exact, while float inputs are taken at their exact binary value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import _wide
-from .fpcore import ParameterError, _raw_to_fraction
+from .fpcore import ParameterError, _Frozen, _raw_to_fraction, _set
 
 ANALYTIC_PREC_BITS = _wide.WIDE_PREC_BITS
 
@@ -29,18 +28,17 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True, slots=True)
-class OscillatorParams:
+class OscillatorParams(_Frozen):
     """Coefficients of the system; defaults a=0.1, b=0.2."""
 
-    a: Fraction = Fraction(1, 10)
-    b: Fraction = Fraction(1, 5)
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
-        if self.a <= 0 or self.b <= 0:
+    def __init__(self, a: Fraction = Fraction(1, 10), b: Fraction = Fraction(1, 5)):
+        a, b = _as_fraction(a), _as_fraction(b)
+        if a <= 0 or b <= 0:
             raise ParameterError("oscillator coefficients a, b must be positive")
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def angular_frequency(self) -> Fraction:
         """sqrt(a*b) to wide precision."""
@@ -57,21 +55,19 @@ def _orbit_constants(params: OscillatorParams) -> tuple[Fraction, Fraction]:
     return _wide.wide_sqrt(params.a * params.b), _wide.wide_sqrt(params.b / params.a)
 
 
-@dataclass(frozen=True, slots=True)
-class State:
+class State(_Frozen):
     """Oscillator state (x, y) at time t.  Coordinates are exact rationals;
     finite-precision states embed exactly, so downstream error arithmetic
     stays exact."""
 
-    x: Fraction
-    y: Fraction
-    t: Fraction
+    __slots__ = ("x", "y", "t")
 
-    def __post_init__(self):
-        if not type(self.x) is type(self.y) is type(self.t) is Fraction:
-            object.__setattr__(self, "x", _as_fraction(self.x))
-            object.__setattr__(self, "y", _as_fraction(self.y))
-            object.__setattr__(self, "t", _as_fraction(self.t))
+    def __init__(self, x: Fraction, y: Fraction, t: Fraction):
+        if not type(x) is type(y) is type(t) is Fraction:
+            x, y, t = _as_fraction(x), _as_fraction(y), _as_fraction(t)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "t", t)
 
 
 _SET_X, _SET_Y, _SET_T = State.x.__set__, State.y.__set__, State.t.__set__

@@ -85,7 +85,6 @@ import math
 import struct
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -93,6 +92,7 @@ from typing import Optional
 from .fpcore import (
     ParameterError,
     PrecisionConfig,
+    _Frozen,
     _add_raw,
     _div_raw,
     _float_to_raw,
@@ -101,6 +101,7 @@ from .fpcore import (
     _mul_raw,
     _raw_to_fraction,
     _round_raw,
+    _set,
     _sub_raw,
 )
 from .oscillator import OscillatorParams, State, _as_fraction
@@ -140,24 +141,24 @@ class Scheme(Enum):
 _ORDERS = {Scheme.FORWARD_EULER: 1, Scheme.MIDPOINT_IMPLICIT: 2, Scheme.RK3: 3}
 
 
-@dataclass(frozen=True, slots=True)
-class SamplingPlan:
+class SamplingPlan(_Frozen):
     """Which step indices of a trajectory to record.
 
     Either a stride (every ``stride``-th step, starting at 0) or an explicit
     index set.  The final step is always recorded.
     """
 
-    stride: Optional[int] = None
-    at_steps: Optional[tuple[int, ...]] = None
+    __slots__ = ("stride", "at_steps")
 
-    def __post_init__(self):
-        if (self.stride is None) == (self.at_steps is None):
+    def __init__(self, stride: Optional[int] = None, at_steps: Optional[tuple[int, ...]] = None):
+        if (stride is None) == (at_steps is None):
             raise ParameterError("specify exactly one of stride or at_steps")
-        if self.stride is not None and self.stride < 1:
+        if stride is not None and stride < 1:
             raise ParameterError("stride must be >= 1")
-        if self.at_steps is not None:
-            object.__setattr__(self, "at_steps", tuple(sorted(set(self.at_steps))))
+        if at_steps is not None:
+            at_steps = tuple(sorted(set(at_steps)))
+        _set(self, "stride", stride)
+        _set(self, "at_steps", at_steps)
 
     @classmethod
     def every(cls, k: int = 1) -> "SamplingPlan":
@@ -196,6 +197,13 @@ class _Record:
     def __init__(self, steps: tuple[int, ...]):
         self.steps = steps  # the sampled step indices, ascending
         self._parts = []  # (ordinal of the part's first sample, form, flat values)
+
+    # a slotted class pickles at protocols 0 and 1 only with its own __getstate__
+    def __getstate__(self):
+        return self.steps, self._parts
+
+    def __setstate__(self, state):
+        self.steps, self._parts = state
 
     def part(self, form: str, start: int):
         """The values of a new part from sample ordinal ``start`` on, to extend."""
@@ -262,20 +270,25 @@ class _Record:
         return f"_Record(steps={len(self.steps)}, parts={[form for _, form, _ in self._parts]})"
 
 
-@dataclass(frozen=True, slots=True)
-class Trajectory:
+class Trajectory(_Frozen):
     """Recorded integration output.  ``dt`` is the exact requested step size;
     sample times are step_index * dt.  ``precision`` is None for exact
     arithmetic runs.  ``record`` holds the sampled states as the kernels
-    produced them, and ``samples`` is built from it when first read."""
+    produced them, and ``samples`` is built from it when first read (a cache
+    that equality, hash and repr leave out)."""
 
-    params: OscillatorParams
-    scheme: Scheme
-    dt: Fraction
-    precision: Optional[PrecisionConfig]
-    n_steps: int
-    record: _Record
-    _samples: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("params", "scheme", "dt", "precision", "n_steps", "record", "_samples")
+    __match_args__ = __slots__[:-1]
+
+    def __init__(self, params: OscillatorParams, scheme: Scheme, dt: Fraction,
+                 precision: Optional[PrecisionConfig], n_steps: int, record: _Record):
+        _set(self, "params", params)
+        _set(self, "scheme", scheme)
+        _set(self, "dt", dt)
+        _set(self, "precision", precision)
+        _set(self, "n_steps", n_steps)
+        _set(self, "record", record)
+        _set(self, "_samples", None)
 
     @property
     def steps(self) -> tuple[int, ...]:
@@ -288,7 +301,7 @@ class Trajectory:
         if self._samples is None:
             steps, time = self.record.steps, self._time
             pairs = self.record.fractions(range(len(steps)))
-            object.__setattr__(self, "_samples", tuple(
+            _set(self, "_samples", tuple(
                 (i, State(x, y, time(i))) for i, (x, y) in zip(steps, pairs)))
         return self._samples
 
@@ -689,11 +702,13 @@ def _known_answers(kernels) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class UpdateMatrix:
+class UpdateMatrix(_Frozen):
     """Exact 2x2 one-step matrix A with (x', y') = A (x, y)."""
 
-    entries: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]):
+        _set(self, "entries", entries)
 
     def det(self) -> Fraction:
         (p, q), (r, s) = self.entries

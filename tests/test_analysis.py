@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import random
@@ -26,7 +25,7 @@ from roundtrap import analysis, schemes
 from roundtrap.experiments import SweepRecord, longtime_run
 from roundtrap.fpcore import DOUBLE, QUAD, SINGLE, ParameterError, PrecisionConfig, _raw_to_fraction
 from roundtrap.oscillator import OscillatorParams, State, analytic_solution
-from roundtrap.schemes import SamplingPlan, Scheme, UpdateMatrix, integrate, update_matrix
+from roundtrap.schemes import SamplingPlan, Scheme, Trajectory, UpdateMatrix, integrate, update_matrix
 from conftest import decimal_sqrt, rel_diff
 from test_native import emulated, python_kernels
 
@@ -191,7 +190,7 @@ class TestResidualMatchesStencilOracle:
             params = OscillatorParams(Fraction(a), Fraction(b))
             traj = integrate(scheme, params, dt, 6 * dt, None, SamplingPlan.every(1))
             for other in Scheme:
-                measured = dataclasses.replace(traj, scheme=other)
+                measured = Trajectory(traj.params, other, traj.dt, traj.precision, traj.n_steps, traj.record)
                 got = consistency_residual(measured, params)
                 assert got == oracle_residual(measured, params)
                 assert any(r != 0 for _, r in got) == (other is not scheme)
@@ -267,7 +266,7 @@ class TestResidualSummary:
         params = OscillatorParams(Fraction(3), Fraction(7))
         traj = integrate(scheme, params, Fraction(3, 7), Fraction(18, 7), None, SamplingPlan.every(1))
         for other in Scheme:
-            measured = dataclasses.replace(traj, scheme=other)
+            measured = Trajectory(traj.params, other, traj.dt, traj.precision, traj.n_steps, traj.record)
             expected = sorted_summary(r for _, r in consistency_residual(measured, params))
             assert residual_summary(measured, params) == expected
 
@@ -355,7 +354,7 @@ def test_record_reads_as_eager_states(backend, request):
         assert as_ints == [(eager[o][1].x, eager[o][1].y) for o in ordinals]
     assert traj == run(*args)
     assert traj == emulated(integrate, *args)  # equal values in another form
-    like = dataclasses.replace(traj)
+    like = Trajectory(traj.params, traj.scheme, traj.dt, traj.precision, traj.n_steps, traj.record)
     assert like == traj and like.samples == eager
     # the stencil reads the record; its oracle reads the eager States
     eager_run = type("EagerRun", (), {"scheme": scheme, "machine_dt": traj.machine_dt, "samples": eager})

@@ -689,3 +689,14 @@ def test_import_loads_neither_the_pool_nor_mpmath():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "False"]
+
+
+def test_import_loads_no_dataclasses():
+    # the records are plain slotted classes: importing the CLI loads neither
+    # dataclasses nor the modules it would bring (those site loaded before
+    # the import do not count)
+    code = ("import sys; before = set(sys.modules); import roundtrap.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & (set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

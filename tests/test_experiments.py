@@ -1,7 +1,6 @@
 import concurrent.futures
 import math
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -92,11 +91,14 @@ class TestStepsizeSweep:
         assert experiments._runs_in_process(SMALL)  # 420 steps, every channel compiled
         assert strip(stepsize_sweep(SMALL, jobs=2)) == strip(stepsize_sweep(SMALL, jobs=1))
         # the midpoint scheme is compiled at p = 30 too
-        at_30 = replace(SMALL, run_precision=PrecisionConfig(30))
+        at_30 = SweepConfig(SMALL.scheme, SMALL.params, SMALL.t_end, SMALL.dt_list, PrecisionConfig(30),
+                            SMALL.ref_precision, SMALL.max_steps)
         assert experiments._runs_in_process(at_30)
         assert strip(stepsize_sweep(at_30, jobs=2)) == strip(stepsize_sweep(at_30, jobs=1))
         # a sweep with an emulated channel, or one past the bound, uses the pool
-        assert not experiments._runs_in_process(replace(at_30, scheme=Scheme.RK3))
+        rk3 = SweepConfig(Scheme.RK3, at_30.params, at_30.t_end, at_30.dt_list, at_30.run_precision,
+                          at_30.ref_precision, at_30.max_steps)
+        assert not experiments._runs_in_process(rk3)
         monkeypatch.setattr(experiments, "_IN_PROCESS_STEPS", 419)
         assert not experiments._runs_in_process(SMALL)
 
