@@ -4,8 +4,9 @@ change by a single byte.
 The files under tests/golden/ were written by the commands below, and
 manifests.json holds each command's manifest ``resolved`` block (without
 ``out_dir``) and ``backends`` block, which pins the CLI's defaults, their key
-order and the backend of each channel.  The midpoint runs are checked with
-the compiled kernels and again with the Python kernels.  A change that alters a data column
+order and the backend of each channel.  The midpoint runs and the two
+guard-trip hand-off runs are checked with the compiled kernels and again
+with the Python kernels.  A change that alters a data column
 or a manifest block on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -75,6 +76,12 @@ GOLDEN = {
          "--spacing", "log", "--p-run", "24", "--p-ref", "53"],
         "timeseries.csv",
     ),
+    # the same hand-off on both channels, binary64 at p_run 24 and p_ref 53
+    "timeseries_handoff.csv": (
+        ["longrun", "--scheme", "euler", "--a", "1", "--b", "1", "--dt", "3", "--t-end", "900",
+         "--samples", "50", "--p-run", "24", "--p-ref", "53"],
+        "timeseries.csv",
+    ),
     "diagnostics_residual.csv": (
         ["diagnose", "residual", "--scheme", "rk3", "--a", "0.8", "--b", "0.025",
          "--dt", "1e-3", "--t-end", "0.5", "--p-run", "24"],
@@ -101,6 +108,14 @@ GOLDEN = {
     "diagnostics_residual_p25.csv": (
         ["diagnose", "residual", "--scheme", "midpoint", "--a", "0.025", "--b", "0.8",
          "--dt", "1e-4", "--t-end", "2", "--p-run", "25"],
+        "diagnostics.csv",
+    ),
+    # a = b = 1 and dt = 3: each Euler step grows the state sqrt(10)-fold,
+    # so the binary64 channel trips the range guard at step 241 and the
+    # emulator runs the rest; its residuals are read across the hand-off
+    "diagnostics_residual_handoff.csv": (
+        ["diagnose", "residual", "--scheme", "euler", "--a", "1", "--b", "1",
+         "--dt", "3", "--t-end", "900", "--p-run", "24"],
         "diagnostics.csv",
     ),
     "diagnostics_spectral.csv": (
@@ -149,12 +164,14 @@ def test_data_columns_match_golden(name, tmp_path):
     assert {k: list(v.items()) for k, v in got.items()} == {k: list(v.items()) for k, v in golden.items()}
 
 
-# the golden runs that step the midpoint scheme, which has compiled kernels
-MIDPOINT_GOLDEN = ("sweep.csv", "sweep_midpoint_p40.csv", "timeseries.csv",
-                   "diagnostics_residual_midpoint.csv", "diagnostics_residual_p25.csv")
+# the golden runs that step the midpoint scheme, which has compiled kernels,
+# and the two runs that hand a binary64 channel off to the emulator
+KERNEL_GOLDEN = ("sweep.csv", "sweep_midpoint_p40.csv", "timeseries.csv",
+                 "diagnostics_residual_midpoint.csv", "diagnostics_residual_p25.csv",
+                 "diagnostics_residual_handoff.csv", "timeseries_handoff.csv")
 
 
-@pytest.mark.parametrize("name", MIDPOINT_GOLDEN)
+@pytest.mark.parametrize("name", KERNEL_GOLDEN)
 def test_python_kernels_match_golden(name, tmp_path, monkeypatch):
     # the same files with the compiled kernels switched off, so that both
     # paths stay pinned
