@@ -116,18 +116,18 @@ class Kernels:
         w = words  # the state's words now hold the last in-range state
         return done, steps.value, (w[0] << 63 | w[1], w[2], w[3] << 63 | w[4], w[5])
 
-    def residual_keys(self, xy, m, keys, start: int = 0) -> int:
-        """The residual keys of the adjacent states in the array('d') xy (x
-        then y, as ``binary64`` writes them) into the array('d') keys from
-        index start on, one per pair: |M (x1, y1, x0, y0)|**2 correctly
-        rounded, or NaN where the kernel cannot prove the rounding.  m holds
-        hi = float(e) and lo = float(e - hi) of each entry e of M's rows.
-        Returns the number of NaN keys written."""
+    def residual_keys(self, xy, m, keys) -> int:
+        """The residual keys of the n adjacent states in the array('d') xy
+        (x then y, as ``binary64`` writes them) into the first n - 1 places
+        of the array('d') keys, one per pair: |M (x1, y1, x0, y0)|**2
+        correctly rounded, or NaN where the kernel cannot prove the
+        rounding.  m holds hi = float(e) and lo = float(e - hi) of each
+        entry e of M's rows.  Returns the number of NaN keys written."""
         n = len(xy) // 2
         if n < 2:
             return 0
-        if xy.typecode != "d" or keys.typecode != "d" or not 0 <= start <= len(keys) - (n - 1) or len(m) != 16:
+        if xy.typecode != "d" or keys.typecode != "d" or len(keys) < n - 1 or len(m) != 16:
             raise ValueError("the states and keys must be arrays of doubles, with room for n - 1 keys, "
                              "and m 16 doubles")
         consts = (ctypes.c_double * 16)(*m)
-        return self._keys(xy.buffer_info()[0], n, ctypes.addressof(consts), keys.buffer_info()[0] + 8 * start)
+        return self._keys(xy.buffer_info()[0], n, ctypes.addressof(consts), keys.buffer_info()[0])

@@ -15,12 +15,12 @@ The consistency residual (B u1 - C u0)/delta is formed exactly over integers
 from the scheme's pencil (B, C), the definition exact steps also use.  Its
 median and max are selected on the exact squared norms, with a wide norm
 only for the pairs that can decide them.  The pairs are ranked by float
-keys, the squared norms correctly rounded.  For the binary64 parts of a run
-at p <= 25 the compiled kernel gives them in double-double, leaving NaN
-where its error bound cannot prove the rounding; those pairs, pairs across
-a part boundary, other runs and hosts without the compiled kernels take
-their keys from the exact integers.  At p = 53 the residual cancels too
-many bits for double-double, and every key is exact.
+keys, the squared norms correctly rounded.  For a run at p <= 25 recorded
+in binary64 the compiled kernel gives them in double-double, leaving NaN
+where its error bound cannot prove the rounding; those pairs, other runs
+(a run whose range guard tripped among them) and hosts without the
+compiled kernels take their keys from the exact integers.  At p = 53 the
+residual cancels too many bits for double-double, and every key is exact.
 """
 
 from __future__ import annotations
@@ -229,23 +229,19 @@ _KEYS_MAX_P = 25  # at p = 53 the residual cancels too many bits for double-doub
 
 def _compiled_keys(trajectory: Trajectory, params: OscillatorParams):
     """(keys, undecided): a float key for each pair of adjacent samples
-    (o, o + 1), from the compiled kernel for the pairs within a float part
-    of a run at p <= 25, and NaN for the rest; undecided counts the NaNs.
-    A key that is not NaN equals ``_float_key`` of the pair's forms."""
+    (o, o + 1), from the compiled kernel for a float record of a run at
+    p <= 25, else NaN; undecided counts the NaNs.  A key that is not NaN
+    equals ``_float_key`` of the pair's forms."""
     n = len(trajectory.steps) - 1
     keys = array("d", [math.nan]) * n
     cfg = trajectory.precision
-    if cfg is None or cfg.significand_bits > _KEYS_MAX_P:
+    if cfg is None or cfg.significand_bits > _KEYS_MAX_P or trajectory.record.form != schemes._FLOAT:
         return keys, n
     kernels = schemes._load_kernels()  # looked up at call time: tests switch the kernels off
     m = None if kernels is None else _key_coefficients(trajectory, params)
     if m is None:
         return keys, n
-    undecided = n
-    for form, values, start, part in trajectory.record._spans(range(n + 1)):
-        if form == schemes._FLOAT and len(part) > 1:
-            undecided -= len(part) - 1 - kernels.residual_keys(values, m, keys, start)
-    return keys, undecided
+    return keys, kernels.residual_keys(trajectory.record.values, m, keys)
 
 
 def residual_summary(

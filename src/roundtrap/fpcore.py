@@ -39,9 +39,8 @@ class _Frozen:
     """Base of the immutable records.  They are not dataclasses: importing
     dataclasses (which loads inspect, ast, dis and tokenize) and generating
     each class's methods from source took a large share of a CLI process's
-    start-up.  A subclass names its fields in ``__slots__`` (in
-    ``__match_args__`` when only some of them compare and show) and sets
-    each one once in its own ``__init__`` through ``object.__setattr__``.
+    start-up.  A subclass names its fields in ``__slots__`` and sets each
+    one once in its own ``__init__`` through ``object.__setattr__``.
     This base refuses any later assignment or deletion, and gives equality
     (same class only), the hash of the field tuple, the repr and the
     pickling of a frozen dataclass; unpickling does not run ``__init__``'s
@@ -50,7 +49,7 @@ class _Frozen:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        fields = cls.__match_args__ = cls.__dict__.get("__match_args__", cls.__slots__)
+        fields = cls.__match_args__ = cls.__slots__
         get = operator.attrgetter(*fields)  # a tuple, for more than one field
         cls._key = get if len(fields) > 1 else staticmethod(lambda self: (get(self),))
 

@@ -62,14 +62,17 @@ and the hand-off to the emulator are the same on every kernel, so
 same.
 
 Records.  A trajectory keeps its sampled states as the kernels produced
-them (``_Record``): floats from the binary64 kernels, raw pairs from the
-emulator and the integer kernel, Fractions from exact steps.  A native
-kernel runs the channel's whole sampling plan in one call, stepping between
-samples in its own loop and writing each sampled state into the record
-(integer significands cross as two words, joined after the call).
-``Trajectory.samples`` builds the (i, State) pairs when first read; a long
-run's error split takes them one at a time and keeps none, and the residual
-stencil of ``analysis`` reads the record as integers without them.
+them, in one flat sequence of one form (``_Record``): floats from the
+binary64 kernels, raw pairs from the emulator and the integer kernel,
+Fractions from exact steps.  A native kernel runs the channel's whole
+sampling plan in one call, stepping between samples in its own loop and
+writing each sampled state into the record (integer significands cross as
+two words, joined after the call).  When the range guard trips, the float
+record is converted in place to raw pairs, exactly, before the emulator
+extends it.  ``Trajectory.samples`` builds the (i, State) pairs on each
+read; a long run's error split takes them one at a time and keeps none, and
+the residual stencil of ``analysis`` reads the record as integers without
+them.
 
 The emulator runs one fused kernel per scheme (``_FUSED_FN``): each
 advances the raw state k steps in its own loop on ``fpcore``'s raw kernels,
@@ -84,7 +87,7 @@ import functools
 import math
 import struct
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -180,80 +183,64 @@ class SamplingPlan(_Frozen):
         return tuple(idx) if idx and idx[-1] == n_steps else (*idx, n_steps)
 
 
-# the forms of a record's parts: floats (x, y), raw pairs (mx, ex, my, ey)
-# and Fractions (x, y), each part one flat sequence of them; compared by
-# value, since a record unpickled in another process holds copies of them
+# the forms of a record: floats (x, y), raw pairs (mx, ex, my, ey) and
+# Fractions (x, y), in one flat sequence; compared by value, since a record
+# unpickled in another process holds copies of them
 _FLOAT, _RAW, _EXACT = "float", "raw", "exact"
 
 
 class _Record:
     """A channel's states at its sampled steps, as its kernels produced
-    them: one part per kernel the channel stepped on, in order (a guard trip
-    hands a native channel's rest to the emulator).  Two records are equal
-    when their steps and the values of their states are."""
+    them, in one form.  Two records are equal when their steps and the
+    values of their states are."""
 
-    __slots__ = ("steps", "_parts")
+    __slots__ = ("steps", "form", "values")
 
-    def __init__(self, steps: tuple[int, ...]):
+    def __init__(self, steps: tuple[int, ...], form: str):
         self.steps = steps  # the sampled step indices, ascending
-        self._parts = []  # (ordinal of the part's first sample, form, flat values)
+        self.form = form
+        self.values = array("d") if form == _FLOAT else []  # flat, for the kernels to extend
 
     # a slotted class pickles at protocols 0 and 1 only with its own __getstate__
     def __getstate__(self):
-        return self.steps, self._parts
+        return self.steps, self.form, self.values
 
     def __setstate__(self, state):
-        self.steps, self._parts = state
+        self.steps, self.form, self.values = state
 
-    def part(self, form: str, start: int):
-        """The values of a new part from sample ordinal ``start`` on, to extend."""
-        values = array("d") if form == _FLOAT else []
-        self._parts.append((start, form, values))
-        return values
-
-    def _spans(self, ordinals):
-        """(form, values, start, the ordinals in the part) for each part that
-        holds some of the ascending sample ordinals."""
-        ends = [start for start, _, _ in self._parts[1:]] + [len(self.steps)]
-        for (start, form, values), end in zip(self._parts, ends):
-            lo, hi = bisect_left(ordinals, start), bisect_left(ordinals, end)
-            if lo < hi:
-                yield form, values, start, ordinals[lo:hi]
+    def to_raw(self, p: int):
+        """Convert a float record of p-bit values to raw pairs, exactly."""
+        self.form, self.values = _RAW, [w for v in self.values for w in _float_to_raw(v, p)]
 
     def fractions(self, ordinals):
-        """(x, y) as Fractions for each of the ascending sample ordinals."""
-        for form, v, start, part in self._spans(ordinals):
-            if form == _RAW:
-                for o in part:
-                    k = 4 * (o - start)
-                    yield _raw_to_fraction(v[k], v[k + 1]), _raw_to_fraction(v[k + 2], v[k + 3])
-            elif form == _FLOAT:  # from the exact ratio, which is in lowest terms
-                for o in part:
-                    k = 2 * (o - start)
-                    yield _fraction(*v[k].as_integer_ratio()), _fraction(*v[k + 1].as_integer_ratio())
-            else:
-                for o in part:
-                    k = 2 * (o - start)
-                    yield v[k], v[k + 1]
+        """(x, y) as Fractions for each of the sample ordinals."""
+        v = self.values
+        if self.form == _RAW:
+            for o in ordinals:
+                k = 4 * o
+                yield _raw_to_fraction(v[k], v[k + 1]), _raw_to_fraction(v[k + 2], v[k + 3])
+        else:  # floats and Fractions, from the exact ratio, which is in lowest terms
+            for o in ordinals:
+                k = 2 * o
+                yield _fraction(*v[k].as_integer_ratio()), _fraction(*v[k + 1].as_integer_ratio())
 
     def integers(self, ordinals):
-        """(nx, ny, q) for each of the ascending sample ordinals: the state
-        is (nx/q, ny/q), q > 0 (a power of two for a rounded run)."""
-        lcm = math.lcm
-        for form, v, start, part in self._spans(ordinals):
-            if form == _RAW:
-                for o in part:
-                    k = 4 * (o - start)
-                    mx, ex, my, ey = v[k:k + 4]
-                    e = min(ex, ey, 0)
-                    yield mx << (ex - e), my << (ey - e), 1 << -e
-            else:  # floats and Fractions
-                for o in part:
-                    k = 2 * (o - start)
-                    nx, dx = v[k].as_integer_ratio()
-                    ny, dy = v[k + 1].as_integer_ratio()
-                    q = lcm(dx, dy)
-                    yield nx * (q // dx), ny * (q // dy), q
+        """(nx, ny, q) for each of the sample ordinals: the state is
+        (nx/q, ny/q), q > 0 (a power of two for a rounded run)."""
+        v, lcm = self.values, math.lcm
+        if self.form == _RAW:
+            for o in ordinals:
+                k = 4 * o
+                mx, ex, my, ey = v[k:k + 4]
+                e = min(ex, ey, 0)
+                yield mx << (ex - e), my << (ey - e), 1 << -e
+        else:  # floats and Fractions
+            for o in ordinals:
+                k = 2 * o
+                nx, dx = v[k].as_integer_ratio()
+                ny, dy = v[k + 1].as_integer_ratio()
+                q = lcm(dx, dy)
+                yield nx * (q // dx), ny * (q // dy), q
 
     def _values(self):
         return self.steps, tuple(self.fractions(range(len(self.steps))))
@@ -267,18 +254,16 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self):
-        return f"_Record(steps={len(self.steps)}, parts={[form for _, form, _ in self._parts]})"
+        return f"_Record(steps={len(self.steps)}, form={self.form!r})"
 
 
 class Trajectory(_Frozen):
     """Recorded integration output.  ``dt`` is the exact requested step size;
     sample times are step_index * dt.  ``precision`` is None for exact
     arithmetic runs.  ``record`` holds the sampled states as the kernels
-    produced them, and ``samples`` is built from it when first read (a cache
-    that equality, hash and repr leave out)."""
+    produced them, and ``samples`` is built from it on each read."""
 
-    __slots__ = ("params", "scheme", "dt", "precision", "n_steps", "record", "_samples")
-    __match_args__ = __slots__[:-1]
+    __slots__ = ("params", "scheme", "dt", "precision", "n_steps", "record")
 
     def __init__(self, params: OscillatorParams, scheme: Scheme, dt: Fraction,
                  precision: Optional[PrecisionConfig], n_steps: int, record: _Record):
@@ -288,7 +273,6 @@ class Trajectory(_Frozen):
         _set(self, "precision", precision)
         _set(self, "n_steps", n_steps)
         _set(self, "record", record)
-        _set(self, "_samples", None)
 
     @property
     def steps(self) -> tuple[int, ...]:
@@ -298,12 +282,9 @@ class Trajectory(_Frozen):
     @property
     def samples(self) -> tuple[tuple[int, State], ...]:
         """The (i, State at time i*dt) samples."""
-        if self._samples is None:
-            steps, time = self.record.steps, self._time
-            pairs = self.record.fractions(range(len(steps)))
-            _set(self, "_samples", tuple(
-                (i, State(x, y, time(i))) for i, (x, y) in zip(steps, pairs)))
-        return self._samples
+        steps, time = self.record.steps, self._time
+        pairs = self.record.fractions(range(len(steps)))
+        return tuple((i, State(x, y, time(i))) for i, (x, y) in zip(steps, pairs))
 
     def _time(self, i: int) -> Fraction:
         """i*dt in lowest terms, without a Fraction product."""
@@ -609,8 +590,8 @@ _NATIVE_FN = {
 def _native_kernel(scheme: Scheme, p: int, st, consts):
     """The native kernel of a rounded channel from the raw start st, as
     (form, run, compiled): run(plan, out) follows the sampling plan as the
-    kernels above do, appending each sampled state to ``out``, a record
-    part's values in the form ``form``, and returns (samples done, steps
+    kernels above do, appending each sampled state to ``out``, a record's
+    values in the form ``form``, and returns (samples done, steps
     done, the last in-range state); compiled is whether run is compiled.
     None when the channel runs on the emulator throughout: a precision
     without a native kernel, or a start or constants outside their windows,
@@ -673,13 +654,12 @@ def _known_answers(kernels) -> bool:
                 want, got = array("d"), array("d")
                 if kernels.binary64(scheme.value, *args, got) != _NATIVE_FN[scheme](*args, want) or got != want:
                     return False
-            record = _Record(every)
-            xy = record.part(_FLOAT, 0)
+            record = _Record(every, _FLOAT)
             kernels.binary64(scheme.value, (1.0, 0.0), _native_floats(_consts(scheme, params, dt, 24)),
-                             _split_factor(24), array("q", every), xy)
+                             _split_factor(24), array("q", every), record.values)
             run = Trajectory(params, scheme, dt, PrecisionConfig(24), every[-1], record)
             keys = array("d", bytes(8 * every[-1]))
-            kernels.residual_keys(xy, analysis._key_coefficients(run, params), keys)
+            kernels.residual_keys(record.values, analysis._key_coefficients(run, params), keys)
             if keys != array("d", (analysis._float_key(*form[1:])
                                    for form in analysis._residual_forms(run, params, range(len(every))))):
                 return False
@@ -842,31 +822,33 @@ def _channel(scheme: Scheme, params: OscillatorParams, dt: Fraction, cfg, x0, y0
     the start to p bits, then steps on a native kernel while the range
     guard holds and on the fused emulator kernel otherwise.  Kernels run the
     steps between two samples in their own loops."""
-    record = _Record(wanted)
     i = j = 0
     if cfg is None:
-        fused, consts, p, form = _exact_fused, update_matrix(scheme, params, dt), None, _EXACT
-        st = (x0, y0)
+        fused, consts, p = _exact_fused, update_matrix(scheme, params, dt), None
+        st, record = (x0, y0), _Record(wanted, _EXACT)
     else:
         p = cfg.significand_bits
-        fused, consts, form = _FUSED_FN[scheme], _consts(scheme, params, dt, p), _RAW
+        fused, consts = _FUSED_FN[scheme], _consts(scheme, params, dt, p)
         st = (*_fraction_to_raw(x0, p), *_fraction_to_raw(y0, p))
         native = _native_kernel(scheme, p, st, consts)
-        if native is not None:  # one call, up to the last index an array('q') holds
+        if native is None:
+            record = _Record(wanted, _RAW)
+        else:  # one call, up to the last index an array('q') holds
             from ._compiled import _MAX_K
 
-            native_form, run, _ = native
+            form, run, _ = native
+            record = _Record(wanted, form)
             # packed by one struct call, about 2.5 times as fast as array('q', wanted)
             k = bisect_right(wanted, _MAX_K)
-            j, i, st = run(array("q", struct.Struct(f"{k}q").pack(*wanted[:k])), record.part(native_form, 0))
-            if native_form == _FLOAT and j < len(wanted):  # the emulator goes on from the last in-range state
+            j, i, st = run(array("q", struct.Struct(f"{k}q").pack(*wanted[:k])), record.values)
+            if form == _FLOAT and j < len(wanted):  # the emulator goes on from the last in-range state
+                record.to_raw(p)
                 st = (*_float_to_raw(st[0], p), *_float_to_raw(st[1], p))
-    if j < len(wanted):
-        out = record.part(form, j)
-        for j in range(j, len(wanted)):
-            st = fused(st, consts, p, wanted[j] - i)
-            i = wanted[j]
-            out.extend(st)
+    out = record.values
+    for j in range(j, len(wanted)):
+        st = fused(st, consts, p, wanted[j] - i)
+        i = wanted[j]
+        out.extend(st)
     return record
 
 

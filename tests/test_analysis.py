@@ -319,36 +319,34 @@ def eager_samples(scheme, params, dt, n, cfg):
     return tuple(out)
 
 
-# (scheme, params, dt, steps, p, the kernels in charge, the record's parts)
+# (scheme, params, dt, steps, p, the kernels in charge, the record's form)
 RECORDS = {
-    "exact": (Scheme.RK3, PARAMS, Fraction(1, 10), 60, None, None, ["exact"]),
-    "binary64 python": (Scheme.RK3, PARAMS, Fraction(1, 100), 300, 24, "python", ["float"]),
-    "binary64 compiled": (Scheme.RK3, PARAMS, Fraction(1, 100), 300, 24, "compiled", ["float"]),
-    "emulated": (Scheme.RK3, PARAMS, Fraction(1, 100), 300, 30, None, ["raw"]),
-    "binary128": (Scheme.MIDPOINT_IMPLICIT, PARAMS, Fraction(1, 100), 300, 113, "compiled", ["raw"]),
-    # the state passes 2**400 about 250 steps in: the emulator takes over
-    # inside the stride-1 stretch
-    "hand-off python": (Scheme.FORWARD_EULER, OscillatorParams(1, 1), Fraction(3), 300, 24, "python",
-                        ["float", "raw"]),
-    "hand-off compiled": (Scheme.FORWARD_EULER, OscillatorParams(1, 1), Fraction(3), 300, 24, "compiled",
-                          ["float", "raw"]),
+    "exact": (Scheme.RK3, PARAMS, Fraction(1, 10), 60, None, None, "exact"),
+    "binary64 python": (Scheme.RK3, PARAMS, Fraction(1, 100), 300, 24, "python", "float"),
+    "binary64 compiled": (Scheme.RK3, PARAMS, Fraction(1, 100), 300, 24, "compiled", "float"),
+    "emulated": (Scheme.RK3, PARAMS, Fraction(1, 100), 300, 30, None, "raw"),
+    "binary128": (Scheme.MIDPOINT_IMPLICIT, PARAMS, Fraction(1, 100), 300, 113, "compiled", "raw"),
+    # the state passes 2**400 at step 241: the emulator takes over inside
+    # the stride-1 stretch, on the record converted to raw pairs
+    "hand-off python": (Scheme.FORWARD_EULER, OscillatorParams(1, 1), Fraction(3), 300, 24, "python", "raw"),
+    "hand-off compiled": (Scheme.FORWARD_EULER, OscillatorParams(1, 1), Fraction(3), 300, 24, "compiled", "raw"),
 }
 
 
 @pytest.mark.parametrize("backend", RECORDS)
 def test_record_reads_as_eager_states(backend, request):
-    scheme, params, dt, n, p, kernels, parts = RECORDS[backend]
+    scheme, params, dt, n, p, kernels, form = RECORDS[backend]
     if kernels == "compiled":
         request.getfixturevalue("compiled")  # skips where the kernels do not load
     cfg = None if p is None else PrecisionConfig(p)
     args = (scheme, params, dt, n * dt, cfg, SamplingPlan.every(1))
     run = functools.partial(python_kernels, integrate) if kernels == "python" else integrate
     traj = run(*args)
-    assert [form for _, form, _ in traj.record._parts] == parts
+    assert traj.record.form == form
     eager = eager_samples(scheme, params, dt, n, cfg)
     assert traj.samples == eager
     assert traj.final_state == eager[-1][1]
-    # the integer form over each part's denominator, for every and for some samples
+    # the integer form over each state's denominator, for every and for some samples
     for ordinals in (range(n + 1), [0, 1, n // 2, n - 1, n]):
         as_ints = [(Fraction(nx, q), Fraction(ny, q)) for nx, ny, q in traj.record.integers(ordinals)]
         assert as_ints == [(eager[o][1].x, eager[o][1].y) for o in ordinals]
@@ -373,16 +371,30 @@ FLOAT_PARTS = {
 }
 
 
+def float_record(values):
+    """A record of the flat float values, one sample per (x, y)."""
+    record = schemes._Record(tuple(range(len(values) // 2)), schemes._FLOAT)
+    record.values.extend(values)
+    return record
+
+
 @pytest.mark.parametrize("part", FLOAT_PARTS)
 def test_integers_of_a_float_part(part):
     values = FLOAT_PARTS[part]
-    record = schemes._Record(tuple(range(len(values) // 2)))
-    record.part(schemes._FLOAT, 0).extend(values)
-    got = list(record.integers(range(len(record.steps))))
-    pairs = list(zip(values[::2], values[1::2]))
-    assert [(Fraction(nx, q), Fraction(ny, q)) for nx, ny, q in got] == [
-        (Fraction(x), Fraction(y)) for x, y in pairs]
+    record = float_record(values)
+    ordinals = range(len(record.steps))
+    got = list(record.integers(ordinals))
+    pairs = [(Fraction(x), Fraction(y)) for x, y in zip(values[::2], values[1::2])]
+    assert [(Fraction(nx, q), Fraction(ny, q)) for nx, ny, q in got] == pairs
     assert all(q & (q - 1) == 0 for _, _, q in got)
+    assert list(record.fractions(ordinals)) == pairs
+    # converted to raw pairs, as a guard trip does: the same states
+    raw = float_record(values)
+    raw.to_raw(53)
+    assert raw.form == schemes._RAW and len(raw.values) == 2 * len(values)
+    assert list(raw.fractions(ordinals)) == pairs
+    assert [(Fraction(nx, q), Fraction(ny, q)) for nx, ny, q in raw.integers(ordinals)] == pairs
+    assert raw == record and hash(raw) == hash(record)
 
 
 class TestResidualSummarySynthetic:
@@ -519,25 +531,21 @@ def test_compiled_keys_at_ties(compiled, p):
 
 
 def test_compiled_keys_of_a_hand_off(compiled):
-    scheme, params, dt, n, p, _, parts = RECORDS["hand-off compiled"]
+    # a run whose range guard tripped holds raw pairs: every pair takes its
+    # key from the exact integers, and the summary is the exact one
+    scheme, params, dt, n, p, _, form = RECORDS["hand-off compiled"]
     traj = integrate(scheme, params, dt, n * dt, PrecisionConfig(p), SamplingPlan.every(1))
-    assert [form for _, form, _ in traj.record._parts] == parts
-    keys = assert_keys_exact(traj, params)
-    raw_start = traj.record._parts[1][0]
-    # within the float part NaN only for a zero residual (the early steps
-    # are exact); NaN across the boundary and in the raw part
-    exact = [float_key(*form) for _, *form in analysis._residual_forms(traj, params, range(raw_start))]
-    assert list(map(math.isnan, keys[:raw_start - 1])) == [key == 0 for key in exact]
-    assert exact.count(0) < raw_start // 4
-    assert all(map(math.isnan, keys[raw_start - 1:]))
+    assert traj.record.form == form
+    keys, undecided = analysis._compiled_keys(traj, params)
+    assert undecided == len(keys) == n and all(map(math.isnan, keys))
+    assert residual_summary(traj, params) == sorted_summary(r for _, r in consistency_residual(traj, params))
 
 
 @pytest.mark.parametrize("part", FLOAT_PARTS)
 def test_compiled_keys_of_float_part_edges(compiled, part):
     # zeros, subnormals and values far outside [2**-450, 2**450]: NaN, not wrong
     values = FLOAT_PARTS[part]
-    record = schemes._Record(tuple(range(len(values) // 2)))
-    record.part(schemes._FLOAT, 0).extend(values)
+    record = float_record(values)
     for scheme in Scheme:
         traj = schemes.Trajectory(PARAMS, scheme, Fraction(1, 100), SINGLE, len(values) // 2 - 1, record)
         keys = assert_keys_exact(traj, PARAMS)
@@ -587,10 +595,9 @@ def test_residual_keys_refuse_bad_buffers(compiled):
     # M = [I | -I]: the residual is the step's difference, here (0, 0.5)
     xy, m = array("d", (1.0, 0.0, 1.0, 0.5)), [1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0,
                                                0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0]
-    for keys, coefficients, start in ((array("d"), m, 0), (array("d", [0.0]), m, 1), (array("q", [0]), m, 0),
-                                      (array("d", [0.0]), m[:14], 0)):
+    for keys, coefficients in ((array("d"), m), (array("q", [0]), m), (array("d", [0.0]), m[:14])):
         with pytest.raises(ValueError):
-            compiled.residual_keys(xy, coefficients, keys, start)
+            compiled.residual_keys(xy, coefficients, keys)
     keys = array("d", [0.0])
     assert compiled.residual_keys(xy, m, keys) == 0 and keys[0] == 0.25
 

@@ -20,7 +20,7 @@ from roundtrap.experiments import (
 )
 from roundtrap.fpcore import QUAD, SINGLE, PrecisionConfig
 from roundtrap.oscillator import OscillatorParams, analytic_solution
-from roundtrap.schemes import SamplingPlan, Scheme, integrate, integrate_pair
+from roundtrap.schemes import SamplingPlan, Scheme, Trajectory, integrate, integrate_pair
 
 PARAMS = OscillatorParams()
 
@@ -224,19 +224,25 @@ class TestLongtimeRun:
         assert calls == {"analytic": k, "separation": k, "norm2": 2 * k, "cos_sin": k}
 
     def test_keeps_no_samples(self, monkeypatch):
-        # the run reads each channel's samples once, one at a time, so its
-        # peak memory holds the two records but not their States
+        # the run reads each channel's record one state at a time and never
+        # builds the samples' States, so its peak memory holds the two
+        # records but not their States
         from roundtrap import experiments
 
         made = []
         monkeypatch.setattr(experiments, "integrate_pair",
                             lambda *args: made.extend(integrate_pair(*args)) or tuple(made))
+        samples = Trajectory.samples
+
+        def refused(self):
+            raise AssertionError("longtime_run read Trajectory.samples")
+
+        monkeypatch.setattr(Trajectory, "samples", property(refused))
         recs = experiments.longtime_run(
             Scheme.MIDPOINT_IMPLICIT, PARAMS, Fraction(1, 100), 2, SINGLE, QUAD, 20, spacing="linear"
         )
-        run, ref = made
-        assert run._samples is None and ref._samples is None
-        assert [r.t for r in recs] == [s.t for _, s in run.samples]
+        run, _ = made
+        assert [r.t for r in recs] == [s.t for _, s in samples.fget(run)]
 
     def test_one_time_per_sample(self, monkeypatch):
         # the run, reference and analytic States of a sample share one time

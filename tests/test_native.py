@@ -392,8 +392,8 @@ class CompiledKernels:
         def records_nothing(kernels, scheme, xy, c, C, plan, out):
             return right(kernels, scheme, xy, c, C, plan, array("d") if scheme == name else out)
 
-        def drops_lo(kernels, xy, m, keys, start=0):
-            return right_keys(kernels, xy, [v if k % 2 == 0 else 0.0 for k, v in enumerate(m)], keys, start)
+        def drops_lo(kernels, xy, m, keys):
+            return right_keys(kernels, xy, [v if k % 2 == 0 else 0.0 for k, v in enumerate(m)], keys)
 
         return [("binary64", off_by_one_step), ("binary64", records_nothing), ("residual_keys", drops_lo)]
 

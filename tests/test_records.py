@@ -44,7 +44,7 @@ CASES = {
                      EULER_RUN.record),
         "Trajectory(params=OscillatorParams(a=Fraction(1, 10), b=Fraction(1, 5)), "
         "scheme=<Scheme.FORWARD_EULER: 'euler'>, dt=Fraction(1, 4), precision=PrecisionConfig(significand_bits=10), "
-        "n_steps=2, record=_Record(steps=3, parts=['float']))"),
+        "n_steps=2, record=_Record(steps=3, form='float'))"),
     "UpdateMatrix": (
         UpdateMatrix, (((Fraction(1), Fraction(-1, 4)), (Fraction(1, 8), Fraction(1))),),
         "UpdateMatrix(entries=((Fraction(1, 1), Fraction(-1, 4)), (Fraction(1, 8), Fraction(1, 1))))"),
@@ -208,11 +208,10 @@ def test_checks(build_bad, error):
 
 def test_trajectory_samples_stay_out_of_eq_hash_and_repr():
     fresh = build("Trajectory")
-    assert fresh._samples is None
     read = build("Trajectory")
-    assert len(read.samples) == 3 and read._samples is not None
+    assert len(read.samples) == 3
     assert fresh == read and hash(fresh) == hash(read) and repr(fresh) == repr(read) == CASES["Trajectory"][2]
-    assert "_samples" not in Trajectory.__match_args__
+    assert Trajectory.__match_args__ == Trajectory.__slots__
     assert pickle.loads(pickle.dumps(read)).samples == read.samples
 
 

@@ -232,9 +232,9 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("p", [24, 40, 113, None])
     def test_pickle_round_trip(self, p):
-        # a trajectory from a worker process arrives pickled: its record's
-        # parts (floats at p=24, raw pairs at 40 and 113, Fractions when
-        # exact) must read back the same states
+        # a trajectory from a worker process arrives pickled: its record
+        # (floats at p=24, raw pairs at 40 and 113, Fractions when exact)
+        # must read back the same states
         cfg = None if p is None else PrecisionConfig(p)
         traj = integrate(Scheme.MIDPOINT_IMPLICIT, PARAMS, Fraction(1, 10), 3, cfg, SamplingPlan.every(4))
         copy = pickle.loads(pickle.dumps(traj))
